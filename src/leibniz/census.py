@@ -17,11 +17,9 @@ every worker count.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -35,22 +33,11 @@ from .core import (
 )
 from .families import abelian, dim2_l1, family_a_i, family_a_ii, family_a_iii
 from .lattice import MaximalCyclicReport, maximal_cyclic_report
-from .linalg import GF, Subspace, vec_add, vec_scale
+from .linalg import GF, Subspace, nonzero_elements
 
 CENSUS_P = 2
 MAX_CENSUS_DIM = 3
 _CHUNK = 1 << 20
-
-
-def tensor_to_int(algebra: LeibnizAlgebra) -> int:
-    d = algebra.dim
-    value = 0
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if not algebra.field.is_zero(algebra.tensor[i][j][k]):
-                    value |= 1 << (i * d * d + j * d + k)
-    return value
 
 
 def algebra_from_int(dim: int, value: int, *, checked: bool = False) -> LeibnizAlgebra:
@@ -73,10 +60,10 @@ def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     immediately.
     """
     d = dim
-    shifts = np.arange(d**3, dtype=np.int64)
     idx = np.arange(start, stop, dtype=np.int64)
-    bits = ((idx[:, None] >> shifts) & 1).astype(np.uint8)
-    t = bits.reshape(-1, d, d, d)
+    # bit b of each tensor integer (d^3 <= 27 bits) lands in column b, one byte per bit
+    octets = idx.astype("<u4").view(np.uint8).reshape(-1, 4)
+    t = np.unpackbits(octets, axis=1, count=d**3, bitorder="little").reshape(-1, d, d, d)
     for i in range(d):
         for j in range(d):
             for k in range(d):
@@ -111,15 +98,10 @@ def _decomposition_tuples(algebra: LeibnizAlgebra, report: MaximalCyclicReport) 
         if not entry.is_cyclic or entry.subspace.dim != n - 1:
             continue
         k = entry.subspace
-        for coeffs in product(range(field.characteristic), repeat=n):
-            d = (field.zero,) * n
-            for c, i in zip(coeffs, range(n)):
-                if c:
-                    e_i = tuple(field.one if j == i else field.zero for j in range(n))
-                    d = vec_add(field, d, vec_scale(field, c, e_i))
+        for d in nonzero_elements(Subspace.full(field, n)):
             if k.contains(d):
                 continue
-            d_line = Subspace.from_vectors(field, n, [d])
+            d_line = Subspace._span(field, n, [d])
             dk = product_subspace(algebra, d_line, k).dim
             kd = product_subspace(algebra, k, d_line).dim
             tuples.add((dk, kd, leib, cent, cls))
@@ -206,14 +188,6 @@ class CensusResult:
     @property
     def valid(self) -> int:
         return len(self.records)
-
-    def summary(self) -> list[tuple[str, int]]:
-        """Counts by profile, in stable key order."""
-        counts: dict[str, int] = {}
-        for record in self.records:
-            key = json.dumps(record["profile"], sort_keys=False)
-            counts[key] = counts.get(key, 0) + 1
-        return sorted(counts.items())
 
 
 def census(dim: int, p: int = 2, jobs: int = 1) -> CensusResult:

@@ -78,7 +78,7 @@ class LeibnizAlgebra:
         tensor = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), terms in brackets.items():
             for k, c in terms.items():
-                tensor[i][j][k] = field.of(c)
+                tensor[i][j][k] = c
         return cls(field, tensor, labels)
 
     def __eq__(self, other: object) -> bool:
@@ -197,7 +197,7 @@ def full_space(algebra: LeibnizAlgebra) -> Subspace:
 def product_subspace(algebra: LeibnizAlgebra, s: Subspace, t: Subspace) -> Subspace:
     """span{[x, y] : x in basis(S), y in basis(T)}; bilinearity makes this the full product span."""
     products = [algebra.bracket(x, y) for x in s.rows for y in t.rows]
-    return Subspace.from_vectors(algebra.field, algebra.dim, products)
+    return Subspace._span(algebra.field, algebra.dim, products)
 
 
 def is_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> bool:
@@ -237,7 +237,7 @@ def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:
                     for a, b in zip(algebra.tensor[i][j], algebra.tensor[j][i])
                 )
             )
-    return Subspace.from_vectors(field, n, gens)
+    return Subspace._span(field, n, gens)
 
 
 def _annihilator_constraints(algebra: LeibnizAlgebra, side: str) -> list[Vector]:
@@ -256,18 +256,18 @@ def _annihilator_constraints(algebra: LeibnizAlgebra, side: str) -> list[Vector]
 
 def left_center(algebra: LeibnizAlgebra) -> Subspace:
     algebra.ensure_checked()
-    return Matrix(algebra.field, _annihilator_constraints(algebra, "left")).kernel()
+    return Matrix(algebra.field, _annihilator_constraints(algebra, "left"), _coerced=True).kernel()
 
 
 def right_center(algebra: LeibnizAlgebra) -> Subspace:
     algebra.ensure_checked()
-    return Matrix(algebra.field, _annihilator_constraints(algebra, "right")).kernel()
+    return Matrix(algebra.field, _annihilator_constraints(algebra, "right"), _coerced=True).kernel()
 
 
 def center(algebra: LeibnizAlgebra) -> Subspace:
     algebra.ensure_checked()
     rows = _annihilator_constraints(algebra, "left") + _annihilator_constraints(algebra, "right")
-    return Matrix(algebra.field, rows).kernel()
+    return Matrix(algebra.field, rows, _coerced=True).kernel()
 
 
 def lower_central_series(algebra: LeibnizAlgebra) -> tuple[Subspace, ...]:
@@ -300,12 +300,12 @@ def _center_modulo(algebra: LeibnizAlgebra, z: Subspace) -> Subspace:
     tensor = algebra.tensor
     rows = []
     for j in range(n):
-        reduced_right = [z.reduce(tensor[i][j]) for i in range(n)]
-        reduced_left = [z.reduce(tensor[j][i]) for i in range(n)]
+        reduced_right = [z._residual(tensor[i][j]) for i in range(n)]
+        reduced_left = [z._residual(tensor[j][i]) for i in range(n)]
         for l in range(n):
             rows.append(tuple(reduced_right[i][l] for i in range(n)))
             rows.append(tuple(reduced_left[i][l] for i in range(n)))
-    return Matrix(algebra.field, rows).kernel()
+    return Matrix(algebra.field, rows, _coerced=True).kernel()
 
 
 def upper_central_series(algebra: LeibnizAlgebra) -> tuple[Subspace, ...]:

@@ -12,7 +12,6 @@ reported as `UNKNOWN` rather than guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .core import (
@@ -23,7 +22,16 @@ from .core import (
     product_subspace,
     restrict_to_subalgebra,
 )
-from .linalg import Field, Scalar, Subspace, Vector, vec_add, vec_is_zero, vec_scale
+from .linalg import (
+    Scalar,
+    Subspace,
+    Vector,
+    basis_vector,
+    linear_combination,
+    nonzero_elements,
+    vec_is_zero,
+    zero_vector,
+)
 
 UNKNOWN = "unknown"
 
@@ -58,9 +66,9 @@ def generated_subalgebra(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Cyclic
     chain: list[Vector] = []
     span = Subspace.zero(field, n)
     w = v
-    while not span.contains(w):
+    while not vec_is_zero(field, span._residual(w)):
         chain.append(w)
-        span = span.sum(Subspace.from_vectors(field, n, [w]))
+        span = Subspace._span(field, n, [*span.rows, w])
         w = algebra.bracket(v, w)
     if not product_subspace(algebra, span, span) <= span:
         raise AssertionError("ln-chain span failed to close under the bracket")
@@ -80,14 +88,12 @@ def generated_by(algebra: LeibnizAlgebra, vectors: Sequence[Sequence[Scalar]]) -
 
 def _ln_tail_span(algebra: LeibnizAlgebra, a: Vector, k: int) -> Subspace:
     """span{ln_t(a) : t >= k}; stabilizes within ambient-dimension further steps."""
-    field = algebra.field
-    n = algebra.dim
     vecs = []
     w = left_normed(algebra, a, k)
-    for _ in range(n + 1):
+    for _ in range(algebra.dim + 1):
         vecs.append(w)
         w = algebra.bracket(a, w)
-    return Subspace.from_vectors(field, n, vecs)
+    return Subspace._span(algebra.field, algebra.dim, vecs)
 
 
 @dataclass(frozen=True)
@@ -164,13 +170,8 @@ def proposition_check(
         restricted = restrict_to_subalgebra(algebra, probe.span)
 
         def lift(sub: Subspace) -> Subspace:
-            vecs = []
-            for row in sub.rows:
-                w = (field.zero,) * n
-                for c, basis_row in zip(row, probe.span.rows):
-                    w = vec_add(field, w, vec_scale(field, c, basis_row))
-                vecs.append(w)
-            return Subspace.from_vectors(field, n, vecs)
+            vecs = [linear_combination(field, row, probe.span.rows) for row in sub.rows]
+            return Subspace._span(field, n, vecs)
 
         results["v"] = derived == lift(leibniz_kernel(restricted))
 
@@ -187,8 +188,7 @@ def proposition_check(
         for y in chain:
             w = algebra.bracket(x, y)
             for z in range(n):
-                ez = tuple(field.one if i == z else field.zero for i in range(n))
-                if not vec_is_zero(field, algebra.bracket(w, ez)):
+                if not vec_is_zero(field, algebra.bracket(w, basis_vector(field, n, z))):
                     ok = False
     results["vii"] = ok
 
@@ -200,22 +200,15 @@ def proposition_check(
 def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     """Exhaustive generator search over a prime field.
 
-    Scans the p^dim - 1 nonzero coefficient tuples against the canonical
-    basis in lexicographic order and returns the first generator found.
+    Scans the nonzero elements of S in the order of `nonzero_elements`
+    (coefficient tuples against the canonical basis, lexicographic) and
+    returns the first generator found.
     """
-    field = algebra.field
-    if field.characteristic == 0:
+    if algebra.field.characteristic == 0:
         raise ValueError("exhaustive scan needs a finite field")
     if not is_subalgebra(algebra, s):
         raise ValueError("subspace is not a subalgebra")
-    n = algebra.dim
-    for coeffs in product(range(field.characteristic), repeat=s.dim):
-        if not any(coeffs):
-            continue
-        v = (field.zero,) * n
-        for c, row in zip(coeffs, s.rows):
-            if c:
-                v = vec_add(field, v, vec_scale(field, c, row))
+    for v in nonzero_elements(s):
         if generated_subalgebra(algebra, v).span == s:
             return v
     return None
@@ -261,6 +254,24 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace):
     return cyclic_generator_by_criterion(algebra, s)
 
 
+def is_canonical_cyclic(algebra: LeibnizAlgebra, rows: Sequence[Vector]) -> bool:
+    """Whether the ordered rows a_1..a_m carry the canonical cyclic table.
+
+    That is [a_1, a_j] = a_{j+1} for j < m, [a_1, a_m] = 0 and
+    [a_i, a_j] = 0 for i >= 2.  Over the standard basis this says the
+    structure tensor is the canonical cyclic nilpotent table; over the
+    ln-chain of a it says <a> has that table.  Rows must be field values.
+    """
+    if not rows:
+        return False
+    zero = zero_vector(algebra.field, algebra.dim)
+    a1 = rows[0]
+    targets = [*rows[1:], zero]
+    if any(algebra.bracket(a1, x) != want for x, want in zip(rows, targets)):
+        return False
+    return all(algebra.bracket(x, y) == zero for x in rows[1:] for y in rows)
+
+
 def canonical_cyclic_basis(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> tuple[Vector, ...]:
     """The ln-chain of a as an ordered basis of <a>, verified canonical.
 
@@ -269,17 +280,9 @@ def canonical_cyclic_basis(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> tupl
     (in particular when <a> is not nilpotent).
     """
     algebra.ensure_checked()
-    field = algebra.field
-    probe = generated_subalgebra(algebra, a)
-    chain = probe.chain
+    chain = generated_subalgebra(algebra, a).chain
     if not chain:
         raise ValueError("the zero vector generates nothing")
-    m = len(chain)
-    tail = algebra.bracket(probe.generator, chain[-1])
-    if not vec_is_zero(field, tail):
-        raise ValueError("<a> is not nilpotent: the ln-chain does not terminate at zero")
-    for i in range(1, m):
-        for j in range(m):
-            if not vec_is_zero(field, algebra.bracket(chain[i], chain[j])):
-                raise ValueError("<a> does not have the canonical cyclic table")
+    if not is_canonical_cyclic(algebra, chain):
+        raise ValueError("<a> does not have the canonical cyclic table (is it nilpotent?)")
     return chain

@@ -22,7 +22,8 @@ from .core import (
     right_center,
     upper_central_series,
 )
-from .linalg import Field, Matrix, Scalar, Subspace, Vector
+from .cyclic import is_canonical_cyclic
+from .linalg import Matrix, Scalar, Subspace, basis_vector, vec_add, vec_sub
 
 
 def left_mult_matrix(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Matrix:
@@ -90,9 +91,10 @@ def _kernel_basis(algebra: LeibnizAlgebra, kind: str) -> DerivationBasis:
     algebra.ensure_checked()
     n = algebra.dim
     field = algebra.field
-    kern = Matrix(field, _constraint_rows(algebra, kind)).kernel()
+    kern = Matrix(field, _constraint_rows(algebra, kind), _coerced=True).kernel()
     mats = tuple(
-        Matrix(field, [row[r * n : (r + 1) * n] for r in range(n)]) for row in kern.rows
+        Matrix(field, [row[r * n : (r + 1) * n] for r in range(n)], _coerced=True)
+        for row in kern.rows
     )
     return DerivationBasis(kind, mats, kern.dim)
 
@@ -125,33 +127,14 @@ def _satisfies(algebra: LeibnizAlgebra, m: Matrix, kind: str) -> bool:
     for i in range(n):
         for j in range(n):
             lhs = m.apply(algebra.basis_bracket(i, j))
+            e_i, e_j = basis_vector(field, n, i), basis_vector(field, n, j)
             if kind == "left-derivation":
-                rhs = _vec_add(
-                    field,
-                    algebra.bracket(cols[i], _basis(field, n, j)),
-                    algebra.bracket(_basis(field, n, i), cols[j]),
-                )
+                rhs = vec_add(field, algebra.bracket(cols[i], e_j), algebra.bracket(e_i, cols[j]))
             else:
-                rhs = _vec_sub(
-                    field,
-                    algebra.bracket(_basis(field, n, i), cols[j]),
-                    algebra.bracket(_basis(field, n, j), cols[i]),
-                )
+                rhs = vec_sub(field, algebra.bracket(e_i, cols[j]), algebra.bracket(e_j, cols[i]))
             if lhs != rhs:
                 return False
     return True
-
-
-def _basis(field: Field, n: int, i: int) -> Vector:
-    return tuple(field.one if j == i else field.zero for j in range(n))
-
-
-def _vec_add(field: Field, x: Vector, y: Vector) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(x, y))
-
-
-def _vec_sub(field: Field, x: Vector, y: Vector) -> Vector:
-    return tuple(field.sub(a, b) for a, b in zip(x, y))
 
 
 # -- structure of derivations of the canonical cyclic algebra ---------------
@@ -178,22 +161,8 @@ class CyclicRightDerivationProfile:
     rhos: tuple[Scalar, ...]
 
 
-def is_canonical_cyclic(algebra: LeibnizAlgebra) -> bool:
-    """Whether the tensor is exactly the canonical cyclic nilpotent table."""
-    n = algebra.dim
-    field = algebra.field
-    for i in range(n):
-        for j in range(n):
-            expected_k = j + 1 if i == 0 and j + 1 < n else None
-            for k, v in enumerate(algebra.tensor[i][j]):
-                want = field.one if k == expected_k else field.zero
-                if v != want:
-                    return False
-    return True
-
-
 def _require_canonical_cyclic(algebra: LeibnizAlgebra) -> None:
-    if not is_canonical_cyclic(algebra):
+    if not is_canonical_cyclic(algebra, Subspace.full(algebra.field, algebra.dim).rows):
         raise ValueError("algebra is not the canonical cyclic nilpotent table")
 
 
@@ -247,7 +216,7 @@ class InvarianceReport:
 
 
 def _image(m: Matrix, s: Subspace) -> Subspace:
-    return Subspace.from_vectors(m.field, s.ambient, [m.apply(r) for r in s.rows])
+    return Subspace._span(m.field, s.ambient, [m.apply(r) for r in s.rows])
 
 
 def check_invariance(algebra: LeibnizAlgebra, m: Matrix, kind: str) -> InvarianceReport:

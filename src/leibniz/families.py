@@ -18,7 +18,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import LeibnizAlgebra, product_subspace
-from .linalg import Field, Matrix, Scalar, Subspace, Vector, solve, vec_scale, vec_sub
+from .cyclic import is_canonical_cyclic
+from .linalg import (
+    Field,
+    Matrix,
+    Scalar,
+    Subspace,
+    Vector,
+    linear_combination,
+    solve,
+    vec_scale,
+    vec_sub,
+)
 
 CONVENTIONS = ("printed", "derived")
 
@@ -177,27 +188,25 @@ def family_c(n: int, field: Field) -> LeibnizAlgebra:
 
 # -- proof procedures -------------------------------------------------------
 
-def _require_canonical_cyclic(algebra: LeibnizAlgebra, k_rows: Sequence[Vector]) -> None:
+def _coerced_chain(
+    algebra: LeibnizAlgebra, k_rows: Sequence[Vector], b: Vector
+) -> tuple[list[Vector], Vector, Subspace]:
+    """The caller's basis of K and b as field values, and span K.
+
+    Raises unless the basis is a canonical cyclic chain and b lies outside K.
+    """
     field = algebra.field
-    n = len(k_rows)
-    a1 = k_rows[0]
-    for j in range(n):
-        expected = k_rows[j + 1] if j + 1 < n else None
-        got = algebra.bracket(a1, k_rows[j])
-        if expected is None:
-            ok = all(field.is_zero(v) for v in got)
-        else:
-            ok = got == tuple(field.of(v) for v in expected)
-        if not ok:
-            raise ValueError("basis is not a canonical cyclic chain")
-    for m in range(1, n):
-        for k in range(n):
-            if not all(field.is_zero(v) for v in algebra.bracket(k_rows[m], k_rows[k])):
-                raise ValueError("basis is not a canonical cyclic chain")
+    k_rows = [tuple(field.of(v) for v in row) for row in k_rows]
+    if not is_canonical_cyclic(algebra, k_rows):
+        raise ValueError("basis is not a canonical cyclic chain")
+    k_span = Subspace._span(field, algebra.dim, list(k_rows))
+    if k_span.contains(b):
+        raise ValueError("b must lie outside K")
+    return k_rows, tuple(field.of(v) for v in b), k_span
 
 
 def _k_coords(field: Field, k_rows: Sequence[Vector], v: Vector) -> Vector | None:
-    return solve(Matrix(field, k_rows).transpose(), v)
+    return solve(Matrix(field, k_rows, _coerced=True).transpose(), v)
 
 
 def nilpotent_complement(
@@ -210,23 +219,17 @@ def nilpotent_complement(
     """
     algebra.ensure_checked()
     field = algebra.field
-    _require_canonical_cyclic(algebra, k_rows)
-    k_span = Subspace.from_vectors(field, algebra.dim, k_rows)
-    if k_span.contains(b):
-        raise ValueError("b must lie outside K")
+    k_rows, b, k_span = _coerced_chain(algebra, k_rows, b)
     coords = _k_coords(field, k_rows, algebra.bracket(k_rows[0], b))
     if coords is None:
         raise ValueError("[a1, b] does not lie in K")
     if not field.is_zero(coords[0]):
         raise ValueError("[a1, b] has an a1-component; the nilpotency hypothesis fails")
-    d = b
-    for j in range(2, len(k_rows) + 1):
-        beta = coords[j - 1]
-        if not field.is_zero(beta):
-            d = vec_sub(field, d, vec_scale(field, beta, k_rows[j - 2]))
+    # d = b - (beta_2 a_1 + ... + beta_n a_{n-1})
+    d = vec_sub(field, b, linear_combination(field, (*coords[1:], 0), k_rows))
     if not all(field.is_zero(v) for v in algebra.bracket(k_rows[0], d)):
         raise AssertionError("normalization failed to annihilate [a1, d]")
-    d_span = Subspace.from_vectors(field, algebra.dim, [d])
+    d_span = Subspace._span(field, algebra.dim, [d])
     if product_subspace(algebra, k_span, d_span).dim != 0:
         raise ValueError("[K, d] != 0; K is not acting as in the nilpotent case")
     return d
@@ -242,10 +245,7 @@ def scaling_complement(
     """
     algebra.ensure_checked()
     field = algebra.field
-    _require_canonical_cyclic(algebra, k_rows)
-    k_span = Subspace.from_vectors(field, algebra.dim, k_rows)
-    if k_span.contains(b):
-        raise ValueError("b must lie outside K")
+    k_rows, b, _ = _coerced_chain(algebra, k_rows, b)
     coords = _k_coords(field, k_rows, algebra.bracket(b, k_rows[0]))
     if coords is None:
         raise ValueError("[b, a1] does not lie in K")
@@ -258,11 +258,8 @@ def scaling_complement(
         raise ValueError("[a1, b] does not lie in K")
     if coords[0] != field.neg(field.one):
         raise AssertionError("[a1, b] is not -a1 modulo Leib after rescaling")
-    d = b
-    for j in range(2, len(k_rows) + 1):
-        sigma = coords[j - 1]
-        if not field.is_zero(sigma):
-            d = vec_sub(field, d, vec_scale(field, sigma, k_rows[j - 2]))
+    # d = b - (sigma_2 a_1 + ... + sigma_n a_{n-1})
+    d = vec_sub(field, b, linear_combination(field, (*coords[1:], 0), k_rows))
     a1 = k_rows[0]
     expected = vec_scale(field, field.neg(field.one), a1)
     if algebra.bracket(a1, d) != expected:
@@ -280,51 +277,18 @@ class EigenReduction:
     transition: Matrix
 
 
-def _extract_b_form(algebra: LeibnizAlgebra) -> tuple[tuple[Scalar, ...], Scalar]:
-    """Read (gamma_2..gamma_n, delta_n) off a type-B table; raise if it is not one."""
+def _require_b_form(algebra: LeibnizAlgebra) -> None:
+    """Raise unless the table is `family_b`'s for the gammas and delta it carries."""
     field = algebra.field
     n = algebra.dim - 1
     if n < 2:
         raise ValueError("need total dimension >= 3")
-    zero, one = field.zero, field.one
     t = algebra.tensor
-
-    def expect(i, j, vec_dict, what):
-        expected = [zero] * (n + 1)
-        for k, c in vec_dict.items():
-            expected[k] = c
-        if list(t[i][j]) != expected:
-            raise ValueError(f"input is not in type-B form: {what}")
-
-    for m in range(n - 1):
-        expect(0, m, {m + 1: one}, f"[a1, a{m + 1}]")
-    expect(0, n - 1, {}, "[a1, an]")
-    for m in range(1, n):
-        for k in range(n):
-            expect(m, k, {}, f"[a{m + 1}, a{k + 1}]")
-        expect(m, n, {}, f"[a{m + 1}, d]")
-    expect(0, n, {0: field.neg(one)}, "[a1, d]")
-    da1 = t[n][0]
-    if da1[0] != one or not field.is_zero(da1[n]):
-        raise ValueError("input is not in type-B form: [d, a1]")
-    gammas = tuple(da1[u - 1] for u in range(2, n + 1))  # gamma_2 .. gamma_n
-    if gammas and not field.is_zero(gammas[0]):
+    gammas = t[n][0][1:n]  # [d, a1] = a1 + gamma_2 a2 + ... + gamma_n an
+    if not field.is_zero(gammas[0]):
         raise ValueError("type-B input must have gamma_2 = 0")
-    for j in range(2, n + 1):
-        expected = {j - 1: field.of(j)}
-        for u in range(2, n - j + 2):
-            g = gammas[u - 2]
-            if not field.is_zero(g):
-                expected[u + j - 2] = field.add(expected.get(u + j - 2, zero), g)
-        expect(n, j - 1, expected, f"[d, a{j}]")
-    dd = t[n][n]
-    if not field.is_zero(dd[0]) or not field.is_zero(dd[n]):
-        raise ValueError("input is not in type-B form: [d, d]")
-    for k in range(1, n - 1):
-        if dd[k] != field.neg(gammas[k]):  # gamma_{k+2} sits at a_{k+1}
-            raise ValueError("input is not in type-B form: [d, d]")
-    delta = dd[n - 1]
-    return gammas, delta
+    if t != family_b(n, gammas, t[n][n][n - 1], field).tensor:
+        raise ValueError("input is not in type-B form")
 
 
 def eigenbasis_reduction(algebra: LeibnizAlgebra) -> EigenReduction:
@@ -342,11 +306,11 @@ def eigenbasis_reduction(algebra: LeibnizAlgebra) -> EigenReduction:
         raise ValueError(
             f"a diagonal coefficient vanishes in GF({field.characteristic}); need characteristic 0 or > n"
         )
-    _extract_b_form(algebra)
+    _require_b_form(algebra)
     t = algebra.tensor
     rows = [[t[n][j - 1][l] for j in range(2, n + 1)] for l in range(1, n)]
     rhs = [t[n][n][l] for l in range(1, n)]
-    lambdas = solve(Matrix(field, rows), rhs)
+    lambdas = solve(Matrix(field, rows, _coerced=True), rhs)
     if lambdas is None:
         raise AssertionError("the triangular system is singular")
 
@@ -376,7 +340,7 @@ def eigenbasis_reduction(algebra: LeibnizAlgebra) -> EigenReduction:
             raise AssertionError(f"[s, b_{j}] != {j} b_{j} after reduction")
         if not field.is_zero(bj[n]):
             raise AssertionError("eigenbasis vector leaves K")
-    transition = Matrix(field, [row[:n] for row in b_rows])
+    transition = Matrix(field, [row[:n] for row in b_rows], _coerced=True)
     if transition.rank() != n:
         raise AssertionError("transition matrix is singular")
     return EigenReduction(tuple(lambdas), s, tuple(b_rows), transition)

@@ -71,7 +71,7 @@ def enumerate_subspaces(ambient: int, p: int):
                     rows[r][pivots[r]] = field.one
                 for (r, c), v in zip(free, values):
                     rows[r][c] = v
-                yield Subspace.from_vectors(field, ambient, rows)
+                yield Subspace(field, ambient, tuple(map(tuple, rows)), _canonical=True)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def rational_codim1_report(algebra: LeibnizAlgebra) -> RationalCodim1Report:
         vectors = list(derived.rows) + [
             basis_vector(field, n, i) for i in complement if i != drop
         ]
-        s = Subspace.from_vectors(field, n, vectors)
+        s = Subspace._span(field, n, vectors)
         if s.dim != n - 1 or s in seen:
             continue
         seen.add(s)

@@ -6,11 +6,23 @@ Matrices and subspaces are immutable values.  A subspace is stored as the
 reduced row echelon basis of its span with zero rows removed, so two
 subspaces are equal as sets exactly when their stored bases are equal
 entry-wise.
+
+Scalars are coerced once, where they enter from outside the library:
+`Field.of` runs in the public constructors (`Matrix(...)`,
+`Subspace.from_vectors`, `LeibnizAlgebra`, the family parameters) and in
+public functions that take a caller's vector (`Subspace.reduce`,
+`Subspace.contains`, `solve`).  Everything the library computes is already
+a field value (a `Fraction`, or an int in [0, p)), so internal callers pass
+it straight through: `Matrix(..., _coerced=True)`, `Subspace._span` (row
+reduction only) and `Subspace._residual` skip the coercion.  Floats are
+rejected at the boundary rather than truncated or made binary-exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from numbers import Rational
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -44,10 +56,6 @@ class Field:
         self.characteristic = characteristic
 
     @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime-field"
-
-    @property
     def label(self) -> str:
         return "Q" if self.characteristic == 0 else f"GF({self.characteristic})"
 
@@ -69,9 +77,13 @@ class Field:
         return Fraction(1) if self.characteristic == 0 else 1
 
     def of(self, value) -> Scalar:
-        """Coerce an int, Fraction or scalar string into this field."""
+        """Coerce an int, Fraction or scalar string into this field; anything else is a TypeError."""
         if isinstance(value, str):
             return self.parse(value)
+        if not isinstance(value, Rational):
+            raise TypeError(
+                f"{self.label} scalars must be int, Fraction or str, not {type(value).__name__} {value!r}"
+            )
         if self.characteristic == 0:
             return Fraction(value)
         if isinstance(value, Fraction):
@@ -107,17 +119,8 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.characteristic - 2, self.characteristic)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: Scalar) -> bool:
         return a == 0 if self.characteristic == 0 else a % self.characteristic == 0
-
-    def elements(self) -> Iterator[Scalar]:
-        """All field elements; only available over a prime field."""
-        if self.characteristic == 0:
-            raise ValueError("cannot enumerate the rationals")
-        return iter(range(self.characteristic))
 
     def parse(self, text: str) -> Scalar:
         """Parse scalar text: ``a/b`` or ``a`` over Q, a residue in [0, p) over GF(p)."""
@@ -172,12 +175,22 @@ def vec_is_zero(field: Field, x: Vector) -> bool:
     return all(field.is_zero(a) for a in x)
 
 
+def linear_combination(field: Field, coeffs: Sequence[Scalar], rows: Sequence[Vector]) -> Vector:
+    """sum_i coeffs[i] * rows[i], for a nonempty list of equally long rows."""
+    reduce = field.reduce
+    return tuple(reduce(sum(c * x for c, x in zip(coeffs, col))) for col in zip(*rows))
+
+
 def render_vector(field: Field, x: Vector) -> str:
     return "(" + ", ".join(field.render(a) for a in x) + ")"
 
 
-def _rref_in_place(field: Field, rows: list[list[Scalar]]) -> list[int]:
-    """Gauss-Jordan to reduced row echelon form; returns the pivot columns."""
+def _rref_in_place(field: Field, rows: list[Sequence[Scalar]]) -> list[int]:
+    """Gauss-Jordan to reduced row echelon form; returns the pivot columns.
+
+    Rows are field values.  The list is permuted and its changed rows are
+    replaced by new lists; the row objects themselves are never written to.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -214,11 +227,12 @@ class Matrix:
 
     __slots__ = ("field", "data")
 
-    def __init__(self, field: Field, rows: Iterable[Iterable]):
+    def __init__(self, field: Field, rows: Iterable[Iterable], *, _coerced: bool = False):
         self.field = field
-        self.data: tuple[Vector, ...] = tuple(
-            tuple(field.of(v) for v in row) for row in rows
-        )
+        if _coerced:
+            self.data: tuple[Vector, ...] = tuple(map(tuple, rows))
+            return
+        self.data = tuple(tuple(field.of(v) for v in row) for row in rows)
         if self.data:
             width = len(self.data[0])
             if any(len(row) != width for row in self.data):
@@ -226,11 +240,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [basis_vector(field, n, i) for i in range(n)])
+        return cls(field, [basis_vector(field, n, i) for i in range(n)], _coerced=True)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [zero_vector(field, ncols)] * nrows)
+        return cls(field, [zero_vector(field, ncols)] * nrows, _coerced=True)
 
     @property
     def nrows(self) -> int:
@@ -257,14 +271,11 @@ class Matrix:
     def entry(self, i: int, j: int) -> Scalar:
         return self.data[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.data)) if self.data else Matrix(self.field, [])
+        return Matrix(self.field, zip(*self.data), _coerced=True)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix times column vector."""
@@ -284,37 +295,34 @@ class Matrix:
                 [reduce(sum(a * b for a, b in zip(row, col))) for col in cols]
                 for row in self.data
             ],
+            _coerced=True,
         )
 
     def add(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.data and (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch in matrix sum")
-        return Matrix(self.field, [vec_add(self.field, r, s) for r, s in zip(self.data, other.data)])
+        rows = [vec_add(self.field, r, s) for r, s in zip(self.data, other.data)]
+        return Matrix(self.field, rows, _coerced=True)
 
     def sub(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.data and (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch in matrix difference")
-        return Matrix(self.field, [vec_sub(self.field, r, s) for r, s in zip(self.data, other.data)])
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or (self.data and other.data and self.ncols != other.ncols):
-            raise ValueError("dimension mismatch in vstack")
-        return Matrix(self.field, list(self.data) + list(other.data))
+        rows = [vec_sub(self.field, r, s) for r, s in zip(self.data, other.data)]
+        return Matrix(self.field, rows, _coerced=True)
 
     def rref(self) -> "Matrix":
-        rows = [list(r) for r in self.data]
+        rows = list(self.data)
         _rref_in_place(self.field, rows)
-        return Matrix(self.field, rows)
+        return Matrix(self.field, rows, _coerced=True)
 
     def rank(self) -> int:
-        rows = [list(r) for r in self.data]
-        return len(_rref_in_place(self.field, rows))
+        return len(_rref_in_place(self.field, list(self.data)))
 
     def kernel(self) -> "Subspace":
         """Right null space {x : A x = 0} as a canonical subspace."""
         field = self.field
         n = self.ncols
-        rows = [list(r) for r in self.data if not vec_is_zero(field, r)]
+        rows = [r for r in self.data if not vec_is_zero(field, r)]
         pivots = _rref_in_place(field, rows)
         pivot_set = set(pivots)
         basis = []
@@ -326,7 +334,7 @@ class Matrix:
             for r, pc in enumerate(pivots):
                 v[pc] = field.neg(rows[r][free])
             basis.append(v)
-        return Subspace.from_vectors(field, n, basis)
+        return Subspace._span(field, n, basis)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -337,7 +345,7 @@ class Matrix:
         pivots = _rref_in_place(field, aug)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(field, [row[n:] for row in aug])
+        return Matrix(field, [row[n:] for row in aug], _coerced=True)
 
 
 def solve(a: Matrix, b: Sequence[Scalar]) -> Vector | None:
@@ -373,12 +381,17 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        rows = [[field.of(v) for v in vec] for vec in vectors]
+        rows = [tuple(field.of(v) for v in vec) for vec in vectors]
         for row in rows:
             if len(row) != ambient:
                 raise ValueError("vector length differs from ambient dimension")
+        return cls._span(field, ambient, rows)
+
+    @classmethod
+    def _span(cls, field: Field, ambient: int, rows: list[Sequence[Scalar]]) -> "Subspace":
+        """The span of rows that are already field values of length ambient; reorders the list."""
         _rref_in_place(field, rows)
-        basis = tuple(tuple(row) for row in rows if not all(field.is_zero(v) for v in row))
+        basis = tuple(tuple(row) for row in rows if not vec_is_zero(field, row))
         return cls(field, ambient, basis, _canonical=True)
 
     @classmethod
@@ -420,8 +433,11 @@ class Subspace:
         """Residual of v after subtracting its projection onto the basis rows."""
         if len(v) != self.ambient:
             raise ValueError("vector length differs from ambient dimension")
+        return self._residual([self.field.of(x) for x in v])
+
+    def _residual(self, residual: Sequence[Scalar]) -> Vector:
+        """`reduce` of a vector that is already field values."""
         field = self.field
-        residual = [field.of(x) for x in v]
         for row, pc in zip(self.rows, self._pivots):
             c = residual[pc]
             if field.is_zero(c):
@@ -434,24 +450,38 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(r) for r in other.rows)
+        return all(vec_is_zero(self.field, self._residual(r)) for r in other.rows)
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_subspace(self)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_vectors(self.field, self.ambient, self.rows + other.rows)
+        return Subspace._span(self.field, self.ambient, list(self.rows + other.rows))
 
     def annihilator(self) -> "Subspace":
         """{x : <b, x> = 0 for all basis rows b}, under the standard pairing."""
         if not self.rows:
             return Subspace.full(self.field, self.ambient)
-        return Matrix(self.field, self.rows).kernel()
+        return Matrix(self.field, self.rows, _coerced=True).kernel()
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return self.annihilator().sum(other.annihilator()).annihilator()
 
     def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.rows)
+        return Matrix(self.field, self.rows, _coerced=True)
+
+
+def nonzero_elements(s: Subspace) -> Iterator[Vector]:
+    """Every nonzero element of a subspace over GF(p), once each.
+
+    The elements are the combinations of the canonical basis rows, with the
+    p^dim - 1 nonzero coefficient tuples taken in lexicographic order.
+    """
+    p = s.field.characteristic
+    if p == 0:
+        raise ValueError("cannot enumerate a subspace over the rationals")
+    for coeffs in product(range(p), repeat=s.dim):
+        if any(coeffs):
+            yield linear_combination(s.field, coeffs, s.rows)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_corpus
 from leibniz.core import LeibnizAlgebra, restrict_to_subalgebra
 from leibniz.cyclic import (
     UNKNOWN,
@@ -10,6 +11,7 @@ from leibniz.cyclic import (
     cyclic_generator_by_scan,
     generated_by,
     generated_subalgebra,
+    is_canonical_cyclic,
     is_cyclic_subalgebra,
     left_normed,
     proposition_check,
@@ -212,3 +214,18 @@ def test_generated_span_contains_and_closes(p, data):
     # closure is asserted internally; restriction must therefore succeed
     if probe.span.dim:
         restrict_to_subalgebra(alg, probe.span)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_canonical_cyclic_over_standard_basis_is_the_table(field):
+    for name, alg in build_corpus(field):
+        rows = Subspace.full(field, alg.dim).rows
+        expected = alg.tensor == cyclic_nilpotent(alg.dim, field).tensor
+        assert is_canonical_cyclic(alg, rows) == expected, name
+
+
+def test_canonical_cyclic_chain_order_matters():
+    alg = cyclic_nilpotent(3, QQ)
+    assert is_canonical_cyclic(alg, canonical_cyclic_basis(alg, (1, 1, 0)))
+    assert not is_canonical_cyclic(alg, [basis_vector(QQ, 3, i) for i in (1, 0, 2)])
+    assert not is_canonical_cyclic(alg, [])

@@ -4,12 +4,12 @@ import pytest
 
 from conftest import build_corpus
 from leibniz.core import leibniz_kernel
+from leibniz.cyclic import is_canonical_cyclic
 from leibniz.derivations import (
     check_invariance,
     derivation_space,
     extract_cyclic_derivation_profile,
     extract_cyclic_right_derivation_profile,
-    is_canonical_cyclic,
     is_derivation,
     is_right_derivation,
     left_mult_matrix,
@@ -118,7 +118,7 @@ def test_profile_rejects_non_derivation():
 
 def test_profile_requires_canonical_cyclic():
     a = dim2_l2(QQ)
-    assert not is_canonical_cyclic(a)
+    assert not is_canonical_cyclic(a, [basis_vector(QQ, 2, i) for i in range(2)])
     with pytest.raises(ValueError):
         extract_cyclic_derivation_profile(a, Matrix.zeros(QQ, 2, 2))
 

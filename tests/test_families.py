@@ -299,3 +299,18 @@ def test_eigenbasis_reduction_rejects_small_characteristic():
 def test_eigenbasis_reduction_rejects_non_b_form():
     with pytest.raises(ValueError):
         eigenbasis_reduction(family_a_i(3, QQ))
+
+
+@pytest.mark.parametrize("k_indices", [(1, 0, 2), (0, 2, 1), (0, 1), ()])
+def test_complements_reject_a_non_canonical_chain(k_indices):
+    k_rows = std(QQ, 4, *k_indices)
+    with pytest.raises(ValueError, match="canonical cyclic chain"):
+        nilpotent_complement(family_a_i(3, QQ), k_rows, basis_vector(QQ, 4, 3))
+    with pytest.raises(ValueError, match="canonical cyclic chain"):
+        scaling_complement(family_b(3, [0, 0], 0, QQ), k_rows, basis_vector(QQ, 4, 3))
+
+
+def test_complements_coerce_the_callers_vectors():
+    a = family_a_i(3, GF(5))
+    k_rows = [(6, 0, 0, 0), (0, 1, 0, 0), (0, 0, -4, 0)]  # e1, e2, e3 as out-of-range ints
+    assert nilpotent_complement(a, k_rows, (1, 0, 0, 6)) == (0, 0, 0, 1)

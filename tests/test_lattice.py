@@ -137,3 +137,11 @@ def test_rational_codim1_report_family_a_i():
 def test_rational_codim1_report_requires_q():
     with pytest.raises(ValueError):
         rational_codim1_report(cyclic_nilpotent(2, GF(2)))
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (3, 3), (3, 5)])
+def test_enumerated_bases_are_canonical(n, p):
+    # enumerate_subspaces builds its bases in RREF and skips elimination
+    field = GF(p)
+    for s in enumerate_subspaces(n, p):
+        assert Subspace.from_vectors(field, n, s.rows) == s

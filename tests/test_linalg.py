@@ -1,15 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibniz.linalg import GF, QQ, Field, Matrix, Subspace, solve
+from leibniz.linalg import GF, QQ, Field, Matrix, Subspace, nonzero_elements, solve
 
 
 def test_field_validation():
-    assert QQ.kind == "rationals"
-    assert GF(7).kind == "prime-field"
     with pytest.raises(ValueError):
         Field(4)
     with pytest.raises(ValueError):
@@ -193,3 +192,47 @@ def test_matrix_inverse():
     assert m.mul(inv) == Matrix.identity(QQ, 2)
     with pytest.raises(ValueError):
         Matrix(QQ, [[1, 2], [2, 4]]).inverse()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+@pytest.mark.parametrize("value", [0.9, 0.1, 1.0, np.float64(2.0), np.float32(0.5)])
+def test_floats_rejected_at_the_boundary(field, value):
+    with pytest.raises(TypeError):
+        field.of(value)
+    with pytest.raises(TypeError):
+        Matrix(field, [[1, value]])
+    with pytest.raises(TypeError):
+        Subspace.from_vectors(field, 2, [(value, 1)])
+    with pytest.raises(TypeError):
+        Subspace.full(field, 2).reduce((value, 0))
+
+
+def test_boundary_reduces_out_of_range_ints():
+    f = GF(5)
+    assert f.of(np.int64(7)) == 2
+    assert Matrix(f, [[7, -1]]).data == ((2, 4),)
+    assert Matrix(f, [[7, -1]]).rref().data == ((1, 2),)
+    assert Subspace.from_vectors(f, 2, [[7, -1]]).rows == ((1, 2),)
+    assert Subspace.zero(f, 2).reduce([7, -1]) == (2, 4)
+    assert Subspace.from_vectors(f, 2, [(0, 1)]).reduce([7, -1]) == (2, 0)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2)])
+def test_nonzero_elements_lexicographic(p, n):
+    field = GF(p)
+    full = Subspace.full(field, n)
+    elements = list(nonzero_elements(full))
+    # against the standard basis the coefficient tuple is the vector itself
+    assert elements == sorted(elements)
+    assert len(set(elements)) == p**n - 1
+    assert (0,) * n not in elements
+
+
+def test_nonzero_elements_of_a_plane():
+    field = GF(3)
+    s = Subspace.from_vectors(field, 3, [(1, 0, 2), (0, 1, 1)])
+    elements = list(nonzero_elements(s))
+    assert elements[:3] == [(0, 1, 1), (0, 2, 2), (1, 0, 2)]
+    assert len(set(elements)) == 8 and all(s.contains(v) for v in elements)
+    with pytest.raises(ValueError):
+        next(nonzero_elements(Subspace.full(QQ, 2)))
