@@ -2,13 +2,15 @@
 
 A tensor on d basis vectors is encoded as a d^3-bit integer with entry
 (i, j, k) at bit i*d*d + j*d + k; the integer doubles as the record
-fingerprint.  Candidate tensors are screened in numpy batches: the identity
-residual on one basis triple is evaluated for the whole batch and failures
-are discarded before the next triple is tried, so almost all of the 2^27
-dimension-3 tensors die within a few constraints.  Survivors get the full
-exact treatment: invariant profile, subalgebra lattice, maximal-cyclic
-flags, and an invariant-profile match against the classified nilpotent
-families.  Profile matching is consistency of invariants, not a basis-level
+fingerprint.  Candidate tensors are screened 64 to a machine word: tensor
+64*w + s is bit s of word w.  Each tensor entry (a "plane") is then one
+uint64 per word: a fixed in-word mask for the integer bits below 6, and all
+ones or all zeros, read off the word index, for the bits above.  The
+identity residual on every basis triple and coordinate is evaluated with
+word ANDs and XORs, with no per-tensor work.  Survivors get the full exact
+treatment: invariant profile, subalgebra lattice, maximal-cyclic flags, and
+an invariant-profile match against the classified nilpotent families.
+Profile matching is consistency of invariants, not a basis-level
 isomorphism test.
 
 Records are merged in fingerprint order, so the output is identical for
@@ -38,6 +40,8 @@ from .linalg import GF, Subspace, nonzero_elements
 CENSUS_P = 2
 MAX_CENSUS_DIM = 3
 _CHUNK = 1 << 20
+# bit b < 6 of the tensor integer 64*w + s, as a mask over the 64 slots s of a word
+_IN_WORD = tuple(sum(1 << s for s in range(64) if s >> b & 1) for b in range(6))
 
 
 def algebra_from_int(dim: int, value: int, *, checked: bool = False) -> LeibnizAlgebra:
@@ -53,32 +57,42 @@ def algebra_from_int(dim: int, value: int, *, checked: bool = False) -> LeibnizA
 
 
 def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
-    """Tensor integers in [start, stop) whose algebra satisfies the identity.
+    """Tensor integers in [start, stop) whose algebra satisfies the identity, ascending.
 
-    Batch-evaluates the residual of [[e_i,e_j],e_k] - [e_i,[e_j,e_k]] +
-    [e_j,[e_i,e_k]] over GF(2) one basis triple at a time, pruning failures
-    immediately.
+    Word w of np.arange(start >> 6, ...) stands for tensors 64*w .. 64*w + 63.
+    Bit b of tensor 64*w + s is bit b of s for b < 6, the same for every
+    word (_IN_WORD[b]), and bit b - 6 of w otherwise, so every plane is built
+    from the word index alone.  The residual of [[e_i,e_j],e_k] -
+    [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]] over GF(2) on each basis triple and
+    coordinate is ORed into one word of failures per 64 tensors.
     """
     d = dim
-    idx = np.arange(start, stop, dtype=np.int64)
-    # bit b of each tensor integer (d^3 <= 27 bits) lands in column b, one byte per bit
-    octets = idx.astype("<u4").view(np.uint8).reshape(-1, 4)
-    t = np.unpackbits(octets, axis=1, count=d**3, bitorder="little").reshape(-1, d, d, d)
+    words = np.arange(start >> 6, (stop + 63) >> 6, dtype=np.uint64)
+    t = np.empty((d**3, words.shape[0]), np.uint64)
+    for b in range(d**3):
+        if b < 6:
+            t[b] = _IN_WORD[b]
+        else:
+            t[b] = np.uint64(0) - ((words >> np.uint64(b - 6)) & np.uint64(1))
+    t = t.reshape(d, d, d, -1)
+    bad = np.zeros(words.shape[0], np.uint64)
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                r = np.zeros((t.shape[0], d), np.uint8)
-                for m in range(d):
-                    r ^= t[:, i, j, m : m + 1] & t[:, m, k, :]
-                    r ^= t[:, j, k, m : m + 1] & t[:, i, m, :]
-                    r ^= t[:, i, k, m : m + 1] & t[:, j, m, :]
-                keep = ~r.any(axis=1)
-                if not keep.all():
-                    t = t[keep]
-                    idx = idx[keep]
-                if idx.shape[0] == 0:
-                    return []
-    return idx.tolist()
+                for c in range(d):
+                    r = np.zeros_like(bad)
+                    for m in range(d):
+                        r ^= t[i, j, m] & t[m, k, c]
+                        r ^= t[j, k, m] & t[i, m, c]
+                        r ^= t[i, k, m] & t[j, m, c]
+                    bad |= r
+    good = ~bad
+    valid = []
+    for w in np.flatnonzero(good).tolist():
+        bits = int(good[w])
+        base = int(words[w]) << 6
+        valid += [base + s for s in range(64) if bits >> s & 1 and start <= base + s < stop]
+    return valid
 
 
 def _decomposition_tuples(algebra: LeibnizAlgebra, report: MaximalCyclicReport) -> frozenset:
