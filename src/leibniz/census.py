@@ -8,10 +8,14 @@ uint64 per word: a fixed in-word mask for the integer bits below 6, and all
 ones or all zeros, read off the word index, for the bits above.  The
 identity residual on every basis triple and coordinate is evaluated with
 word ANDs and XORs, with no per-tensor work.  Survivors get the full exact
-treatment: invariant profile, subalgebra lattice, maximal-cyclic flags, and
-an invariant-profile match against the classified nilpotent families.
-Profile matching is consistency of invariants, not a basis-level
-isomorphism test.
+treatment: invariant profile, subalgebra lattice and maximal-cyclic flags.
+
+Isomorphism is decided exactly.  A tensor's class key is the least tensor
+integer in its GL(d, 2) orbit, found by applying all invertible changes of
+basis, so two tensors share a key exactly when their algebras are
+isomorphic.  A nilpotent survivor with a maximal cyclic subalgebra is
+labelled with the first classified family instance (abelian/L1 at d = 2,
+A-i/ii/iii at d = 3) whose key equals its own, or "unmatched" if none does.
 
 Records are merged in fingerprint order, so the output is identical for
 every worker count.
@@ -19,23 +23,18 @@ every worker count.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 import numpy as np
 
-from .core import (
-    LeibnizAlgebra,
-    center,
-    invariant_profile,
-    leibniz_kernel,
-    nilpotency_class,
-    product_subspace,
-)
-from .families import abelian, dim2_l1, family_a_i, family_a_ii, family_a_iii
-from .lattice import MaximalCyclicReport, maximal_cyclic_report
-from .linalg import GF, Subspace, nonzero_elements
+from .core import LeibnizAlgebra, invariant_profile
+from .families import CONVENTIONS, abelian, dim2_l1, family_a_i, family_a_ii, family_a_iii
+from .lattice import maximal_cyclic_report
+from .linalg import GF, Matrix
 
 CENSUS_P = 2
 MAX_CENSUS_DIM = 3
@@ -95,36 +94,55 @@ def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     return valid
 
 
-def _decomposition_tuples(algebra: LeibnizAlgebra, report: MaximalCyclicReport) -> frozenset:
-    """Coarse classification fingerprints (dim [d,K], dim [K,d], Leib, center, class).
-
-    One tuple per choice of a codimension-1 maximal cyclic subalgebra K and
-    complement element d; matching a family means some decomposition of the
-    algebra produces the same five dimensions as the family's canonical one.
-    """
-    field = algebra.field
-    n = algebra.dim
-    leib = leibniz_kernel(algebra).dim
-    cent = center(algebra).dim
-    cls = nilpotency_class(algebra)
-    tuples = set()
-    for entry in report.entries:
-        if not entry.is_cyclic or entry.subspace.dim != n - 1:
-            continue
-        k = entry.subspace
-        for d in nonzero_elements(Subspace.full(field, n)):
-            if k.contains(d):
-                continue
-            d_line = Subspace._span(field, n, [d])
-            dk = product_subspace(algebra, d_line, k).dim
-            kd = product_subspace(algebra, k, d_line).dim
-            tuples.add((dk, kd, leib, cent, cls))
-    return frozenset(tuples)
+def _tensor_int(algebra: LeibnizAlgebra) -> int:
+    d = algebra.dim
+    return sum(
+        int(c) << (i * d * d + j * d + k)
+        for i, plane in enumerate(algebra.tensor)
+        for j, vec in enumerate(plane)
+        for k, c in enumerate(vec)
+    )
 
 
 @lru_cache(maxsize=None)
-def reference_match_tuples(dim: int) -> tuple[tuple[str, frozenset], ...]:
-    """(label, fingerprint set) for the classified nilpotent families of this total dim."""
+def _basis_change_tables(dim: int) -> tuple[tuple[int, ...], ...]:
+    """For each g in GL(dim, 2), the image under g of each single-entry tensor, by bit.
+
+    The rows of g are the new basis in old coordinates, as in
+    `core.algebra_in_basis`; with h = g^-1 the entry [e_i, e_j] = e_k becomes
+    [f_a, f_b] = sum_m g[a][i] g[b][j] h[k][m] f_m.  The change of basis is
+    linear on the tensor bits, so a tensor's image is the XOR of the images
+    of its set bits.
+    """
+    field = GF(CENSUS_P)
+    entries = list(itertools.product(range(dim), repeat=3))  # (i, j, k) at bit i*d*d + j*d + k
+    tables = []
+    for flat in itertools.product((0, 1), repeat=dim * dim):
+        matrix = Matrix(field, [flat[r * dim:(r + 1) * dim] for r in range(dim)])
+        if matrix.rank() < dim:
+            continue
+        g, h = matrix.data, matrix.inverse().data
+        tables.append(tuple(
+            sum(1 << (a * dim * dim + b * dim + m) for a, b, m in entries if g[a][i] & g[b][j] & h[k][m])
+            for i, j, k in entries
+        ))
+    return tuple(tables)
+
+
+def class_key(dim: int, value: int) -> int:
+    """The least tensor integer in the GL(dim, 2) orbit of value.
+
+    Two tensors have the same key exactly when their algebras are isomorphic.
+    """
+    if not 1 <= dim <= MAX_CENSUS_DIM or not 0 <= value < 1 << dim**3:
+        raise ValueError(f"need 1 <= dim <= {MAX_CENSUS_DIM} and 0 <= value < 2^(dim^3)")
+    set_bits = [b for b in range(dim**3) if value >> b & 1]
+    return min(reduce(xor, (table[b] for b in set_bits), 0) for table in _basis_change_tables(dim))
+
+
+@lru_cache(maxsize=None)
+def reference_match_tuples(dim: int) -> tuple[tuple[str, int], ...]:
+    """(label, class key) for the classified nilpotent family instances of this total dim."""
     field = GF(CENSUS_P)
     instances: list[tuple[str, LeibnizAlgebra]] = []
     if dim == 2:
@@ -135,30 +153,11 @@ def reference_match_tuples(dim: int) -> tuple[tuple[str, frozenset], ...]:
         instances.append(("A-i", family_a_i(n, field)))
         instances.append(("A-ii", family_a_ii(n, field)))
         for t in range(2, n + 1):
-            width = n - t
-            gamma_space = [
-                [(bits >> i) & 1 for i in range(width)] for bits in range(1 << width)
-            ]
-            for gammas in gamma_space:
-                for tau in range(CENSUS_P):
-                    for convention in ("printed", "derived"):
-                        instances.append(
-                            (
-                                "A-iii",
-                                family_a_iii(n, t, gammas, tau, field, convention),
-                            )
-                        )
-    out = []
-    for label, alg in instances:
-        if alg.check_left_leibniz():
-            continue
-        alg.ensure_checked()
-        if nilpotency_class(alg) is None:
-            continue
-        tuples = _decomposition_tuples(alg, maximal_cyclic_report(alg))
-        if tuples:
-            out.append((label, tuples))
-    return tuple(out)
+            for gammas, tau, convention in itertools.product(
+                itertools.product(range(CENSUS_P), repeat=n - t), range(CENSUS_P), CONVENTIONS
+            ):
+                instances.append(("A-iii", family_a_iii(n, t, gammas, tau, field, convention)))
+    return tuple((label, class_key(dim, _tensor_int(alg))) for label, alg in instances)
 
 
 def census_record(dim: int, value: int) -> dict:
@@ -169,12 +168,8 @@ def census_record(dim: int, value: int) -> dict:
     nilpotent = profile.nilpotency_class is not None
     matched: str | None = None
     if nilpotent and report.has_maximal_cyclic:
-        matched = "unmatched"
-        own = _decomposition_tuples(algebra, report)
-        for label, ref in reference_match_tuples(dim):
-            if own & ref:
-                matched = label
-                break
+        key = class_key(dim, value)
+        matched = next((label for label, ref in reference_match_tuples(dim) if ref == key), "unmatched")
     return {
         "fingerprint": f"d{dim}-{value:0{max(1, (dim ** 3 + 3) // 4)}x}",
         "dim": dim,
@@ -202,6 +197,14 @@ class CensusResult:
     @property
     def valid(self) -> int:
         return len(self.records)
+
+    @property
+    def classes(self) -> dict[int, tuple[int, ...]]:
+        """Class key -> the recorded tensors of that isomorphism class, both ascending."""
+        groups: dict[int, list[int]] = {}
+        for record in self.records:
+            groups.setdefault(class_key(self.dim, record["tensor"]), []).append(record["tensor"])
+        return {key: tuple(groups[key]) for key in sorted(groups)}
 
 
 def census(dim: int, p: int = 2, jobs: int = 1) -> CensusResult:

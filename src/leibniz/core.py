@@ -30,13 +30,12 @@ class IdentityViolation:
 class LeibnizAlgebra:
     """Finite-dimensional algebra given by its structure tensor."""
 
-    __slots__ = ("field", "dim", "tensor", "labels", "_violations", "_nonzero")
+    __slots__ = ("field", "dim", "tensor", "_violations", "_nonzero")
 
     def __init__(
         self,
         field: Field,
         tensor: Sequence[Sequence[Sequence[Scalar]]],
-        labels: Sequence[str] | None = None,
         *,
         _assume_checked: bool = False,
     ):
@@ -56,11 +55,6 @@ class LeibnizAlgebra:
                 row.append(tuple(field.of(v) for v in vec))
             rows.append(tuple(row))
         self.tensor: tuple[tuple[Vector, ...], ...] = tuple(rows)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("label count differs from dimension")
-        self.labels = labels
         self._violations: tuple[IdentityViolation, ...] | None = (
             () if _assume_checked else None
         )
@@ -72,14 +66,13 @@ class LeibnizAlgebra:
         field: Field,
         dim: int,
         brackets: dict[tuple[int, int], dict[int, Scalar]],
-        labels: Sequence[str] | None = None,
     ) -> "LeibnizAlgebra":
         """Build from sparse 0-based bracket data {(i, j): {k: coefficient}}."""
         tensor = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), terms in brackets.items():
             for k, c in terms.items():
                 tensor[i][j][k] = c
-        return cls(field, tensor, labels)
+        return cls(field, tensor)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -52,33 +52,24 @@ def cyclic_nilpotent(n: int, field: Field) -> LeibnizAlgebra:
     """Canonical cyclic nilpotent table: [a1, a1] = a2, [a1, a_{j-1}] = a_j."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    labels = tuple(f"a{i}" for i in range(1, n + 1))
-    return LeibnizAlgebra.from_brackets(field, n, _cyclic_entries(field, n), labels)
+    return LeibnizAlgebra.from_brackets(field, n, _cyclic_entries(field, n))
 
 
 def dim2_l1(field: Field) -> LeibnizAlgebra:
     """L1: [a, a] = b, everything else zero; nilpotent of class 2."""
-    return LeibnizAlgebra.from_brackets(field, 2, {(0, 0): {1: field.one}}, ("a", "b"))
+    return LeibnizAlgebra.from_brackets(field, 2, {(0, 0): {1: field.one}})
 
 
 def dim2_l2(field: Field) -> LeibnizAlgebra:
     """L2: [c, c] = [c, d] = d, everything else zero; not nilpotent."""
-    return LeibnizAlgebra.from_brackets(
-        field, 2, {(0, 0): {1: field.one}, (0, 1): {1: field.one}}, ("c", "d")
-    )
-
-
-def _extension_labels(n: int, last: str) -> tuple[str, ...]:
-    return tuple(f"a{i}" for i in range(1, n + 1)) + (last,)
+    return LeibnizAlgebra.from_brackets(field, 2, {(0, 0): {1: field.one}, (0, 1): {1: field.one}})
 
 
 def family_a_i(n: int, field: Field) -> LeibnizAlgebra:
     """Type A-i: K + <d> with [d, d] = 0 and [K, d] = [d, K] = 0."""
     if n < 2:
         raise ValueError("the cyclic part must have dimension >= 2")
-    return LeibnizAlgebra.from_brackets(
-        field, n + 1, _cyclic_entries(field, n), _extension_labels(n, "d")
-    )
+    return LeibnizAlgebra.from_brackets(field, n + 1, _cyclic_entries(field, n))
 
 
 def family_a_ii(n: int, field: Field) -> LeibnizAlgebra:
@@ -87,7 +78,7 @@ def family_a_ii(n: int, field: Field) -> LeibnizAlgebra:
         raise ValueError("the cyclic part must have dimension >= 2")
     entries = _cyclic_entries(field, n)
     entries[(n, n)] = {n - 1: field.one}
-    return LeibnizAlgebra.from_brackets(field, n + 1, entries, _extension_labels(n, "d"))
+    return LeibnizAlgebra.from_brackets(field, n + 1, entries)
 
 
 def quaternion_analog(field: Field) -> LeibnizAlgebra:
@@ -131,7 +122,7 @@ def family_a_iii(
         idx = n - t if convention == "printed" else n - t + 2
         if 1 <= idx <= n:
             entries[(0, n)] = {idx - 1: tau}
-    return LeibnizAlgebra.from_brackets(field, n + 1, entries, _extension_labels(n, "s"))
+    return LeibnizAlgebra.from_brackets(field, n + 1, entries)
 
 
 def family_b(
@@ -169,7 +160,7 @@ def family_b(
         dd[n - 1] = field.add(dd.get(n - 1, field.zero), delta)
     if dd:
         entries[(n, n)] = dd
-    return LeibnizAlgebra.from_brackets(field, n + 1, entries, _extension_labels(n, "d"))
+    return LeibnizAlgebra.from_brackets(field, n + 1, entries)
 
 
 def family_c(n: int, field: Field) -> LeibnizAlgebra:
@@ -182,8 +173,7 @@ def family_c(n: int, field: Field) -> LeibnizAlgebra:
     entries[(0, n)] = {0: field.neg(field.one)}
     for j in range(1, n + 1):
         entries[(n, j - 1)] = {j - 1: field.of(j)}
-    labels = tuple(f"b{i}" for i in range(1, n + 1)) + ("s",)
-    return LeibnizAlgebra.from_brackets(field, n + 1, entries, labels)
+    return LeibnizAlgebra.from_brackets(field, n + 1, entries)
 
 
 # -- proof procedures -------------------------------------------------------

@@ -1,13 +1,18 @@
 import hashlib
+import itertools
+import json
 import multiprocessing
 import signal
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz import census as census_mod
-from leibniz.census import _CHUNK, algebra_from_int, census, valid_tensor_ints
+from leibniz.census import _CHUNK, algebra_from_int, census, class_key, valid_tensor_ints
+from leibniz.core import algebra_in_basis
 
 
 def _exact_valid(dim, start, stop):
@@ -100,3 +105,87 @@ def test_census_pool_reraises_a_worker_failure(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def census3():
+    return census(3, jobs=2)
+
+
+DIM3_CLASS_SIZES = {
+    0: 1, 2: 21, 16: 84, 20: 84, 32: 42, 34: 42, 160: 84, 176: 56, 272: 28, 520: 42,
+    524: 84, 1044: 42, 1296: 84, 2080: 7, 2084: 21, 16420: 14, 526496: 21, 527536: 14,
+    1049872: 7, 2656416: 28,
+}
+
+
+def test_dim3_classes(census3):
+    classes = census3.classes
+    assert {key: len(members) for key, members in classes.items()} == DIM3_CLASS_SIZES
+    assert list(classes) == sorted(DIM3_CLASS_SIZES)
+    assert all(members[0] == key and list(members) == sorted(members) for key, members in classes.items())
+    assert sorted(v for members in classes.values() for v in members) == [r["tensor"] for r in census3.records]
+
+
+def test_small_dim_classes():
+    assert list(census(2).classes) == [0, 2, 8, 20]
+    assert list(census(1).classes) == [0]
+
+
+def test_profile_and_label_are_class_invariants(census3):
+    by_tensor = {r["tensor"]: r for r in census3.records}
+    for members in census3.classes.values():
+        seen = {json.dumps([by_tensor[v]["profile"], by_tensor[v]["matched_family"]], sort_keys=True) for v in members}
+        assert len(seen) == 1
+
+
+def test_matched_family_counts(census3):
+    assert Counter(r["matched_family"] for r in census3.records) == {
+        "A-i": 21, "A-ii": 21, "A-iii": 42, "unmatched": 14, None: 708,
+    }
+    assert Counter(r["matched_family"] for r in census(2).records) == {"abelian": 1, "L1": 3, None: 9}
+    # [e1,e1] = [e1,e2] = [e2,e2] = e3 is isomorphic to no constructed A-i/ii/iii instance
+    unmatched = {r["tensor"] for r in census3.records if r["matched_family"] == "unmatched"}
+    assert unmatched == set(census3.classes[16420])
+
+
+def _invertible_gf2_matrices(dim):
+    for flat in itertools.product((0, 1), repeat=dim * dim):
+        rows = [flat[r * dim:(r + 1) * dim] for r in range(dim)]
+        if round(np.linalg.det(np.array(rows, dtype=float))) % 2:
+            yield rows
+
+
+def _orbit_minimum(dim, value):
+    algebra = algebra_from_int(dim, value)
+    return min(
+        sum(
+            int(c) << (i * dim * dim + j * dim + k)
+            for i, plane in enumerate(algebra_in_basis(algebra, rows).tensor)
+            for j, vec in enumerate(plane)
+            for k, c in enumerate(vec)
+        )
+        for rows in _invertible_gf2_matrices(dim)
+    )
+
+
+def test_invertible_gf2_matrix_count():
+    assert len(list(_invertible_gf2_matrices(3))) == 168
+
+
+@pytest.mark.parametrize("dim, value", [(0, 0), (4, 0), (2, -1), (2, 256), (3, 1 << 27)])
+def test_class_key_rejects_out_of_range_input(dim, value):
+    with pytest.raises(ValueError):
+        class_key(dim, value)
+
+
+@pytest.mark.parametrize("value", [0, 2, 32, 2084, 16420, 18436, 132153287])
+def test_class_key_is_the_orbit_minimum(value):
+    assert class_key(3, value) == _orbit_minimum(3, value)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_class_key_is_the_orbit_minimum_on_survivors(census3, data):
+    value = data.draw(st.sampled_from([r["tensor"] for r in census3.records]))
+    assert class_key(3, value) == _orbit_minimum(3, value)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,3 +237,26 @@ def test_nonzero_elements_of_a_plane():
     assert len(set(elements)) == 8 and all(s.contains(v) for v in elements)
     with pytest.raises(ValueError):
         next(nonzero_elements(Subspace.full(QQ, 2)))
+
+
+def _to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def _from_sympy(v):
+    return tuple(Fraction(int(x.p), int(x.q)) for x in v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rref_and_kernel_match_sympy(data):
+    nrows = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 5))
+    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = data.draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    m = Matrix(QQ, rows)
+    reference, _pivots = _to_sympy(rows).rref()
+    expected = [_from_sympy(reference.row(i)) for i in range(nrows) if any(reference.row(i))]
+    assert [row for row in m.rref().data if any(row)] == expected
+    nullspace = [_from_sympy(v) for v in _to_sympy(rows).nullspace()]
+    assert m.kernel() == Subspace.from_vectors(QQ, ncols, nullspace)
