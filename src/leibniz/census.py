@@ -7,8 +7,7 @@ fingerprint.  Candidate tensors are screened 64 to a machine word: tensor
 uint64 per word: a fixed in-word mask for the integer bits below 6, and all
 ones or all zeros, read off the word index, for the bits above.  The
 identity residual on every basis triple and coordinate is evaluated with
-word ANDs and XORs, with no per-tensor work.  Survivors get the full exact
-treatment: invariant profile, subalgebra lattice and maximal-cyclic flags.
+word ANDs and XORs, with no per-tensor work.
 
 Isomorphism is decided exactly.  A tensor's class key is the least tensor
 integer in its GL(d, 2) orbit, found by applying all invertible changes of
@@ -17,14 +16,17 @@ isomorphic.  A nilpotent survivor with a maximal cyclic subalgebra is
 labelled with the first classified family instance (abelian/L1 at d = 2,
 A-i/ii/iii at d = 3) whose key equals its own, or "unmatched" if none does.
 
-Records are merged in fingerprint order, so the output is identical for
-every worker count.
+Every record field but the fingerprint and tensor is a class invariant, so
+one full exact record (invariant profile, subalgebra lattice, maximal-cyclic
+flags, label) is built per class, on its least member, and each member gets
+its own copy.  Records come in tensor order, the same for every worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+from copy import deepcopy
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
@@ -156,8 +158,14 @@ def reference_match_tuples(dim: int) -> tuple[tuple[str, int], ...]:
             for gammas, tau, convention in itertools.product(
                 itertools.product(range(CENSUS_P), repeat=n - t), range(CENSUS_P), CONVENTIONS
             ):
+                if tau and t == n and convention == "printed":
+                    continue  # the printed index a_{n-t} is a_0, which does not exist
                 instances.append(("A-iii", family_a_iii(n, t, gammas, tau, field, convention)))
     return tuple((label, class_key(dim, _tensor_int(alg))) for label, alg in instances)
+
+
+def _fingerprint(dim: int, value: int) -> str:
+    return f"d{dim}-{value:0{max(1, (dim ** 3 + 3) // 4)}x}"
 
 
 def census_record(dim: int, value: int) -> dict:
@@ -171,7 +179,7 @@ def census_record(dim: int, value: int) -> dict:
         key = class_key(dim, value)
         matched = next((label for label, ref in reference_match_tuples(dim) if ref == key), "unmatched")
     return {
-        "fingerprint": f"d{dim}-{value:0{max(1, (dim ** 3 + 3) // 4)}x}",
+        "fingerprint": _fingerprint(dim, value),
         "dim": dim,
         "p": CENSUS_P,
         "tensor": value,
@@ -182,35 +190,20 @@ def census_record(dim: int, value: int) -> dict:
     }
 
 
-def _worker(args: tuple[int, int, int]) -> list[dict]:
-    dim, start, stop = args
-    return [census_record(dim, v) for v in valid_tensor_ints(dim, start, stop)]
-
-
 @dataclass(frozen=True)
 class CensusResult:
     dim: int
-    p: int
     scanned: int
     records: tuple[dict, ...]
+    classes: dict[int, tuple[int, ...]]  # class key -> its recorded tensors, both ascending
 
     @property
     def valid(self) -> int:
         return len(self.records)
 
-    @property
-    def classes(self) -> dict[int, tuple[int, ...]]:
-        """Class key -> the recorded tensors of that isomorphism class, both ascending."""
-        groups: dict[int, list[int]] = {}
-        for record in self.records:
-            groups.setdefault(class_key(self.dim, record["tensor"]), []).append(record["tensor"])
-        return {key: tuple(groups[key]) for key in sorted(groups)}
 
-
-def census(dim: int, p: int = 2, jobs: int = 1) -> CensusResult:
+def census(dim: int, jobs: int = 1) -> CensusResult:
     """Scan every structure tensor of the given dimension over GF(2)."""
-    if p != CENSUS_P:
-        raise ValueError("the census is fixed at p = 2")
     if not 1 <= dim <= MAX_CENSUS_DIM:
         raise ValueError(f"the census is limited to dimensions 1..{MAX_CENSUS_DIM}")
     if jobs < 1:
@@ -218,10 +211,15 @@ def census(dim: int, p: int = 2, jobs: int = 1) -> CensusResult:
     total = 1 << dim**3
     chunks = [(dim, lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
     if jobs == 1 or len(chunks) == 1:
-        batches = [_worker(c) for c in chunks]
+        batches = [valid_tensor_ints(*c) for c in chunks]
     else:
         with multiprocessing.Pool(jobs) as pool:
-            batches = pool.map(_worker, chunks)
-    records = [record for batch in batches for record in batch]
-    records.sort(key=lambda r: r["tensor"])
-    return CensusResult(dim, p, total, tuple(records))
+            batches = pool.starmap(valid_tensor_ints, chunks)
+    values = [v for batch in batches for v in batch]  # ascending, as the chunks are
+    keys = [class_key(dim, v) for v in values]
+    classes = {key: tuple(v for k, v in zip(keys, values) if k == key) for key in sorted(set(keys))}
+    shared = {key: census_record(dim, members[0]) for key, members in classes.items()}
+    records = tuple(
+        {**deepcopy(shared[k]), "fingerprint": _fingerprint(dim, v), "tensor": v} for k, v in zip(keys, values)
+    )
+    return CensusResult(dim, total, records, classes)

@@ -97,8 +97,9 @@ def family_a_iii(
     """Type A-iii: s shifts the cyclic chain by t - 1 with a gamma band.
 
     `convention` selects the index of the single [a1, s] product: "printed"
-    places it at a_{n-t}, "derived" at a_{n-t+2}.  Indices outside [1, n]
-    contribute nothing.  The identity is parameter-dependent; callers check.
+    places it at a_{n-t}, "derived" at a_{n-t+2}; "printed" with t = n names
+    a_0, so a nonzero tau there is a ValueError.  The identity is
+    parameter-dependent; callers check.
     """
     if n < 2:
         raise ValueError("the cyclic part must have dimension >= 2")
@@ -120,8 +121,9 @@ def family_a_iii(
         entries[(n, j - 1)] = vec
     if not field.is_zero(tau):
         idx = n - t if convention == "printed" else n - t + 2
-        if 1 <= idx <= n:
-            entries[(0, n)] = {idx - 1: tau}
+        if idx < 1:
+            raise ValueError("printed tau needs t < n: its index a_{n-t} would be a_0")
+        entries[(0, n)] = {idx - 1: tau}
     return LeibnizAlgebra.from_brackets(field, n + 1, entries)
 
 

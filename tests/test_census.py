@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import os
 import signal
 from collections import Counter
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz import census as census_mod
-from leibniz.census import _CHUNK, algebra_from_int, census, class_key, valid_tensor_ints
+from leibniz.census import algebra_from_int, census, class_key, valid_tensor_ints
 from leibniz.core import algebra_in_basis
 
 
@@ -57,9 +58,10 @@ def test_screen_matches_exact_check_on_random_windows(data):
     assert valid_tensor_ints(dim, start, stop) == _exact_valid(dim, start, stop)
 
 
-def test_dim3_screen_finds_the_806_tensors():
-    total = 1 << 27
-    values = [v for lo in range(0, total, _CHUNK) for v in valid_tensor_ints(3, lo, lo + _CHUNK)]
+def test_dim3_screen_finds_the_806_tensors(census3):
+    # the fixture's census screened all 2^27 tensors; its records are the survivors
+    values = [r["tensor"] for r in census3.records]
+    assert census3.scanned == 1 << 27
     assert len(values) == 806
     assert values[:3] == [0, 2, 4]
     assert values[-3:] == [133954560, 133956095, 134217216]
@@ -71,20 +73,59 @@ def test_dim3_screen_finds_the_806_tensors():
 
 def test_census_is_independent_of_worker_count(monkeypatch):
     monkeypatch.setattr(census_mod, "_CHUNK", 64)  # four chunks, so the pool really runs
-    assert census(2, jobs=2).records == census(2, jobs=1).records
+    pooled, serial = census(2, jobs=2), census(2, jobs=1)
+    assert pooled.records == serial.records
+    assert pooled.classes == serial.classes
+
+
+def test_census_builds_one_record_per_class(monkeypatch):
+    built = []
+    record = census_mod.census_record
+
+    def counting_record(dim, value):
+        built.append(value)
+        return record(dim, value)
+
+    monkeypatch.setattr(census_mod, "census_record", counting_record)
+    result = census(2, jobs=1)
+    assert built == [0, 2, 8, 20]
+    assert result.valid == 13
+
+
+def test_census_classes_are_stored(monkeypatch):
+    result = census(2)
+
+    def no_keys(dim, value):
+        raise AssertionError("class_key called after the census")
+
+    monkeypatch.setattr(census_mod, "class_key", no_keys)
+    expected = {0: (0,), 2: (2, 64, 255), 8: (8, 10, 16, 51, 80, 204), 20: (20, 40, 60)}
+    assert result.classes == expected
+    assert result.classes == expected
+
+
+def test_class_members_share_no_record_objects():
+    by_tensor = {r["tensor"]: r for r in census(2).records}
+    first, second = by_tensor[2], by_tensor[64]  # both in class 2
+    assert (first["fingerprint"], second["fingerprint"]) == ("d2-02", "d2-40")
+    assert first["profile"] == second["profile"]
+    assert first["profile"] is not second["profile"]
+    for name, value in first["profile"].items():
+        if isinstance(value, list):
+            assert value == second["profile"][name] and value is not second["profile"][name]
+    first["profile"]["lower_central_series_dims"].append(-1)
+    assert second["profile"]["lower_central_series_dims"] == [2, 1, 0]
 
 
 def test_census_argument_validation():
-    with pytest.raises(ValueError):
-        census(2, p=3)
     with pytest.raises(ValueError):
         census(4)
     with pytest.raises(ValueError):
         census(2, jobs=0)
 
 
-def _failing_record(dim, value):
-    raise RuntimeError(f"record failed at tensor {value}")
+def _failing_screen(dim, start, stop):
+    raise RuntimeError(f"screen failed at tensor {start} in process {os.getpid()}")
 
 
 def _timed_out(signum, frame):
@@ -93,17 +134,18 @@ def _timed_out(signum, frame):
 
 def test_census_pool_reraises_a_worker_failure(monkeypatch):
     monkeypatch.setattr(census_mod, "_CHUNK", 64)
-    # the pool's workers are forked, so they see the patched census_record
-    monkeypatch.setattr(census_mod, "census_record", _failing_record)
+    # the pool's workers run the screen, so the failure is raised in a forked child
+    monkeypatch.setattr(census_mod, "valid_tensor_ints", _failing_screen)
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.alarm(60)
     try:
-        # Pool.map reports whichever chunk fails first in time, so only the prefix is fixed
-        with pytest.raises(RuntimeError, match="^record failed at tensor "):
+        # Pool.starmap reports whichever chunk fails first in time, so only the prefix is fixed
+        with pytest.raises(RuntimeError, match="^screen failed at tensor ") as failure:
             census(2, jobs=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert not str(failure.value).endswith(f" in process {os.getpid()}")
     assert multiprocessing.active_children() == []
 
 
@@ -147,6 +189,14 @@ def test_matched_family_counts(census3):
     # [e1,e1] = [e1,e2] = [e2,e2] = e3 is isomorphic to no constructed A-i/ii/iii instance
     unmatched = {r["tensor"] for r in census3.records if r["matched_family"] == "unmatched"}
     assert unmatched == set(census3.classes[16420])
+
+
+def test_reference_match_tuples():
+    # printed tau = 1 at t = n would name a_0, so it is skipped rather than recorded as tau = 0
+    assert census_mod.reference_match_tuples(3) == (
+        ("A-i", 2), ("A-ii", 2084), ("A-iii", 32), ("A-iii", 32), ("A-iii", 2084),
+    )
+    assert census_mod.reference_match_tuples(2) == (("abelian", 0), ("L1", 2))
 
 
 def _invertible_gf2_matrices(dim):

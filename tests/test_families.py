@@ -131,6 +131,11 @@ def test_family_a_iii_validation():
         family_a_iii(4, 2, [0, 0], 0, QQ, "sideways")
     with pytest.raises(ValueError):
         family_a_iii(1, 2, [], 0, QQ, "printed")
+    # "printed" puts tau at a_{n-t}, which is a_0 when t = n
+    with pytest.raises(ValueError):
+        family_a_iii(3, 3, [], 1, QQ, "printed")
+    with pytest.raises(ValueError):
+        family_a_iii(2, 2, [], 1, GF(2), "printed")
 
 
 def test_family_b_zero_parameters():
