@@ -233,34 +233,39 @@ def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:
     return Subspace._span(field, n, gens)
 
 
-def _annihilator_constraints(algebra: LeibnizAlgebra, side: str) -> list[Vector]:
-    """Constraint rows for {x : [x, e_j] = 0 for all j} (side='left') or [e_j, x] = 0."""
+def _centraliser(
+    algebra: LeibnizAlgebra, z: Subspace | None = None, *, left: bool = True, right: bool = True
+) -> Subspace:
+    """{x : [x, e_j] in Z (left) and [e_j, x] in Z (right) for all j}; Z defaults to 0.
+
+    x -> [x, e_j] mod Z is linear, so each side contributes one constraint
+    row per (j, output coordinate), with coefficients the residuals of the
+    tensor entries.
+    """
+    algebra.ensure_checked()
     n = algebra.dim
-    tensor = algebra.tensor
+    t = algebra.tensor
+    if z is None:
+        z = Subspace.zero(algebra.field, n)
     rows = []
     for j in range(n):
-        for l in range(n):
-            if side == "left":
-                rows.append(tuple(tensor[i][j][l] for i in range(n)))
-            else:
-                rows.append(tuple(tensor[j][i][l] for i in range(n)))
-    return rows
+        if left:
+            rows.extend(zip(*(z._residual(t[i][j]) for i in range(n))))
+        if right:
+            rows.extend(zip(*(z._residual(t[j][i]) for i in range(n))))
+    return Matrix(algebra.field, rows, _coerced=True).kernel()
 
 
 def left_center(algebra: LeibnizAlgebra) -> Subspace:
-    algebra.ensure_checked()
-    return Matrix(algebra.field, _annihilator_constraints(algebra, "left"), _coerced=True).kernel()
+    return _centraliser(algebra, right=False)
 
 
 def right_center(algebra: LeibnizAlgebra) -> Subspace:
-    algebra.ensure_checked()
-    return Matrix(algebra.field, _annihilator_constraints(algebra, "right"), _coerced=True).kernel()
+    return _centraliser(algebra, left=False)
 
 
 def center(algebra: LeibnizAlgebra) -> Subspace:
-    algebra.ensure_checked()
-    rows = _annihilator_constraints(algebra, "left") + _annihilator_constraints(algebra, "right")
-    return Matrix(algebra.field, rows, _coerced=True).kernel()
+    return _centraliser(algebra)
 
 
 def lower_central_series(algebra: LeibnizAlgebra) -> tuple[Subspace, ...]:
@@ -287,27 +292,12 @@ def nilpotency_class(algebra: LeibnizAlgebra) -> int | None:
     return None
 
 
-def _center_modulo(algebra: LeibnizAlgebra, z: Subspace) -> Subspace:
-    """{x : [x, e_j] in Z and [e_j, x] in Z for all j}."""
-    n = algebra.dim
-    tensor = algebra.tensor
-    rows = []
-    for j in range(n):
-        reduced_right = [z._residual(tensor[i][j]) for i in range(n)]
-        reduced_left = [z._residual(tensor[j][i]) for i in range(n)]
-        for l in range(n):
-            rows.append(tuple(reduced_right[i][l] for i in range(n)))
-            rows.append(tuple(reduced_left[i][l] for i in range(n)))
-    return Matrix(algebra.field, rows, _coerced=True).kernel()
-
-
 def upper_central_series(algebra: LeibnizAlgebra) -> tuple[Subspace, ...]:
     """Terms z_1 <= z_2 <= ... up to stabilization; the last term is the hypercenter."""
-    algebra.ensure_checked()
     prev = Subspace.zero(algebra.field, algebra.dim)
     terms: list[Subspace] = []
     while True:
-        nxt = _center_modulo(algebra, prev)
+        nxt = _centraliser(algebra, prev)
         if nxt == prev:
             break
         terms.append(nxt)
@@ -375,8 +365,8 @@ class AlgebraReport:
     upper_central_series_dims: tuple[int, ...]
     nilpotency_class: int | None
     is_lie: bool
-    derivation_dim: int | None
-    right_derivation_dim: int | None
+    derivation_dim: int
+    right_derivation_dim: int
 
     def as_dict(self) -> dict:
         return {
@@ -395,7 +385,7 @@ class AlgebraReport:
         }
 
 
-def invariant_profile(algebra: LeibnizAlgebra, with_derivations: bool = True) -> AlgebraReport:
+def invariant_profile(algebra: LeibnizAlgebra) -> AlgebraReport:
     """Deterministically fill every report field."""
     algebra.ensure_checked()
     from . import derivations  # local import; derivations depends on this module
@@ -403,10 +393,6 @@ def invariant_profile(algebra: LeibnizAlgebra, with_derivations: bool = True) ->
     leib = leibniz_kernel(algebra)
     lower = lower_central_series(algebra)
     upper = upper_central_series(algebra)
-    der_dim = rder_dim = None
-    if with_derivations:
-        der_dim = derivations.derivation_space(algebra).dim
-        rder_dim = derivations.right_derivation_space(algebra).dim
     return AlgebraReport(
         field_label=algebra.field.label,
         dim=algebra.dim,
@@ -418,6 +404,6 @@ def invariant_profile(algebra: LeibnizAlgebra, with_derivations: bool = True) ->
         upper_central_series_dims=tuple(s.dim for s in upper),
         nilpotency_class=nilpotency_class(algebra),
         is_lie=leib.dim == 0,
-        derivation_dim=der_dim,
-        right_derivation_dim=rder_dim,
+        derivation_dim=derivations.derivation_space(algebra).dim,
+        right_derivation_dim=derivations.right_derivation_space(algebra).dim,
     )

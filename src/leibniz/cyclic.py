@@ -34,6 +34,7 @@ from .linalg import (
 )
 
 UNKNOWN = "unknown"
+_MAX_COPIES = 5
 
 
 def left_normed(algebra: LeibnizAlgebra, a: Sequence[Scalar], k: int) -> Vector:
@@ -123,13 +124,11 @@ def _all_bracketings(algebra: LeibnizAlgebra, a: Vector, copies: int) -> list[Ve
     return rec(copies)
 
 
-def proposition_check(
-    algebra: LeibnizAlgebra, a: Sequence[Scalar], max_copies: int = 5
-) -> PropositionReport:
+def proposition_check(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> PropositionReport:
     """Verify the ln-chain structure facts for one generator.
 
     (i) products of chain elements with the left factor beyond ln_1 vanish;
-    (ii) every bracketing of up to `max_copies` copies of a collapses to the
+    (ii) every bracketing of up to _MAX_COPIES = 5 copies of a collapses to the
     matching ln or to zero; (iii)-(vi) the span statements for <a>, its
     derived subalgebra and its lower central series; (vii) [[x, y], z] = 0
     for x, y in <a> and z anywhere.
@@ -150,7 +149,7 @@ def proposition_check(
     )
 
     ok = True
-    for copies in range(2, max_copies + 1):
+    for copies in range(2, _MAX_COPIES + 1):
         ln_k = left_normed(algebra, a, copies)
         for w in _all_bracketings(algebra, a, copies):
             if not (vec_is_zero(field, w) or w == ln_k):

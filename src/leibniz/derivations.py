@@ -27,31 +27,21 @@ from .linalg import Matrix, Scalar, Subspace, basis_vector, vec_add, vec_sub
 
 
 def left_mult_matrix(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Matrix:
-    """Matrix of x -> [a, x] in the standard basis."""
+    """Matrix of x -> [a, x] in the standard basis: column m is [a, e_m]."""
     algebra.ensure_checked()
-    n = algebra.dim
     field = algebra.field
-    reduce = field.reduce
-    t = algebra.tensor
-    rows = [
-        [reduce(sum(a[i] * t[i][m][l] for i in range(n))) for m in range(n)]
-        for l in range(n)
-    ]
-    return Matrix(field, rows)
+    a = tuple(field.of(v) for v in a)
+    cols = [algebra.bracket(a, e) for e in Subspace.full(field, algebra.dim).rows]
+    return Matrix(field, zip(*cols), _coerced=True)
 
 
 def right_mult_matrix(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Matrix:
-    """Matrix of x -> [x, a] in the standard basis."""
+    """Matrix of x -> [x, a] in the standard basis: column m is [e_m, a]."""
     algebra.ensure_checked()
-    n = algebra.dim
     field = algebra.field
-    reduce = field.reduce
-    t = algebra.tensor
-    rows = [
-        [reduce(sum(a[j] * t[m][j][l] for j in range(n))) for m in range(n)]
-        for l in range(n)
-    ]
-    return Matrix(field, rows)
+    a = tuple(field.of(v) for v in a)
+    cols = [algebra.bracket(e, a) for e in Subspace.full(field, algebra.dim).rows]
+    return Matrix(field, zip(*cols), _coerced=True)
 
 
 @dataclass(frozen=True)

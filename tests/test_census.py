@@ -192,9 +192,9 @@ def test_matched_family_counts(census3):
 
 
 def test_reference_match_tuples():
-    # printed tau = 1 at t = n would name a_0, so it is skipped rather than recorded as tau = 0
+    # A-iii references use the derived convention only: at t = n printed tau = 0 is the same table
     assert census_mod.reference_match_tuples(3) == (
-        ("A-i", 2), ("A-ii", 2084), ("A-iii", 32), ("A-iii", 32), ("A-iii", 2084),
+        ("A-i", 2), ("A-ii", 2084), ("A-iii", 32), ("A-iii", 2084),
     )
     assert census_mod.reference_match_tuples(2) == (("abelian", 0), ("L1", 2))
 

@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from conftest import build_corpus
 
+from leibniz.census import algebra_from_int
 from leibniz.core import (
     LeibnizAlgebra,
     algebra_in_basis,
@@ -288,3 +291,52 @@ def test_nilpotent_class_at_most_dim_and_hypercenter_full():
         c = nilpotency_class(alg)
         assert c is not None and c <= alg.dim
         assert hypercenter(alg) == full_space(alg)
+
+
+def _oracle_inputs():
+    algebras = [alg for p in (2, 3) for _, alg in build_corpus(GF(p))]
+    dim2 = [algebra_from_int(2, v) for v in range(256)]
+    algebras += [alg for alg in dim2 if not alg.check_left_leibniz()]
+    return algebras
+
+
+def _elements(s):
+    p = s.field.characteristic
+    return {
+        tuple(sum(c * row[k] for c, row in zip(coeffs, s.rows)) % p for k in range(s.ambient))
+        for coeffs in itertools.product(range(p), repeat=s.dim)
+    }
+
+
+def test_centers_and_upper_series_match_brute_force():
+    """Every vector of F_p^n is tested against the definitions, with brackets taken from the tensor."""
+    inputs = _oracle_inputs()
+    assert len(inputs) == 2 * len(build_corpus(GF(2))) + 13
+    for alg in inputs:
+        n, p, t = alg.dim, alg.field.characteristic, alg.tensor
+        vectors = list(itertools.product(range(p), repeat=n))
+        zero = (0,) * n
+
+        def products(x):
+            """([x, e_j] for all j, [e_j, x] for all j)."""
+            left = [tuple(sum(x[i] * t[i][j][k] for i in range(n)) % p for k in range(n)) for j in range(n)]
+            right = [tuple(sum(x[i] * t[j][i][k] for i in range(n)) % p for k in range(n)) for j in range(n)]
+            return left, right
+
+        brackets = {x: products(x) for x in vectors}
+        left = {x for x in vectors if all(w == zero for w in brackets[x][0])}
+        right = {x for x in vectors if all(w == zero for w in brackets[x][1])}
+        assert _elements(left_center(alg)) == left
+        assert _elements(right_center(alg)) == right
+        assert _elements(center(alg)) == left & right
+
+        terms, prev = [], {zero}
+        while True:
+            nxt = {x for x in vectors if all(w in prev for side in brackets[x] for w in side)}
+            if nxt == prev:
+                break
+            terms.append(nxt)
+            prev = nxt
+        series = upper_central_series(alg)
+        assert [_elements(z) for z in series] == (terms or [prev])
+        assert series[0] == center(alg)
