@@ -45,7 +45,7 @@ _CHUNK = 1 << 20
 _IN_WORD = tuple(sum(1 << s for s in range(64) if s >> b & 1) for b in range(6))
 
 
-def algebra_from_int(dim: int, value: int, *, checked: bool = False) -> LeibnizAlgebra:
+def algebra_from_int(dim: int, value: int) -> LeibnizAlgebra:
     field = GF(CENSUS_P)
     tensor = [
         [
@@ -54,7 +54,7 @@ def algebra_from_int(dim: int, value: int, *, checked: bool = False) -> LeibnizA
         ]
         for i in range(dim)
     ]
-    return LeibnizAlgebra(field, tensor, _assume_checked=checked)
+    return LeibnizAlgebra(field, tensor)
 
 
 def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
@@ -131,13 +131,17 @@ def _basis_change_tables(dim: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+def _check_tensor_int(dim: int, value: int) -> None:
+    if not 1 <= dim <= MAX_CENSUS_DIM or not 0 <= value < 1 << dim**3:
+        raise ValueError(f"need 1 <= dim <= {MAX_CENSUS_DIM} and 0 <= value < 2^(dim^3)")
+
+
 def class_key(dim: int, value: int) -> int:
     """The least tensor integer in the GL(dim, 2) orbit of value.
 
     Two tensors have the same key exactly when their algebras are isomorphic.
     """
-    if not 1 <= dim <= MAX_CENSUS_DIM or not 0 <= value < 1 << dim**3:
-        raise ValueError(f"need 1 <= dim <= {MAX_CENSUS_DIM} and 0 <= value < 2^(dim^3)")
+    _check_tensor_int(dim, value)
     set_bits = [b for b in range(dim**3) if value >> b & 1]
     return min(reduce(xor, (table[b] for b in set_bits), 0) for table in _basis_change_tables(dim))
 
@@ -169,9 +173,10 @@ def _fingerprint(dim: int, value: int) -> str:
 
 
 def census_record(dim: int, value: int) -> dict:
-    """The full exact record for one identity-satisfying tensor."""
-    algebra = algebra_from_int(dim, value, checked=True)
-    profile = invariant_profile(algebra)
+    """The full exact record for one identity-satisfying tensor; ValueError for any other value."""
+    _check_tensor_int(dim, value)
+    algebra = algebra_from_int(dim, value)
+    profile = invariant_profile(algebra)  # checks the identity first
     report = maximal_cyclic_report(algebra)
     nilpotent = profile.nilpotency_class is not None
     matched: str | None = None

@@ -14,9 +14,9 @@ computations (which require a verified algebra) can demand it cheaply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .linalg import Field, Matrix, Scalar, Subspace, Vector
+from .linalg import Field, Matrix, Scalar, Subspace, Vector, vec_add
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,9 @@ class LeibnizAlgebra:
 
     def _nz(self):
         if self._nonzero is None:
-            is_zero = self.field.is_zero
             self._nonzero = tuple(
                 tuple(
-                    tuple((k, c) for k, c in enumerate(vec) if not is_zero(c))
+                    tuple((k, c) for k, c in enumerate(vec) if c)
                     for vec in plane
                 )
                 for plane in self.tensor
@@ -105,25 +104,28 @@ class LeibnizAlgebra:
         return self.tensor[i][j]
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        """Bilinear extension of the structure tensor."""
+        """Bilinear extension of the structure tensor.
+
+        x and y are field values (see `linalg`) and are not coerced.  Ints
+        work over either field, since only the result is reduced, but any
+        other type, a float say, would leak into the result.
+        """
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ValueError("vector length differs from the algebra dimension")
-        field = self.field
-        is_zero = field.is_zero
         acc = [0] * n
         nz = self._nz()
         for i, xi in enumerate(x):
-            if is_zero(xi):
+            if not xi:
                 continue
             nz_i = nz[i]
             for j, yj in enumerate(y):
-                if is_zero(yj):
+                if not yj:
                     continue
                 c = xi * yj
                 for k, w in nz_i[j]:
                     acc[k] += c * w
-        reduce = field.reduce
+        reduce = self.field.reduce
         return tuple(reduce(v) for v in acc)
 
     # -- identity check ----------------------------------------------------
@@ -136,9 +138,7 @@ class LeibnizAlgebra:
         if self._violations is not None:
             return self._violations
         n = self.dim
-        field = self.field
-        reduce = field.reduce
-        is_zero = field.is_zero
+        reduce = self.field.reduce
         nz = self._nz()
         violations = []
         for i in range(n):
@@ -156,7 +156,7 @@ class LeibnizAlgebra:
                         for l, w in nz[j][m]:
                             acc[l] += c * w
                     residual = tuple(reduce(v) for v in acc)
-                    if not all(is_zero(v) for v in residual):
+                    if any(residual):
                         violations.append(
                             IdentityViolation((i + 1, j + 1, k + 1), residual)
                         )
@@ -221,15 +221,11 @@ def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:
     algebra.ensure_checked()
     field = algebra.field
     n = algebra.dim
-    gens = [algebra.tensor[i][i] for i in range(n)]
+    t = algebra.tensor
+    gens = [t[i][i] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            gens.append(
-                tuple(
-                    field.add(a, b)
-                    for a, b in zip(algebra.tensor[i][j], algebra.tensor[j][i])
-                )
-            )
+            gens.append(vec_add(field, t[i][j], t[j][i]))
     return Subspace._span(field, n, gens)
 
 
@@ -341,9 +337,9 @@ def algebra_in_basis(algebra: LeibnizAlgebra, rows: Sequence[Vector]) -> Leibniz
     p = Matrix(algebra.field, rows)
     coords = p.transpose().inverse()
     tensor = []
-    for x in rows:
+    for x in p.data:
         plane = []
-        for y in rows:
+        for y in p.data:
             plane.append(coords.apply(algebra.bracket(x, y)))
         tensor.append(plane)
     return LeibnizAlgebra(algebra.field, tensor, _assume_checked=algebra.checked)

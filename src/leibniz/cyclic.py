@@ -29,7 +29,6 @@ from .linalg import (
     basis_vector,
     linear_combination,
     nonzero_elements,
-    vec_is_zero,
     zero_vector,
 )
 
@@ -67,7 +66,7 @@ def generated_subalgebra(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Cyclic
     chain: list[Vector] = []
     span = Subspace.zero(field, n)
     w = v
-    while not vec_is_zero(field, span._residual(w)):
+    while any(span._residual(w)):
         chain.append(w)
         span = Subspace._span(field, n, [*span.rows, w])
         w = algebra.bracket(v, w)
@@ -141,8 +140,8 @@ def proposition_check(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Propositi
     chain = probe.chain
     results: dict[str, bool] = {}
 
-    results["i"] = all(
-        vec_is_zero(field, algebra.bracket(x, y))
+    results["i"] = not any(
+        any(algebra.bracket(x, y))
         for ki, x in enumerate(chain, start=1)
         if ki > 1
         for y in chain
@@ -152,7 +151,7 @@ def proposition_check(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Propositi
     for copies in range(2, _MAX_COPIES + 1):
         ln_k = left_normed(algebra, a, copies)
         for w in _all_bracketings(algebra, a, copies):
-            if not (vec_is_zero(field, w) or w == ln_k):
+            if any(w) and w != ln_k:
                 ok = False
     results["ii"] = ok
 
@@ -187,7 +186,7 @@ def proposition_check(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Propositi
         for y in chain:
             w = algebra.bracket(x, y)
             for z in range(n):
-                if not vec_is_zero(field, algebra.bracket(w, basis_vector(field, n, z))):
+                if any(algebra.bracket(w, basis_vector(field, n, z))):
                     ok = False
     results["vii"] = ok
 

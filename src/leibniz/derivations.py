@@ -56,24 +56,26 @@ class DerivationBasis:
 def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[list[Scalar]]:
     n = algebra.dim
     field = algebra.field
+    reduce = field.reduce
     t = algebra.tensor
-    zero = field.zero
     rows = []
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                row = [zero] * (n * n)
+                # start from the field's zero: over Q, reducing an untouched
+                # entry then returns that one shared object, not a new Fraction
+                row = [field.zero] * (n * n)
                 for m in range(n):
-                    row[l * n + m] = field.add(row[l * n + m], t[i][j][m])
+                    row[l * n + m] += t[i][j][m]
                 if kind == "left-derivation":
                     for m in range(n):
-                        row[m * n + i] = field.sub(row[m * n + i], t[m][j][l])
-                        row[m * n + j] = field.sub(row[m * n + j], t[i][m][l])
+                        row[m * n + i] -= t[m][j][l]
+                        row[m * n + j] -= t[i][m][l]
                 else:
                     for m in range(n):
-                        row[m * n + j] = field.sub(row[m * n + j], t[i][m][l])
-                        row[m * n + i] = field.add(row[m * n + i], t[j][m][l])
-                rows.append(row)
+                        row[m * n + j] -= t[i][m][l]
+                        row[m * n + i] += t[j][m][l]
+                rows.append([reduce(v) for v in row])
     return rows
 
 
@@ -163,15 +165,15 @@ def extract_cyclic_derivation_profile(
     _require_canonical_cyclic(algebra)
     if not is_derivation(algebra, m):
         raise ValueError("matrix is not a derivation")
-    field = algebra.field
+    reduce = algebra.field.reduce
     n = algebra.dim
     gammas = m.column(0)
     for k in range(1, n + 1):
-        expected = [field.zero] * n
-        expected[k - 1] = field.mul(field.of(k), gammas[0])
+        expected = [0] * n
+        expected[k - 1] = k * gammas[0]
         for t in range(2, n - k + 2):
-            expected[t + k - 2] = field.add(expected[t + k - 2], gammas[t - 1])
-        if list(m.column(k - 1)) != expected:
+            expected[t + k - 2] += gammas[t - 1]
+        if m.column(k - 1) != tuple(map(reduce, expected)):
             return None
     return CyclicDerivationProfile(tuple(gammas))
 
@@ -183,10 +185,8 @@ def extract_cyclic_right_derivation_profile(
     _require_canonical_cyclic(algebra)
     if not is_right_derivation(algebra, m):
         raise ValueError("matrix is not a right derivation")
-    field = algebra.field
-    n = algebra.dim
-    for k in range(1, n):
-        if any(not field.is_zero(v) for v in m.column(k)):
+    for k in range(1, algebra.dim):
+        if any(m.column(k)):
             return None
     return CyclicRightDerivationProfile(tuple(m.column(0)))
 

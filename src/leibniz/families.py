@@ -9,7 +9,8 @@ form `C`.  The `A-iii` table carries a documented index ambiguity for the
 "derived"); the `B` table accepts gamma_2 even though only gamma_2 = 0
 yields a valid algebra.  Constructors do not verify the identity - run
 `check_left_leibniz` on the result; the test harness maps the valid
-parameter locus that way.
+parameter locus that way.  Table entries may be plain ints such as -1 or
+j: `LeibnizAlgebra` brings every entry into the field.
 """
 
 from __future__ import annotations
@@ -116,10 +117,10 @@ def family_a_iii(
         vec = {t + j - 2: field.one}
         for u in range(t + 1, n - j + 2):
             g = gammas[u - t - 1]
-            if not field.is_zero(g):
+            if g:
                 vec[u + j - 2] = g
         entries[(n, j - 1)] = vec
-    if not field.is_zero(tau):
+    if tau:
         idx = n - t if convention == "printed" else n - t + 2
         if idx < 1:
             raise ValueError("printed tau needs t < n: its index a_{n-t} would be a_0")
@@ -145,21 +146,21 @@ def family_b(
     gammas = tuple(field.of(g) for g in gammas)
     delta = field.of(delta)
     entries = _cyclic_entries(field, n)
-    entries[(0, n)] = {0: field.neg(field.one)}
+    entries[(0, n)] = {0: -1}
     for j in range(1, n + 1):  # [d, a_j]
-        vec = {j - 1: field.of(j)}
+        vec = {j - 1: j}
         for u in range(2, n - j + 2):
             g = gammas[u - 2]
-            if not field.is_zero(g):
-                vec[u + j - 2] = field.add(vec.get(u + j - 2, field.zero), g)
+            if g:
+                vec[u + j - 2] = vec.get(u + j - 2, 0) + g
         entries[(n, j - 1)] = vec
     dd = {}
     for u in range(3, n + 1):
         g = gammas[u - 2]
-        if not field.is_zero(g):
-            dd[u - 2] = field.neg(g)
-    if not field.is_zero(delta):
-        dd[n - 1] = field.add(dd.get(n - 1, field.zero), delta)
+        if g:
+            dd[u - 2] = -g
+    if delta:
+        dd[n - 1] = dd.get(n - 1, 0) + delta
     if dd:
         entries[(n, n)] = dd
     return LeibnizAlgebra.from_brackets(field, n + 1, entries)
@@ -172,9 +173,9 @@ def family_c(n: int, field: Field) -> LeibnizAlgebra:
     if n < 2:
         raise ValueError("the cyclic part must have dimension >= 2")
     entries = _cyclic_entries(field, n)
-    entries[(0, n)] = {0: field.neg(field.one)}
+    entries[(0, n)] = {0: -1}
     for j in range(1, n + 1):
-        entries[(n, j - 1)] = {j - 1: field.of(j)}
+        entries[(n, j - 1)] = {j - 1: j}
     return LeibnizAlgebra.from_brackets(field, n + 1, entries)
 
 
@@ -215,11 +216,11 @@ def nilpotent_complement(
     coords = _k_coords(field, k_rows, algebra.bracket(k_rows[0], b))
     if coords is None:
         raise ValueError("[a1, b] does not lie in K")
-    if not field.is_zero(coords[0]):
+    if coords[0]:
         raise ValueError("[a1, b] has an a1-component; the nilpotency hypothesis fails")
     # d = b - (beta_2 a_1 + ... + beta_n a_{n-1})
     d = vec_sub(field, b, linear_combination(field, (*coords[1:], 0), k_rows))
-    if not all(field.is_zero(v) for v in algebra.bracket(k_rows[0], d)):
+    if any(algebra.bracket(k_rows[0], d)):
         raise AssertionError("normalization failed to annihilate [a1, d]")
     d_span = Subspace._span(field, algebra.dim, [d])
     if product_subspace(algebra, k_span, d_span).dim != 0:
@@ -242,18 +243,18 @@ def scaling_complement(
     if coords is None:
         raise ValueError("[b, a1] does not lie in K")
     beta1 = coords[0]
-    if field.is_zero(beta1):
+    if not beta1:
         raise ValueError("[b, a1] has no a1-component; the algebra is in the nilpotent case")
     b = vec_scale(field, field.inv(beta1), b)
     coords = _k_coords(field, k_rows, algebra.bracket(k_rows[0], b))
     if coords is None:
         raise ValueError("[a1, b] does not lie in K")
-    if coords[0] != field.neg(field.one):
+    if coords[0] != field.reduce(-1):
         raise AssertionError("[a1, b] is not -a1 modulo Leib after rescaling")
     # d = b - (sigma_2 a_1 + ... + sigma_n a_{n-1})
     d = vec_sub(field, b, linear_combination(field, (*coords[1:], 0), k_rows))
     a1 = k_rows[0]
-    expected = vec_scale(field, field.neg(field.one), a1)
+    expected = vec_scale(field, -1, a1)
     if algebra.bracket(a1, d) != expected:
         raise AssertionError("normalization failed to reach [a1, d] = -a1")
     return d
@@ -277,7 +278,7 @@ def _require_b_form(algebra: LeibnizAlgebra) -> None:
         raise ValueError("need total dimension >= 3")
     t = algebra.tensor
     gammas = t[n][0][1:n]  # [d, a1] = a1 + gamma_2 a2 + ... + gamma_n an
-    if not field.is_zero(gammas[0]):
+    if gammas[0]:
         raise ValueError("type-B input must have gamma_2 = 0")
     if t != family_b(n, gammas, t[n][n][n - 1], field).tensor:
         raise ValueError("input is not in type-B form")
@@ -315,22 +316,22 @@ def eigenbasis_reduction(algebra: LeibnizAlgebra) -> EigenReduction:
     x = ambient({j - 1: lambdas[j - 2] for j in range(2, n + 1)})
     d = ambient({n: field.one})
     s = vec_sub(field, d, x)
-    if not all(field.is_zero(v) for v in algebra.bracket(s, s)):
+    if any(algebra.bracket(s, s)):
         raise AssertionError("[s, s] != 0 after reduction")
 
     b1 = ambient({0: field.one} | {j: lambdas[j - 2] for j in range(2, n)})
     b_rows = [b1]
     for _ in range(n - 1):
         b_rows.append(algebra.bracket(b1, b_rows[-1]))
-    if not all(field.is_zero(v) for v in algebra.bracket(b1, b_rows[-1])):
+    if any(algebra.bracket(b1, b_rows[-1])):
         raise AssertionError("[b1, b_n] != 0 after reduction")
-    minus_b1 = vec_scale(field, field.neg(field.one), b1)
+    minus_b1 = vec_scale(field, -1, b1)
     if algebra.bracket(b1, s) != minus_b1:
         raise AssertionError("[b1, s] != -b1 after reduction")
     for j, bj in enumerate(b_rows, start=1):
-        if algebra.bracket(s, bj) != vec_scale(field, field.of(j), bj):
+        if algebra.bracket(s, bj) != vec_scale(field, j, bj):
             raise AssertionError(f"[s, b_{j}] != {j} b_{j} after reduction")
-        if not field.is_zero(bj[n]):
+        if bj[n]:
             raise AssertionError("eigenbasis vector leaves K")
     transition = Matrix(field, [row[:n] for row in b_rows], _coerced=True)
     if transition.rank() != n:

@@ -11,11 +11,18 @@ Scalars are coerced once, where they enter from outside the library:
 `Field.of` runs in the public constructors (`Matrix(...)`,
 `Subspace.from_vectors`, `LeibnizAlgebra`, the family parameters) and in
 public functions that take a caller's vector (`Subspace.reduce`,
-`Subspace.contains`, `solve`).  Everything the library computes is already
-a field value (a `Fraction`, or an int in [0, p)), so internal callers pass
-it straight through: `Matrix(..., _coerced=True)`, `Subspace._span` (row
-reduction only) and `Subspace._residual` skip the coercion.  Floats are
-rejected at the boundary rather than truncated or made binary-exact.
+`Subspace.contains`, `solve`).  Floats are rejected there rather than
+truncated or made binary-exact.  Internal callers pass values straight
+through: `Matrix(..., _coerced=True)`, `Subspace._span` (row reduction
+only) and `Subspace._residual` skip the coercion.
+
+Every value inside the library is canonical (a `Fraction`, or an int in
+[0, p)), and the arithmetic on it follows one rule:
+
+- arithmetic is Python's ``+ - *`` on field values;
+- each entry the code produces is reduced once with `Field.reduce`, so
+  ``a - f * b`` costs one reduction, not one per operation;
+- a zero test is truthiness: ``if not c``, ``any(vec)``, ``not any(vec)``.
 """
 
 from __future__ import annotations
@@ -43,7 +50,12 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Coefficient domain: the rationals (characteristic 0) or GF(p)."""
+    """Coefficient domain: the rationals (characteristic 0) or GF(p).
+
+    `of` makes a caller's scalar a canonical field value; values combine
+    with Python's ``+ - *``, `reduce` normalises each result once, and a
+    value is zero exactly when it is falsy.
+    """
 
     __slots__ = ("characteristic",)
 
@@ -98,18 +110,6 @@ class Field:
             return raw if isinstance(raw, Fraction) else Fraction(raw)
         return raw % self.characteristic
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.reduce(a + b)
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.reduce(a - b)
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.reduce(a * b)
-
-    def neg(self, a: Scalar) -> Scalar:
-        return self.reduce(-a)
-
     def inv(self, a: Scalar) -> Scalar:
         if self.characteristic == 0:
             if a == 0:
@@ -118,9 +118,6 @@ class Field:
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.characteristic - 2, self.characteristic)
-
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0 if self.characteristic == 0 else a % self.characteristic == 0
 
     def parse(self, text: str) -> Scalar:
         """Parse scalar text: ``a/b`` or ``a`` over Q, a residue in [0, p) over GF(p)."""
@@ -160,19 +157,15 @@ def basis_vector(field: Field, n: int, i: int) -> Vector:
 
 
 def vec_add(field: Field, x: Vector, y: Vector) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(x, y, strict=True))
+    return tuple(field.reduce(a + b) for a, b in zip(x, y, strict=True))
 
 
 def vec_sub(field: Field, x: Vector, y: Vector) -> Vector:
-    return tuple(field.sub(a, b) for a, b in zip(x, y, strict=True))
+    return tuple(field.reduce(a - b) for a, b in zip(x, y, strict=True))
 
 
 def vec_scale(field: Field, c: Scalar, x: Vector) -> Vector:
-    return tuple(field.mul(c, a) for a in x)
-
-
-def vec_is_zero(field: Field, x: Vector) -> bool:
-    return all(field.is_zero(a) for a in x)
+    return tuple(field.reduce(c * a) for a in x)
 
 
 def linear_combination(field: Field, coeffs: Sequence[Scalar], rows: Sequence[Vector]) -> Vector:
@@ -191,6 +184,7 @@ def _rref_in_place(field: Field, rows: list[Sequence[Scalar]]) -> list[int]:
     Rows are field values.  The list is permuted and its changed rows are
     replaced by new lists; the row objects themselves are never written to.
     """
+    reduce = field.reduce
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -198,23 +192,23 @@ def _rref_in_place(field: Field, rows: list[Sequence[Scalar]]) -> list[int]:
     for c in range(ncols):
         pivot_row = -1
         for i in range(r, nrows):
-            if not field.is_zero(rows[i][c]):
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row < 0:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = field.inv(rows[r][c])
-        if inv != field.one:
-            rows[r] = [field.mul(inv, v) for v in rows[r]]
+        if inv != 1:
+            rows[r] = [reduce(inv * v) for v in rows[r]]
         row_r = rows[r]
         for i in range(nrows):
             if i == r:
                 continue
             f = rows[i][c]
-            if field.is_zero(f):
+            if not f:
                 continue
-            rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], row_r)]
+            rows[i] = [reduce(a - f * b) for a, b in zip(rows[i], row_r)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -299,13 +293,13 @@ class Matrix:
         )
 
     def add(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or self.data and (self.nrows, self.ncols) != (other.nrows, other.ncols):
+        if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch in matrix sum")
         rows = [vec_add(self.field, r, s) for r, s in zip(self.data, other.data)]
         return Matrix(self.field, rows, _coerced=True)
 
     def sub(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or self.data and (self.nrows, self.ncols) != (other.nrows, other.ncols):
+        if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch in matrix difference")
         rows = [vec_sub(self.field, r, s) for r, s in zip(self.data, other.data)]
         return Matrix(self.field, rows, _coerced=True)
@@ -322,7 +316,7 @@ class Matrix:
         """Right null space {x : A x = 0} as a canonical subspace."""
         field = self.field
         n = self.ncols
-        rows = [r for r in self.data if not vec_is_zero(field, r)]
+        rows = [r for r in self.data if any(r)]
         pivots = _rref_in_place(field, rows)
         pivot_set = set(pivots)
         basis = []
@@ -332,7 +326,7 @@ class Matrix:
             v = [field.zero] * n
             v[free] = field.one
             for r, pc in enumerate(pivots):
-                v[pc] = field.neg(rows[r][free])
+                v[pc] = field.reduce(-rows[r][free])
             basis.append(v)
         return Subspace._span(field, n, basis)
 
@@ -376,7 +370,7 @@ class Subspace:
         self.ambient = ambient
         self.rows = rows
         self._pivots = tuple(
-            next(c for c, v in enumerate(row) if not field.is_zero(v)) for row in rows
+            next(c for c, v in enumerate(row) if v) for row in rows
         )
 
     @classmethod
@@ -391,7 +385,7 @@ class Subspace:
     def _span(cls, field: Field, ambient: int, rows: list[Sequence[Scalar]]) -> "Subspace":
         """The span of rows that are already field values of length ambient; reorders the list."""
         _rref_in_place(field, rows)
-        basis = tuple(tuple(row) for row in rows if not vec_is_zero(field, row))
+        basis = tuple(tuple(row) for row in rows if any(row))
         return cls(field, ambient, basis, _canonical=True)
 
     @classmethod
@@ -437,20 +431,20 @@ class Subspace:
 
     def _residual(self, residual: Sequence[Scalar]) -> Vector:
         """`reduce` of a vector that is already field values."""
-        field = self.field
+        reduce = self.field.reduce
         for row, pc in zip(self.rows, self._pivots):
             c = residual[pc]
-            if field.is_zero(c):
+            if not c:
                 continue
-            residual = [field.sub(a, field.mul(c, b)) for a, b in zip(residual, row)]
+            residual = [reduce(a - c * b) for a, b in zip(residual, row)]
         return tuple(residual)
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return vec_is_zero(self.field, self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(vec_is_zero(self.field, self._residual(r)) for r in other.rows)
+        return not any(any(self._residual(r)) for r in other.rows)
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_subspace(self)

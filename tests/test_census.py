@@ -67,7 +67,7 @@ def test_dim3_screen_finds_the_806_tensors(census3):
     assert values[-3:] == [133954560, 133956095, 134217216]
     digest = hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
     assert digest == "1e6ef7a60f644246aa8da347115d2aef1e4eb4fdb4e15d944c436972fe8044c1"
-    # census_record trusts the screen (checked=True), so check every survivor exactly here
+    # census() runs the exact check only on each class's least member, so check every survivor here
     assert all(not algebra_from_int(3, v).check_left_leibniz() for v in values)
 
 
@@ -115,6 +115,13 @@ def test_class_members_share_no_record_objects():
             assert value == second["profile"][name] and value is not second["profile"][name]
     first["profile"]["lower_central_series_dims"].append(-1)
     assert second["profile"]["lower_central_series_dims"] == [2, 1, 0]
+
+
+# [e1, e1] = e1 fails the identity; 264 = 256 + 8 is out of range at dimension 2
+@pytest.mark.parametrize("dim, value", [(2, 1), (2, 264), (2, -1), (4, 0)])
+def test_census_record_rejects_a_tensor_the_screen_would_not_pass(dim, value):
+    with pytest.raises(ValueError):
+        census_mod.census_record(dim, value)
 
 
 def test_census_argument_validation():

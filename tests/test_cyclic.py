@@ -17,7 +17,7 @@ from leibniz.cyclic import (
     proposition_check,
 )
 from leibniz.families import cyclic_nilpotent, dim2_l2, family_b, family_c
-from leibniz.linalg import GF, QQ, Subspace, basis_vector, vec_add, vec_is_zero
+from leibniz.linalg import GF, QQ, Subspace, basis_vector, vec_add
 
 
 def test_left_normed_walks_the_chain():
@@ -200,7 +200,7 @@ def test_ln_k_right_annihilates_generator(p, n, data):
     a = tuple(data.draw(st.integers(0, p - 1)) for _ in range(n))
     for k in range(2, 6):
         w = left_normed(alg, a, k)
-        assert vec_is_zero(field, alg.bracket(w, a))
+        assert not any(alg.bracket(w, a))
 
 
 @settings(max_examples=40, deadline=None)

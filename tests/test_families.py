@@ -229,7 +229,7 @@ def test_scaling_complement_rescales():
     a = family_b(3, [0, 0], 0, QQ)
     k_rows = std(QQ, 4, 0, 1, 2)
     d = basis_vector(QQ, 4, 3)
-    b = tuple(QQ.mul(Fraction(2), v) for v in d)
+    b = tuple(2 * v for v in d)
     assert scaling_complement(a, k_rows, b) == d
     assert scaling_complement(a, k_rows, d) == d
 

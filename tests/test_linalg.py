@@ -20,11 +20,11 @@ def test_field_validation():
 
 def test_field_arithmetic_exact():
     f = GF(7)
-    assert f.add(5, 4) == 2
-    assert f.mul(3, 5) == 1
+    assert f.reduce(5 + 4) == 2
+    assert f.reduce(3 * 5) == 1
     assert f.inv(3) == 5
     assert f.of(Fraction(1, 2)) == 4
-    assert QQ.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    assert QQ.reduce(Fraction(1, 3) + Fraction(1, 6)) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         GF(5).inv(0)
 
@@ -185,6 +185,17 @@ def test_solve_agrees_with_multiplication(rows, data):
     got = solve(m, b)
     assert got is not None
     assert m.apply(got) == b
+
+
+def test_matrix_sum_and_difference_check_shapes():
+    empty, eye = Matrix(QQ, []), Matrix.identity(QQ, 2)
+    for a, b in ((empty, eye), (eye, empty), (eye, Matrix.zeros(QQ, 2, 3))):
+        with pytest.raises(ValueError):
+            a.add(b)
+        with pytest.raises(ValueError):
+            a.sub(b)
+    assert empty.add(empty) == empty.sub(empty) == empty
+    assert eye.add(eye).sub(eye) == eye
 
 
 def test_matrix_inverse():
