@@ -46,6 +46,7 @@ _IN_WORD = tuple(sum(1 << s for s in range(64) if s >> b & 1) for b in range(6))
 
 
 def algebra_from_int(dim: int, value: int) -> LeibnizAlgebra:
+    _check_tensor_int(dim, value)
     field = GF(CENSUS_P)
     tensor = [
         [
@@ -174,8 +175,7 @@ def _fingerprint(dim: int, value: int) -> str:
 
 def census_record(dim: int, value: int) -> dict:
     """The full exact record for one identity-satisfying tensor; ValueError for any other value."""
-    _check_tensor_int(dim, value)
-    algebra = algebra_from_int(dim, value)
+    algebra = algebra_from_int(dim, value)  # checks dim and value
     profile = invariant_profile(algebra)  # checks the identity first
     report = maximal_cyclic_report(algebra)
     nilpotent = profile.nilpotency_class is not None

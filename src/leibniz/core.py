@@ -193,16 +193,23 @@ def product_subspace(algebra: LeibnizAlgebra, s: Subspace, t: Subspace) -> Subsp
     return Subspace._span(algebra.field, algebra.dim, products)
 
 
+def _brackets_in(algebra: LeibnizAlgebra, s: Subspace, xs: Sequence[Vector], ys: Sequence[Vector]) -> bool:
+    """Whether [x, y] lies in S for every x in xs and y in ys; by bilinearity basis rows suffice."""
+    if s.field != algebra.field or s.ambient != algebra.dim:
+        raise ValueError("subspace lives outside the algebra")
+    return s._contains_all(algebra.bracket(x, y) for x in xs for y in ys)
+
+
 def is_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> bool:
-    return product_subspace(algebra, s, s) <= s
+    return _brackets_in(algebra, s, s.rows, s.rows)
 
 
 def is_left_ideal(algebra: LeibnizAlgebra, s: Subspace) -> bool:
-    return product_subspace(algebra, full_space(algebra), s) <= s
+    return _brackets_in(algebra, s, full_space(algebra).rows, s.rows)
 
 
 def is_right_ideal(algebra: LeibnizAlgebra, s: Subspace) -> bool:
-    return product_subspace(algebra, s, full_space(algebra)) <= s
+    return _brackets_in(algebra, s, s.rows, full_space(algebra).rows)
 
 
 def is_ideal(algebra: LeibnizAlgebra, s: Subspace) -> bool:

@@ -29,9 +29,7 @@ from .core import (
 from .cyclic import cyclic_generator_by_criterion, cyclic_generator_by_scan
 from .linalg import GF, Subspace, Vector, basis_vector
 
-MAX_ENUM_DIM = 6
-LATTICE_PRIMES = (2, 3, 5)
-MAX_LATTICE_DIM = 5
+_MAX_PAIRS = 3_541_056  # (subspace, element) pairs of GF(5)^5
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -50,10 +48,16 @@ def enumerate_subspaces(ambient: int, p: int):
     """Yield every subspace of GF(p)^ambient exactly once, in canonical order.
 
     Ordered by dimension, then pivot pattern, then free-entry assignment;
-    every yielded basis is already in RREF.
+    every yielded basis is already in RREF.  Raises ValueError for p < 2, a
+    negative ambient, or more (subspace, element) pairs, sum_k [ambient k]_p
+    p^k, than GF(5)^5 has: a lattice enumerates each subspace and scans each
+    element once.
     """
-    if ambient > MAX_ENUM_DIM:
-        raise ValueError(f"ambient dimension {ambient} exceeds the enumeration limit {MAX_ENUM_DIM}")
+    if p < 2 or ambient < 0:
+        raise ValueError(f"subspaces are enumerated in GF(p)^n, n >= 0, not p = {p}, n = {ambient}")
+    pairs = sum(gaussian_binomial(ambient, k, p) * p**k for k in range(ambient + 1))
+    if pairs > _MAX_PAIRS:
+        raise ValueError(f"GF({p})^{ambient} has {pairs} (subspace, element) pairs, over {_MAX_PAIRS}")
     field = GF(p)
     yield Subspace.zero(field, ambient)
     for k in range(1, ambient + 1):
@@ -96,15 +100,10 @@ class SubalgebraLattice:
 
 
 def subalgebra_lattice(algebra: LeibnizAlgebra) -> SubalgebraLattice:
-    """All subalgebras with ideal, maximality and cyclicity flags."""
-    p = algebra.field.characteristic
-    if p not in LATTICE_PRIMES:
-        raise ValueError(f"lattice enumeration supports GF(p) for p in {LATTICE_PRIMES}")
-    if algebra.dim > MAX_LATTICE_DIM:
-        raise ValueError(f"lattice enumeration limited to dimension {MAX_LATTICE_DIM}")
+    """All subalgebras with ideal, maximality and cyclicity flags, within `enumerate_subspaces`' limits."""
     algebra.ensure_checked()
     subalgebras = [
-        s for s in enumerate_subspaces(algebra.dim, p) if is_subalgebra(algebra, s)
+        s for s in enumerate_subspaces(algebra.dim, algebra.field.characteristic) if is_subalgebra(algebra, s)
     ]
     entries = []
     for s in subalgebras:

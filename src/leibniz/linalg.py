@@ -10,9 +10,9 @@ entry-wise.
 Scalars are coerced once, where they enter from outside the library:
 `Field.of` runs in the public constructors (`Matrix(...)`,
 `Subspace.from_vectors`, `LeibnizAlgebra`, the family parameters) and in
-public functions that take a caller's vector (`Subspace.reduce`,
-`Subspace.contains`, `solve`).  Floats are rejected there rather than
-truncated or made binary-exact.  Internal callers pass values straight
+public functions that take a caller's vector (`Matrix.apply`,
+`Subspace.reduce`, `Subspace.contains`, `solve`).  Floats are rejected
+there rather than truncated or made binary-exact.  Internal callers pass values straight
 through: `Matrix(..., _coerced=True)`, `Subspace._span` (row reduction
 only) and `Subspace._residual` skip the coercion.
 
@@ -23,6 +23,11 @@ Every value inside the library is canonical (a `Fraction`, or an int in
 - each entry the code produces is reduced once with `Field.reduce`, so
   ``a - f * b`` costs one reduction, not one per operation;
 - a zero test is truthiness: ``if not c``, ``any(vec)``, ``not any(vec)``.
+
+Membership has one test: v lies in S when its residual against S's RREF
+rows is zero.  Closure, ideal and invariance checks and ``S <= T`` call
+`Subspace._contains_all`, which reduces each vector in turn, stops at the
+first outside S, and never spans the vectors first.
 """
 
 from __future__ import annotations
@@ -275,6 +280,7 @@ class Matrix:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch in matrix-vector product")
+        v = [self.field.of(x) for x in v]
         reduce = self.field.reduce
         return tuple(reduce(sum(a * b for a, b in zip(row, v))) for row in self.data)
 
@@ -442,12 +448,13 @@ class Subspace:
     def contains(self, v: Sequence[Scalar]) -> bool:
         return not any(self.reduce(v))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return not any(any(self._residual(r)) for r in other.rows)
+    def _contains_all(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
+        """Whether every vector (field values) lies in S; stops at the first that does not."""
+        return not any(any(self._residual(v)) for v in vectors)
 
     def __le__(self, other: "Subspace") -> bool:
-        return other.contains_subspace(self)
+        self._check_compatible(other)
+        return other._contains_all(self.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

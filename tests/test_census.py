@@ -230,10 +230,13 @@ def test_invertible_gf2_matrix_count():
     assert len(list(_invertible_gf2_matrices(3))) == 168
 
 
-@pytest.mark.parametrize("dim, value", [(0, 0), (4, 0), (2, -1), (2, 256), (3, 1 << 27)])
+# (2, 264): 264 = 256 + 8 must not be read as tensor 8 with its high bit dropped
+@pytest.mark.parametrize("dim, value", [(0, 0), (4, 0), (2, -1), (2, 256), (2, 264), (3, 1 << 27)])
 def test_class_key_rejects_out_of_range_input(dim, value):
     with pytest.raises(ValueError):
         class_key(dim, value)
+    with pytest.raises(ValueError):
+        algebra_from_int(dim, value)
 
 
 @pytest.mark.parametrize("value", [0, 2, 32, 2084, 16420, 18436, 132153287])

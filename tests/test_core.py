@@ -15,6 +15,7 @@ from leibniz.core import (
     invariant_profile,
     is_ideal,
     is_left_ideal,
+    is_right_ideal,
     is_subalgebra,
     leibniz_kernel,
     left_center,
@@ -33,6 +34,7 @@ from leibniz.families import (
     family_a_i,
     family_c,
 )
+from leibniz.lattice import enumerate_subspaces
 from leibniz.linalg import GF, QQ, Subspace, basis_vector
 
 
@@ -348,3 +350,49 @@ def test_centers_and_upper_series_match_brute_force():
         series = upper_central_series(alg)
         assert [_elements(z) for z in series] == (terms or [prev])
         assert series[0] == center(alg)
+
+
+def test_membership_predicates_match_brute_force():
+    """Closure, ideal and inclusion tests against their definitions over the element sets.
+
+    Inputs: the corpus over GF(2) and GF(3) up to dimension 3, the dimension-4
+    corpus over GF(2), and every subspace of each ambient space; brackets of
+    all element pairs come from the tensor.
+    """
+    algebras = [alg for p in (2, 3) for _, alg in build_corpus(GF(p)) if alg.dim <= 3 or (p, alg.dim) == (2, 4)]
+    assert len(algebras) == 2 * 10 + 5
+    outcomes = set()
+    for n, p in {(alg.dim, alg.field.characteristic) for alg in algebras}:
+        spaces = [(s, _elements(s)) for s in enumerate_subspaces(n, p)]
+        for s, es in spaces:
+            for t, et in spaces:
+                assert (s <= t) == (es <= et)
+    for alg in algebras:
+        n, p, t = alg.dim, alg.field.characteristic, alg.tensor
+        vectors = list(itertools.product(range(p), repeat=n))
+        table = {
+            (x, y): tuple(
+                sum(x[i] * y[j] * t[i][j][k] for i in range(n) for j in range(n)) % p for k in range(n)
+            )
+            for x in vectors
+            for y in vectors
+        }
+        for s in enumerate_subspaces(n, p):
+            es = _elements(s)
+            sub = all(table[x, y] in es for x in es for y in es)
+            left = all(table[x, y] in es for x in vectors for y in es)
+            right = all(table[x, y] in es for x in es for y in vectors)
+            got = (is_subalgebra(alg, s), is_left_ideal(alg, s), is_right_ideal(alg, s), is_ideal(alg, s))
+            assert got == (sub, left, right, left and right)
+            outcomes.add(got)
+    # every combination a subalgebra can show occurs, and so does a non-subalgebra
+    assert {(True, a, b, a and b) for a in (True, False) for b in (True, False)} <= outcomes
+    assert (False, False, False, False) in outcomes
+
+
+def test_membership_predicates_reject_a_subspace_outside_the_algebra():
+    alg = cyclic_nilpotent(2, GF(3))
+    for s in (Subspace.zero(GF(3), 3), Subspace.full(GF(5), 2)):
+        for predicate in (is_subalgebra, is_left_ideal, is_right_ideal, is_ideal):
+            with pytest.raises(ValueError):
+                predicate(alg, s)

@@ -43,8 +43,15 @@ def test_enumerate_matches_gaussian_binomials(n, p):
 
 
 def test_enumerate_limit():
-    with pytest.raises(ValueError):
-        next(enumerate_subspaces(7, 2))
+    # the limit is the (subspace, element) pair count of GF(5)^5; p must be a prime, n >= 0
+    for n, p in [(8, 2), (4, 11), (6, 11), (2, 0), (2, 1), (-1, 2)]:
+        with pytest.raises(ValueError):
+            next(enumerate_subspaces(n, p))
+
+
+def test_enumerate_limit_admits_every_space_up_to_gf5_5():
+    for n, p in [(5, 5), (7, 2), (6, 3), (4, 7), (2, 101)]:
+        assert next(enumerate_subspaces(n, p)).dim == 0
 
 
 def test_lattice_cyclic2_gf2():
@@ -77,11 +84,20 @@ def test_lattice_family_a_i_2_gf3():
 
 def test_lattice_rejects_unsupported_parameters():
     with pytest.raises(ValueError):
-        subalgebra_lattice(cyclic_nilpotent(2, GF(7)))
+        subalgebra_lattice(cyclic_nilpotent(8, GF(2)))
     with pytest.raises(ValueError):
-        subalgebra_lattice(cyclic_nilpotent(6, GF(2)))
+        subalgebra_lattice(cyclic_nilpotent(4, GF(11)))
     with pytest.raises(ValueError):
         subalgebra_lattice(cyclic_nilpotent(2, QQ))
+
+
+def test_lattice_cyclic2_gf7():
+    # GF(7)^2 has 10 subspaces; of its 8 lines only <e2> is closed under [e1, e1] = e2
+    lat = subalgebra_lattice(cyclic_nilpotent(2, GF(7)))
+    assert [e.subspace.rows for e in lat.entries] == [(), ((0, 1),), ((1, 0), (0, 1))]
+    assert [(e.is_ideal, e.is_maximal, e.generator) for e in lat.entries] == [
+        (True, False, None), (True, True, (0, 1)), (True, False, (1, 0)),
+    ]
 
 
 def test_codim1_subalgebras_are_maximal():

@@ -198,6 +198,17 @@ def test_matrix_sum_and_difference_check_shapes():
     assert eye.add(eye).sub(eye) == eye
 
 
+def test_matrix_apply_coerces_the_vector():
+    assert Matrix(GF(3), [[1, 0], [0, 1]]).apply(["2", 4]) == (2, 1)
+    assert Matrix(QQ, [[2]]).apply(["1/10"]) == (Fraction(1, 5),)
+    with pytest.raises(TypeError):
+        Matrix(GF(3), [[1, 0], [0, 1]]).apply([0.5, 0])
+    with pytest.raises(TypeError):
+        Matrix(QQ, [[1]]).apply([0.1])
+    with pytest.raises(ValueError):
+        Matrix(QQ, [[1]]).apply([1, 2])
+
+
 def test_matrix_inverse():
     m = Matrix(QQ, [[1, 2], [3, 4]])
     inv = m.inverse()
