@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Field, Matrix, Scalar, Subspace, Vector, vec_add
+from .linalg import Field, Matrix, Scalar, Subspace, Vector, linear_combination, vec_add
 
 
 @dataclass(frozen=True)
@@ -342,13 +342,12 @@ def algebra_in_basis(algebra: LeibnizAlgebra, rows: Sequence[Vector]) -> Leibniz
     if len(rows) != n:
         raise ValueError("need exactly dim basis vectors")
     p = Matrix(algebra.field, rows)
-    coords = p.transpose().inverse()
-    tensor = []
-    for x in p.data:
-        plane = []
-        for y in p.data:
-            plane.append(coords.apply(algebra.bracket(x, y)))
-        tensor.append(plane)
+    inverse = p.inverse().data
+    # new coordinates of w are (P^T)^-1 w = sum_i w_i * (row i of P^-1)
+    tensor = [
+        [linear_combination(algebra.field, algebra.bracket(x, y), inverse) for y in p.data]
+        for x in p.data
+    ]
     return LeibnizAlgebra(algebra.field, tensor, _assume_checked=algebra.checked)
 
 

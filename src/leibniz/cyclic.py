@@ -1,12 +1,12 @@
 """Left-normed commutators and single-generator subalgebras.
 
 The chain ln_1(a) = a, ln_{k+1}(a) = [a, ln_k(a)] spans the subalgebra
-generated by a.  Cyclicity of a subspace is decided by exhaustive generator
-scan over a prime field; over the rationals a nilpotent subalgebra is
-cyclic iff its quotient by the derived subspace is one-dimensional (the
-derived subspace is contained in every maximal subalgebra, so any preimage
-of a quotient generator works).  The non-nilpotent rational case is
-reported as `UNKNOWN` rather than guessed.
+generated by a.  Cyclicity has one decision, `is_cyclic_subalgebra`, on
+every field: a nilpotent S is cyclic iff dim S/[S,S] = 1, and then every
+element outside the derived subspace [S,S] generates S ([S,S] lies in
+every maximal subalgebra).  A non-nilpotent S is decided by the exhaustive
+generator scan over a prime field and reported as `UNKNOWN` over the
+rationals rather than guessed.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ def left_normed(algebra: LeibnizAlgebra, a: Sequence[Scalar], k: int) -> Vector:
     """ln_k(a): ln_1 = a, ln_{k+1} = [a, ln_k]."""
     if k < 1:
         raise ValueError("the commutator index must be >= 1")
+    if len(a) != algebra.dim:
+        raise ValueError("vector length differs from the algebra dimension")
     algebra.ensure_checked()
     v = tuple(algebra.field.of(x) for x in a)
     out = v
@@ -62,6 +64,8 @@ def generated_subalgebra(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Cyclic
     algebra.ensure_checked()
     field = algebra.field
     n = algebra.dim
+    if len(a) != n:
+        raise ValueError("vector length differs from the algebra dimension")
     v = tuple(field.of(x) for x in a)
     chain: list[Vector] = []
     span = Subspace.zero(field, n)
@@ -200,7 +204,8 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
 
     Scans the nonzero elements of S in the order of `nonzero_elements`
     (coefficient tuples against the canonical basis, lexicographic) and
-    returns the first generator found.
+    returns the first generator found.  `is_cyclic_subalgebra` calls it
+    for a non-nilpotent S; the tests use it as the oracle for the rest.
     """
     if algebra.field.characteristic == 0:
         raise ValueError("exhaustive scan needs a finite field")
@@ -212,40 +217,29 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
     return None
 
 
-def cyclic_generator_by_criterion(algebra: LeibnizAlgebra, s: Subspace):
-    """Nilpotent criterion: cyclic iff dim(S / [S, S]) = 1.
+def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace):
+    """A generator of S when S is cyclic; None when it is not; UNKNOWN when undecided.
 
-    Candidate generators are the canonical basis rows outside the derived
-    subspace, each verified by chain generation.  Returns a generator, None
-    when S is nilpotent and not cyclic, or UNKNOWN when S is not nilpotent
-    (no enumeration is possible there over an infinite field).
+    A nilpotent S is cyclic iff dim S - dim [S, S] = 1, on every field; the
+    generator is the last canonical row of S outside [S, S].  Over GF(p)
+    that is the scan's first generator: the coefficient tuples before it
+    use only later rows, which lie in [S, S].  A non-nilpotent S is scanned
+    over GF(p) and UNKNOWN over Q.
     """
+    algebra.ensure_checked()
     if not is_subalgebra(algebra, s):
         raise ValueError("subspace is not a subalgebra")
     if s.dim == 0:
         return None
     if nilpotency_class(restrict_to_subalgebra(algebra, s)) is None:
-        return UNKNOWN
+        return UNKNOWN if algebra.field.characteristic == 0 else cyclic_generator_by_scan(algebra, s)
     derived = product_subspace(algebra, s, s)
     if s.dim - derived.dim != 1:
         return None
-    for row in s.rows:
-        if any(derived._residual(row)):
-            if generated_subalgebra(algebra, row).span == s:
-                return row
-    return None
-
-
-def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace):
-    """A generator of S when S is cyclic; None when it is not; UNKNOWN when undecided.
-
-    Over GF(p) the decision is the exhaustive scan; over Q the nilpotent
-    criterion is used and the non-nilpotent case is UNKNOWN.
-    """
-    algebra.ensure_checked()
-    if algebra.field.characteristic != 0:
-        return cyclic_generator_by_scan(algebra, s)
-    return cyclic_generator_by_criterion(algebra, s)
+    generator = next(row for row in reversed(s.rows) if any(derived._residual(row)))
+    if generated_subalgebra(algebra, generator).span != s:
+        raise AssertionError("an element outside [S, S] failed to generate the nilpotent S")
+    return generator
 
 
 def is_canonical_cyclic(algebra: LeibnizAlgebra, rows: Sequence[Vector]) -> bool:

@@ -9,7 +9,9 @@ which the tests pin down.
 Over the rationals no enumeration is possible; the restricted report walks
 the finitely many coordinate-aligned hyperplanes containing [L, L] (every
 codimension-1 ideal contains [L, L], and any subspace containing it is an
-ideal), deciding cyclicity by the nilpotent criterion.
+ideal).  Both paths decide cyclicity with `is_cyclic_subalgebra`: a
+nilpotent subalgebra by dim S/[S,S] = 1, any other by the generator scan
+over GF(p), and as UNKNOWN over Q.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from .core import (
     is_subalgebra,
     nilpotency_class,
     product_subspace,
-    restrict_to_subalgebra,
 )
-from .cyclic import cyclic_generator_by_criterion, cyclic_generator_by_scan
+from .cyclic import UNKNOWN, is_cyclic_subalgebra
 from .linalg import GF, Subspace, Vector, basis_vector
 
 _MAX_PAIRS = 3_541_056  # (subspace, element) pairs of GF(5)^5
@@ -111,13 +112,12 @@ def subalgebra_lattice(algebra: LeibnizAlgebra) -> SubalgebraLattice:
         maximal = proper and not any(
             t.dim > s.dim and t.dim < algebra.dim and s <= t for t in subalgebras
         )
-        generator = cyclic_generator_by_scan(algebra, s) if s.dim else None
         entries.append(
             LatticeEntry(
                 subspace=s,
                 is_ideal=is_ideal(algebra, s),
                 is_maximal=maximal,
-                generator=generator,
+                generator=is_cyclic_subalgebra(algebra, s),
             )
         )
     entries.sort(key=lambda e: (e.subspace.dim, e.subspace.rows))
@@ -184,8 +184,8 @@ def rational_codim1_report(algebra: LeibnizAlgebra) -> RationalCodim1Report:
         seen.add(s)
         if not is_subalgebra(algebra, s):
             continue
-        nilpotent = nilpotency_class(restrict_to_subalgebra(algebra, s)) is not None
-        generator = cyclic_generator_by_criterion(algebra, s)
-        candidates.append(RationalCandidate(s, nilpotent, generator))
+        # over Q the decision is UNKNOWN exactly when S is not nilpotent
+        generator = is_cyclic_subalgebra(algebra, s)
+        candidates.append(RationalCandidate(s, generator != UNKNOWN, generator))
     candidates.sort(key=lambda c: c.subspace.rows)
     return RationalCodim1Report(tuple(candidates))

@@ -1,13 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_corpus
-from leibniz.core import LeibnizAlgebra, restrict_to_subalgebra
+from leibniz.core import (
+    LeibnizAlgebra,
+    algebra_in_basis,
+    nilpotency_class,
+    product_subspace,
+    restrict_to_subalgebra,
+)
 from leibniz.cyclic import (
     UNKNOWN,
     canonical_cyclic_basis,
-    cyclic_generator_by_criterion,
     cyclic_generator_by_scan,
     generated_by,
     generated_subalgebra,
@@ -17,7 +24,8 @@ from leibniz.cyclic import (
     proposition_check,
 )
 from leibniz.families import cyclic_nilpotent, dim2_l2, family_b, family_c
-from leibniz.linalg import GF, QQ, Subspace, basis_vector, vec_add
+from leibniz.lattice import subalgebra_lattice
+from leibniz.linalg import GF, QQ, Matrix, Subspace, basis_vector, vec_add
 
 
 def test_left_normed_walks_the_chain():
@@ -33,6 +41,14 @@ def test_left_normed_k_validation():
     a = cyclic_nilpotent(2, QQ)
     with pytest.raises(ValueError):
         left_normed(a, basis_vector(QQ, 2, 0), 0)
+
+
+def test_left_normed_and_generated_subalgebra_check_the_vector_length():
+    a = cyclic_nilpotent(3, QQ)
+    with pytest.raises(ValueError):
+        left_normed(a, (1, 0), 1)
+    with pytest.raises(ValueError):
+        generated_subalgebra(a, (0, 0))
 
 
 def test_left_normed_square_zero():
@@ -141,21 +157,47 @@ def test_criterion_unknown_for_non_nilpotent_over_q():
     assert is_cyclic_subalgebra(alg, Subspace.full(QQ, 2)) == UNKNOWN
 
 
+def _random_basis(field, n, rng):
+    """Rows of a random invertible n x n matrix with entries in -2..2 (read in the field)."""
+    while True:
+        rows = [[field.of(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if Matrix(field, rows).rank() == n:
+            return rows
+
+
 def test_criterion_agrees_with_scan_on_small_cases():
+    # over GF(p) the exhaustive scan is the oracle, generator for generator,
+    # on every nonzero subalgebra of the corpus and, up to dimension 4, of the
+    # corpus in a random basis, where several canonical rows of S can lie
+    # outside [S, S] and the generator must be the last of them
+    rng = random.Random(10)
     for p in (2, 3):
         field = GF(p)
-        alg = cyclic_nilpotent(3, field)
-        for s in (
-            Subspace.full(field, 3),
-            Subspace.from_vectors(field, 3, [basis_vector(field, 3, 1)]),
-            Subspace.from_vectors(
-                field, 3, [basis_vector(field, 3, 1), basis_vector(field, 3, 2)]
-            ),
-        ):
-            by_scan = cyclic_generator_by_scan(alg, s)
-            by_criterion = cyclic_generator_by_criterion(alg, s)
-            assert by_criterion != UNKNOWN
-            assert (by_scan is None) == (by_criterion is None)
+        for name, alg in build_corpus(field):
+            algebras = [alg]
+            if alg.dim <= 4:
+                algebras.append(algebra_in_basis(alg, _random_basis(field, alg.dim, rng)))
+            for algebra in algebras:
+                for entry in subalgebra_lattice(algebra).entries:
+                    s = entry.subspace
+                    if s.dim:
+                        assert is_cyclic_subalgebra(algebra, s) == cyclic_generator_by_scan(algebra, s), (name, s)
+    # over Q, in a random basis up to dimension 4: UNKNOWN exactly when S is
+    # not nilpotent, and otherwise a generator with no later canonical row
+    # outside [S, S]
+    for name, alg in build_corpus(QQ):
+        if alg.dim > 4:
+            continue
+        moved = algebra_in_basis(alg, _random_basis(QQ, alg.dim, rng))
+        spans = [generated_subalgebra(moved, row).span for row in _random_basis(QQ, alg.dim, rng)[:2]]
+        for s in [Subspace.full(QQ, alg.dim), *spans]:
+            gen = is_cyclic_subalgebra(moved, s)
+            assert (gen == UNKNOWN) == (nilpotency_class(restrict_to_subalgebra(moved, s)) is None)
+            if gen is None or gen == UNKNOWN:
+                continue
+            assert generated_subalgebra(moved, gen).span == s, name
+            derived = product_subspace(moved, s, s)
+            assert all(derived.contains(row) for row in s.rows[s.rows.index(gen) + 1 :]), name
 
 
 def test_canonical_basis_already_canonical():
@@ -171,8 +213,6 @@ def test_canonical_basis_mixed_generator():
     basis = canonical_cyclic_basis(alg, a)
     assert basis == ((1, 1, 0), (0, 1, 1), (0, 0, 1))
     # the restriction in this basis is again the canonical table
-    from leibniz.core import algebra_in_basis
-
     assert algebra_in_basis(alg, basis) == cyclic_nilpotent(3, QQ)
 
 

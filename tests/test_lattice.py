@@ -150,6 +150,15 @@ def test_rational_codim1_report_family_a_i():
     assert got[other].generator is None
 
 
+def test_rational_codim1_report_one_dimensional():
+    # the only hyperplane is the zero subspace: nilpotent, with no generator
+    for alg in (abelian(1, QQ), cyclic_nilpotent(1, QQ)):
+        (candidate,) = rational_codim1_report(alg).candidates
+        assert candidate.subspace == Subspace.zero(QQ, 1)
+        assert candidate.nilpotent
+        assert candidate.generator is None
+
+
 def test_rational_codim1_report_requires_q():
     with pytest.raises(ValueError):
         rational_codim1_report(cyclic_nilpotent(2, GF(2)))
