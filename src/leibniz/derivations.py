@@ -57,25 +57,31 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[list[Scalar]]:
     n = algebra.dim
     field = algebra.field
     reduce = field.reduce
-    t = algebra.tensor
+    zero = field.zero
+    nz = algebra._nz()
     rows = []
     for i in range(n):
         for j in range(n):
-            for l in range(n):
-                # start from the field's zero: over Q, reducing an untouched
-                # entry then returns that one shared object, not a new Fraction
-                row = [field.zero] * (n * n)
-                for m in range(n):
-                    row[l * n + m] += t[i][j][m]
+            # the rows (i, j, l) for every l as {unknown: value}, filled from
+            # the nonzero tensor entries only
+            acc: list[dict[int, Scalar]] = [{} for _ in range(n)]
+            for m, c in nz[i][j]:
+                for l in range(n):
+                    acc[l][l * n + m] = c
+            for m in range(n):
                 if kind == "left-derivation":
-                    for m in range(n):
-                        row[m * n + i] -= t[m][j][l]
-                        row[m * n + j] -= t[i][m][l]
+                    terms = ((nz[m][j], i, -1), (nz[i][m], j, -1))
                 else:
-                    for m in range(n):
-                        row[m * n + j] -= t[i][m][l]
-                        row[m * n + i] += t[j][m][l]
-                rows.append([reduce(v) for v in row])
+                    terms = ((nz[i][m], j, -1), (nz[j][m], i, 1))
+                for entries, col, sign in terms:
+                    k = m * n + col
+                    for l, c in entries:
+                        acc[l][k] = acc[l].get(k, zero) + sign * c
+            for entries in acc:
+                row = [zero] * (n * n)
+                for k, v in entries.items():
+                    row[k] = reduce(v)
+                rows.append(row)
     return rows
 
 

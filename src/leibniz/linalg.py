@@ -1,11 +1,17 @@
-"""Exact dense linear algebra over Q and GF(p).
+"""Exact linear algebra over Q and GF(p).
 
 Scalars are `fractions.Fraction` over the rationals and reduced ``int``
 residues over a prime field; nothing here ever touches floating point.
-Matrices and subspaces are immutable values.  A subspace is stored as the
-reduced row echelon basis of its span with zero rows removed, so two
-subspaces are equal as sets exactly when their stored bases are equal
-entry-wise.
+Matrices and subspaces are immutable values, stored dense.  A subspace is
+stored as the reduced row echelon basis of its span with zero rows removed,
+so two subspaces are equal as sets exactly when their stored bases are
+equal entry-wise.
+
+Elimination runs on sparse rows.  `_rref_in_place` is the one Gauss-Jordan
+routine, behind `Matrix.rref`, `rank`, `kernel`, `inverse`, `solve` and
+`Subspace._span`; it works on ``{column: nonzero value}`` copies of the
+rows, so the zero entries of the large, mostly-zero derivation systems
+cost nothing.
 
 Scalars are coerced once, where they enter from outside the library:
 `Field.of` runs in the public constructors (`Matrix(...)`,
@@ -186,38 +192,50 @@ def render_vector(field: Field, x: Vector) -> str:
 def _rref_in_place(field: Field, rows: list[Sequence[Scalar]]) -> list[int]:
     """Gauss-Jordan to reduced row echelon form; returns the pivot columns.
 
-    Rows are field values.  The list is permuted and its changed rows are
-    replaced by new lists; the row objects themselves are never written to.
+    Rows are field values.  On return the list holds the RREF rows in pivot
+    order, then zero rows, all new lists; the row objects passed in are never
+    written to.  Elimination runs on sparse copies, ``{column: nonzero
+    value}``, taken sparsest first: each row is reduced against the echelon
+    rows found so far in one pass (an echelon row is zero in every other
+    pivot column), normalised at its lowest column, and that column is then
+    cleared from the earlier echelon rows.
     """
     reduce = field.reduce
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row < 0:
+    zero = field.zero
+    ncols = len(rows[0]) if rows else 0
+
+    def subtract(target: dict[int, Scalar], f: Scalar, source: dict[int, Scalar]) -> None:
+        """target -= f * source, dropping the entries that become zero."""
+        for c, b in source.items():
+            v = reduce(target.get(c, zero) - f * b)
+            if v:
+                target[c] = v
+            else:
+                del target[c]
+
+    sparse = sorted(({c: v for c, v in enumerate(row) if v} for row in rows), key=len)
+    echelon: dict[int, dict[int, Scalar]] = {}
+    for row in sparse:
+        for pc in [c for c in row if c in echelon]:
+            subtract(row, row[pc], echelon[pc])
+        if not row:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
+        pc = min(row)
+        inv = field.inv(row[pc])
         if inv != 1:
-            rows[r] = [reduce(inv * v) for v in rows[r]]
-        row_r = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if not f:
-                continue
-            rows[i] = [reduce(a - f * b) for a, b in zip(rows[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+            row = {c: reduce(inv * v) for c, v in row.items()}
+        for other in echelon.values():
+            if pc in other:
+                subtract(other, other[pc], row)
+        echelon[pc] = row
+    pivots = sorted(echelon)
+    dense = []
+    for pc in pivots:
+        out = [zero] * ncols
+        for c, v in echelon[pc].items():
+            out[c] = v
+        dense.append(out)
+    rows[:] = dense + [[zero] * ncols for _ in range(len(rows) - len(pivots))]
     return pivots
 
 

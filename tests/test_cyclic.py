@@ -145,6 +145,15 @@ def test_zero_subspace_is_not_cyclic():
     assert is_cyclic_subalgebra(alg, Subspace.zero(QQ, 2)) is None
 
 
+@pytest.mark.parametrize("field", [GF(2), QQ], ids=str)
+def test_cyclicity_of_a_non_closed_line_is_an_error(field):
+    # [e1, e1] = e2 leaves span{e1}
+    alg = cyclic_nilpotent(3, field)
+    line = Subspace.from_vectors(field, 3, [basis_vector(field, 3, 0)])
+    with pytest.raises(ValueError):
+        is_cyclic_subalgebra(alg, line)
+
+
 def test_criterion_over_q():
     alg = cyclic_nilpotent(4, QQ)
     gen = is_cyclic_subalgebra(alg, Subspace.full(QQ, 4))

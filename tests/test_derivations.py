@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,7 @@ from leibniz.derivations import (
     right_mult_matrix,
 )
 from leibniz.families import abelian, cyclic_nilpotent, dim2_l2, family_c
-from leibniz.linalg import GF, QQ, Matrix, basis_vector
+from leibniz.linalg import GF, QQ, Matrix, Subspace, basis_vector
 
 
 def test_left_mult_shifts_cyclic_chain():
@@ -81,6 +82,32 @@ def test_left_mult_is_derivation_everywhere():
             assert is_derivation(alg, la), name
             ra = right_mult_matrix(alg, basis_vector(alg.field, n, i))
             assert is_right_derivation(alg, ra), name
+
+
+@pytest.mark.parametrize("field,max_dim", [(GF(2), 3), (GF(3), 2)], ids=str)
+def test_derivation_spaces_match_brute_force(field, max_dim):
+    # every n x n matrix is tested with the exact checkers; the kept ones
+    # must form the whole kernel the constraint rows define
+    p = field.characteristic
+    checks = (
+        (is_derivation, derivation_space),
+        (is_right_derivation, right_derivation_space),
+    )
+    for name, alg in build_corpus(field):
+        n = alg.dim
+        if n > max_dim:
+            continue
+        matrices = [
+            Matrix(field, [entries[r * n : (r + 1) * n] for r in range(n)])
+            for entries in product(range(p), repeat=n * n)
+        ]
+        for holds, space in checks:
+            found = [m for m in matrices if holds(alg, m)]
+            basis = space(alg).basis
+            assert len(found) == p ** len(basis), (name, space.__name__)
+            flat = [sum(m.data, ()) for m in found]
+            expected = Subspace.from_vectors(field, n * n, [sum(m.data, ()) for m in basis])
+            assert Subspace.from_vectors(field, n * n, flat) == expected, (name, space.__name__)
 
 
 def test_zero_matrix_is_both_kinds():

@@ -5,8 +5,9 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
-from leibniz.linalg import GF, QQ, Field, Matrix, Subspace, nonzero_elements, solve
+from leibniz.linalg import GF, QQ, Field, Matrix, Subspace, _rref_in_place, nonzero_elements, solve
 
 
 def test_field_validation():
@@ -261,24 +262,84 @@ def test_nonzero_elements_of_a_plane():
         next(nonzero_elements(Subspace.full(QQ, 2)))
 
 
-def _to_sympy(rows):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+def _to_sympy(field, rows, ncols):
+    if field.characteristic == 0:
+        domain = sympy.QQ
+        entries = [[domain(x.numerator, x.denominator) for x in row] for row in rows]
+    else:
+        domain = sympy.GF(field.characteristic)
+        entries = [[domain(x) for x in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), ncols), domain)
 
 
-def _from_sympy(v):
-    return tuple(Fraction(int(x.p), int(x.q)) for x in v)
+def _from_sympy(field, dm):
+    if field.characteristic == 0:
+        return [tuple(Fraction(int(x.numerator), int(x.denominator)) for x in row) for row in dm.to_list()]
+    return [tuple(int(x) % field.characteristic for x in row) for row in dm.to_list()]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_rref_and_kernel_match_sympy(data):
-    nrows = data.draw(st.integers(1, 4))
-    ncols = data.draw(st.integers(1, 5))
-    scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    rows = data.draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
-    m = Matrix(QQ, rows)
-    reference, _pivots = _to_sympy(rows).rref()
-    expected = [_from_sympy(reference.row(i)) for i in range(nrows) if any(reference.row(i))]
-    assert [row for row in m.rref().data if any(row)] == expected
-    nullspace = [_from_sympy(v) for v in _to_sympy(rows).nullspace()]
-    assert m.kernel() == Subspace.from_vectors(QQ, ncols, nullspace)
+def _rows_for_elimination(data, field):
+    """Up to 10 x 8 rows of field values, mostly zero in one draw of two, with
+    zero rows and repeats of the same row object; some rows are tuples."""
+    nrows = data.draw(st.integers(1, 10))
+    ncols = data.draw(st.integers(1, 8))
+    if field.characteristic == 0:
+        value = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(field.of)
+    else:
+        value = st.integers(0, field.characteristic - 1)
+    if data.draw(st.booleans()):
+        value = st.one_of(st.just(field.zero), st.just(field.zero), value)
+    rows = []
+    for _ in range(nrows):
+        kind = data.draw(st.sampled_from(["list", "tuple", "zero", "repeat"]))
+        if kind == "repeat" and rows:
+            rows.append(data.draw(st.sampled_from(rows)))
+        elif kind == "zero":
+            rows.append((field.zero,) * ncols)
+        else:
+            row = data.draw(st.lists(value, min_size=ncols, max_size=ncols))
+            rows.append(tuple(row) if kind == "tuple" else row)
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from([QQ, GF(2), GF(3), GF(5)]), data=st.data())
+def test_rref_and_kernel_match_sympy(field, data):
+    rows, ncols = _rows_for_elimination(data, field)
+    nrows = len(rows)
+    snapshot = [(row, type(row), list(row)) for row in rows]
+    reference = _to_sympy(field, rows, ncols)
+    expected_rref, expected_pivots = reference.rref()
+    expected = _from_sympy(field, expected_rref)
+
+    work = list(rows)
+    assert _rref_in_place(field, work) == list(expected_pivots)
+    assert [tuple(row) for row in work] == expected
+    for row, kind, values in snapshot:
+        assert type(row) is kind and list(row) == values
+
+    m = Matrix(field, rows)
+    assert list(m.rref().data) == expected
+    assert m.rank() == reference.rank()
+    nullspace = _from_sympy(field, reference.nullspace())
+    assert m.kernel() == Subspace.from_vectors(field, ncols, nullspace)
+
+    k = min(nrows, ncols)
+    block = [row[:k] for row in rows[:k]]
+    square = _to_sympy(field, block, k)
+    if square.rank() == k:
+        assert list(Matrix(field, block).inverse().data) == _from_sympy(field, square.inv())
+    else:
+        with pytest.raises(ValueError):
+            Matrix(field, block).inverse()
+
+    b = [field.of(v) for v in data.draw(st.lists(st.integers(-2, 2), min_size=nrows, max_size=nrows))]
+    augmented, aug_pivots = _to_sympy(field, [[*row, v] for row, v in zip(rows, b)], ncols + 1).rref()
+    if ncols in aug_pivots:
+        assert solve(m, b) is None
+    else:
+        augmented = _from_sympy(field, augmented)
+        x = [field.zero] * ncols
+        for r, pc in enumerate(aug_pivots):
+            x[pc] = augmented[r][ncols]
+        assert solve(m, b) == tuple(x)
