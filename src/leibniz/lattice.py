@@ -3,8 +3,24 @@
 Subspaces of GF(p)^n are enumerated exactly once each through their RREF
 canonical form: choose pivot columns, then fill the free positions (entries
 to the right of a pivot in a non-pivot column) with arbitrary field
-elements.  The count per dimension is the Gaussian binomial coefficient,
-which the tests pin down.
+elements.  `_patterns` lists, per pivot pattern, the possible RREF rows for
+each pivot; the product of those lists is the pattern's subspaces in
+canonical order.  The count per dimension is the Gaussian binomial
+coefficient, which the tests pin down.
+
+The GF(p) lattice filters those row tuples before any `Subspace` exists.
+Per pattern it brackets each row choice with itself once; per candidate it
+tests the squares first, then the brackets of distinct rows, each by the
+RREF residual off the pivot columns, w[c] - sum_a w[p_a] r_a[c] = 0 (mod
+p), stopping at the first column that fails (the residual vanishes on the
+pivot columns by construction).  Only the survivors become subspaces.  The
+inline residual carries about half of the gain: with a `Subspace` per
+candidate tested by `_contains_all`, the filter of the GF(5) lattices of
+A-i(4) and B(4) took 0.93-0.96 s of CPU on a 2-core x86 host, against
+0.32-0.33 s.  Maximality needs no comparison of all pairs: every proper
+subalgebra lies in a maximal one, so, walking by decreasing dimension, a
+proper subalgebra is maximal exactly when none of the maximal subalgebras
+found so far contains it.
 
 Over the rationals no enumeration is possible; the restricted report walks
 the finitely many coordinate-aligned hyperplanes containing [L, L] (every
@@ -45,38 +61,84 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
+def _check_enumerable(ambient: int, p: int) -> None:
+    """Raise ValueError unless GF(p)^ambient is within the enumeration limit."""
+    if p < 2 or ambient < 0:
+        raise ValueError(f"subspaces are enumerated in GF(p)^n, n >= 0, not p = {p}, n = {ambient}")
+    pairs = sum(gaussian_binomial(ambient, k, p) * p**k for k in range(ambient + 1))
+    if pairs > _MAX_PAIRS:
+        raise ValueError(f"GF({p})^{ambient} has {pairs} (subspace, element) pairs, over {_MAX_PAIRS}")
+
+
+def _patterns(ambient: int, p: int):
+    """Yield (pivots, choices) for every pivot pattern, by dimension, then pattern.
+
+    choices[r] lists every RREF row with its leading 1 at pivots[r], in
+    lexicographic order of its free entries (the columns right of pivots[r]
+    that hold no pivot), so `product(*choices)` gives the pattern's
+    subspaces in canonical order.
+    """
+    for k in range(ambient + 1):
+        for pivots in combinations(range(ambient), k):
+            choices = []
+            for pc in pivots:
+                free = [c for c in range(pc + 1, ambient) if c not in pivots]
+                rows = []
+                for values in product(range(p), repeat=len(free)):
+                    row = [0] * ambient
+                    row[pc] = 1
+                    for c, v in zip(free, values):
+                        row[c] = v
+                    rows.append(tuple(row))
+                choices.append(rows)
+            yield pivots, choices
+
+
 def enumerate_subspaces(ambient: int, p: int):
     """Yield every subspace of GF(p)^ambient exactly once, in canonical order.
 
     Ordered by dimension, then pivot pattern, then free-entry assignment;
     every yielded basis is already in RREF.  Raises ValueError for p < 2, a
     negative ambient, or more (subspace, element) pairs, sum_k [ambient k]_p
-    p^k, than GF(5)^5 has: a lattice enumerates each subspace and scans each
-    element once.
+    p^k, than GF(5)^5 has.  `subalgebra_lattice` applies the same limit: it
+    bounds the candidates its filter visits, one per subspace, and the
+    elements a generator scan can visit in the subalgebras that survive.
     """
-    if p < 2 or ambient < 0:
-        raise ValueError(f"subspaces are enumerated in GF(p)^n, n >= 0, not p = {p}, n = {ambient}")
-    pairs = sum(gaussian_binomial(ambient, k, p) * p**k for k in range(ambient + 1))
-    if pairs > _MAX_PAIRS:
-        raise ValueError(f"GF({p})^{ambient} has {pairs} (subspace, element) pairs, over {_MAX_PAIRS}")
+    _check_enumerable(ambient, p)
     field = GF(p)
-    yield Subspace.zero(field, ambient)
-    for k in range(1, ambient + 1):
-        for pivots in combinations(range(ambient), k):
-            pivot_set = set(pivots)
-            free = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, ambient)
-                if c not in pivot_set
-            ]
-            for values in product(range(p), repeat=len(free)):
-                rows = [[field.zero] * ambient for _ in range(k)]
-                for r in range(k):
-                    rows[r][pivots[r]] = field.one
-                for (r, c), v in zip(free, values):
-                    rows[r][c] = v
-                yield Subspace(field, ambient, tuple(map(tuple, rows)), _canonical=True)
+    for _pivots, choices in _patterns(ambient, p):
+        for rows in product(*choices):
+            yield Subspace(field, ambient, rows, _canonical=True)
+
+
+def _in_span(w: Vector, basis: tuple[Vector, ...], pivots: tuple[int, ...], outside: list[int], p: int) -> bool:
+    """Whether w lies in the span of the RREF rows `basis`: its residual is 0 off the pivot columns."""
+    for c in outside:
+        v = w[c]
+        for row, pc in zip(basis, pivots):
+            v -= w[pc] * row[c]
+        if v % p:
+            return False
+    return True
+
+
+def _closed_bases(algebra: LeibnizAlgebra):
+    """Yield the RREF bases of the subalgebras of a GF(p) algebra, in canonical order."""
+    n = algebra.dim
+    p = algebra.field.characteristic
+    bracket = algebra.bracket
+    for pivots, choices in _patterns(n, p):
+        outside = [c for c in range(n) if c not in pivots]
+        squared = [[(x, bracket(x, x)) for x in rows] for rows in choices]
+        for candidate in product(*squared):
+            basis = tuple(x for x, _ in candidate)
+            if all(_in_span(sq, basis, pivots, outside, p) for _, sq in candidate) and all(
+                _in_span(bracket(x, y), basis, pivots, outside, p)
+                for x in basis
+                for y in basis
+                if x is not y
+            ):
+                yield basis
 
 
 @dataclass(frozen=True)
@@ -101,25 +163,32 @@ class SubalgebraLattice:
 
 
 def subalgebra_lattice(algebra: LeibnizAlgebra) -> SubalgebraLattice:
-    """All subalgebras with ideal, maximality and cyclicity flags, within `enumerate_subspaces`' limits."""
+    """All subalgebras with ideal, maximality and cyclicity flags, within `enumerate_subspaces`' limit.
+
+    The closure filter runs on the RREF row tuples of `_patterns` and builds
+    a `Subspace` only for the subalgebras.  A proper subalgebra is maximal
+    iff no maximal subalgebra of larger dimension contains it, so the
+    subalgebras are compared only with the maximal ones, by decreasing
+    dimension.
+    """
     algebra.ensure_checked()
-    subalgebras = [
-        s for s in enumerate_subspaces(algebra.dim, algebra.field.characteristic) if is_subalgebra(algebra, s)
+    field = algebra.field
+    n = algebra.dim
+    _check_enumerable(n, field.characteristic)
+    subalgebras = [Subspace(field, n, basis, _canonical=True) for basis in _closed_bases(algebra)]
+    maximal = []
+    for s in reversed(subalgebras):  # the enumeration runs by increasing dimension
+        if s.dim < n and not any(s <= t for t in maximal):
+            maximal.append(s)
+    entries = [
+        LatticeEntry(
+            subspace=s,
+            is_ideal=is_ideal(algebra, s),
+            is_maximal=s in maximal,
+            generator=is_cyclic_subalgebra(algebra, s),
+        )
+        for s in subalgebras
     ]
-    entries = []
-    for s in subalgebras:
-        proper = s.dim < algebra.dim
-        maximal = proper and not any(
-            t.dim > s.dim and t.dim < algebra.dim and s <= t for t in subalgebras
-        )
-        entries.append(
-            LatticeEntry(
-                subspace=s,
-                is_ideal=is_ideal(algebra, s),
-                is_maximal=maximal,
-                generator=is_cyclic_subalgebra(algebra, s),
-            )
-        )
     entries.sort(key=lambda e: (e.subspace.dim, e.subspace.rows))
     return SubalgebraLattice(algebra, tuple(entries))
 

@@ -1,7 +1,7 @@
 """Shared corpus of algebras exercised across the test suite."""
 
 from leibniz import families as fam
-from leibniz.linalg import Field
+from leibniz.linalg import Field, Matrix
 
 
 def build_corpus(field: Field) -> list[tuple[str, object]]:
@@ -30,3 +30,11 @@ def build_corpus(field: Field) -> list[tuple[str, object]]:
         algs.append(("C(3)", fam.family_c(3, field)))
         algs.append(("C(4)", fam.family_c(4, field)))
     return algs
+
+
+def random_basis(field: Field, n: int, rng) -> list[list]:
+    """Rows of a random invertible n x n matrix with entries in -2..2 (read in the field)."""
+    while True:
+        rows = [[field.of(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if Matrix(field, rows).rank() == n:
+            return rows

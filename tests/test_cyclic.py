@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_corpus
+from conftest import build_corpus, random_basis
 from leibniz.core import (
     LeibnizAlgebra,
     algebra_in_basis,
@@ -25,7 +25,7 @@ from leibniz.cyclic import (
 )
 from leibniz.families import cyclic_nilpotent, dim2_l2, family_b, family_c
 from leibniz.lattice import subalgebra_lattice
-from leibniz.linalg import GF, QQ, Matrix, Subspace, basis_vector, vec_add
+from leibniz.linalg import GF, QQ, Subspace, basis_vector, vec_add
 
 
 def test_left_normed_walks_the_chain():
@@ -166,14 +166,6 @@ def test_criterion_unknown_for_non_nilpotent_over_q():
     assert is_cyclic_subalgebra(alg, Subspace.full(QQ, 2)) == UNKNOWN
 
 
-def _random_basis(field, n, rng):
-    """Rows of a random invertible n x n matrix with entries in -2..2 (read in the field)."""
-    while True:
-        rows = [[field.of(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if Matrix(field, rows).rank() == n:
-            return rows
-
-
 def test_criterion_agrees_with_scan_on_small_cases():
     # over GF(p) the exhaustive scan is the oracle, generator for generator,
     # on every nonzero subalgebra of the corpus and, up to dimension 4, of the
@@ -185,7 +177,7 @@ def test_criterion_agrees_with_scan_on_small_cases():
         for name, alg in build_corpus(field):
             algebras = [alg]
             if alg.dim <= 4:
-                algebras.append(algebra_in_basis(alg, _random_basis(field, alg.dim, rng)))
+                algebras.append(algebra_in_basis(alg, random_basis(field, alg.dim, rng)))
             for algebra in algebras:
                 for entry in subalgebra_lattice(algebra).entries:
                     s = entry.subspace
@@ -197,8 +189,8 @@ def test_criterion_agrees_with_scan_on_small_cases():
     for name, alg in build_corpus(QQ):
         if alg.dim > 4:
             continue
-        moved = algebra_in_basis(alg, _random_basis(QQ, alg.dim, rng))
-        spans = [generated_subalgebra(moved, row).span for row in _random_basis(QQ, alg.dim, rng)[:2]]
+        moved = algebra_in_basis(alg, random_basis(QQ, alg.dim, rng))
+        spans = [generated_subalgebra(moved, row).span for row in random_basis(QQ, alg.dim, rng)[:2]]
         for s in [Subspace.full(QQ, alg.dim), *spans]:
             gen = is_cyclic_subalgebra(moved, s)
             assert (gen == UNKNOWN) == (nilpotency_class(restrict_to_subalgebra(moved, s)) is None)

@@ -1,8 +1,18 @@
+import os
+import random
+import subprocess
+import sys
+from itertools import combinations, product
+from pathlib import Path
+
 import pytest
 
-from leibniz.core import nilpotency_class
+from conftest import build_corpus, random_basis
+from leibniz.core import LeibnizAlgebra, algebra_in_basis, is_ideal, is_subalgebra, nilpotency_class
+from leibniz.cyclic import is_cyclic_subalgebra
 from leibniz.families import abelian, cyclic_nilpotent, dim2_l2, family_a_i
 from leibniz.lattice import (
+    LatticeEntry,
     enumerate_subspaces,
     gaussian_binomial,
     maximal_cyclic_report,
@@ -170,3 +180,87 @@ def test_enumerated_bases_are_canonical(n, p):
     field = GF(p)
     for s in enumerate_subspaces(n, p):
         assert Subspace.from_vectors(field, n, s.rows) == s
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
+def test_enumerate_order_is_free_entry_product_order(n, p):
+    # the reference: by dimension, then pivot pattern, then one product over
+    # the free positions (row by row, left to right)
+    expected = []
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots]
+            for values in product(range(p), repeat=len(free)):
+                rows = [[0] * n for _ in range(k)]
+                for r, pc in enumerate(pivots):
+                    rows[r][pc] = 1
+                for (r, c), v in zip(free, values):
+                    rows[r][c] = v
+                expected.append(tuple(map(tuple, rows)))
+    assert [s.rows for s in enumerate_subspaces(n, p)] == expected
+
+
+def _brute_force_entries(algebra):
+    """The lattice from first principles: every subspace, every pair compared."""
+    n = algebra.dim
+    subalgebras = [s for s in enumerate_subspaces(n, algebra.field.characteristic) if is_subalgebra(algebra, s)]
+    entries = [
+        LatticeEntry(
+            subspace=s,
+            is_ideal=is_ideal(algebra, s),
+            is_maximal=s.dim < n and not any(s.dim < t.dim < n and s <= t for t in subalgebras),
+            generator=is_cyclic_subalgebra(algebra, s),
+        )
+        for s in subalgebras
+    ]
+    return tuple(sorted(entries, key=lambda e: (e.subspace.dim, e.subspace.rows)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lattice_matches_brute_force(p):
+    # the corpus in the standard basis and in a random GL(n, p) basis, whose
+    # tables are dense and not triangular
+    rng = random.Random(12)
+    field = GF(p)
+    for name, alg in build_corpus(field):
+        for algebra in (alg, algebra_in_basis(alg, random_basis(field, alg.dim, rng))):
+            assert subalgebra_lattice(algebra).entries == _brute_force_entries(algebra), name
+
+
+def _sl2(field):
+    # [h, e] = 2e, [h, f] = -2f, [e, f] = h, antisymmetric; basis h, e, f
+    return LeibnizAlgebra.from_brackets(
+        field,
+        3,
+        {
+            (0, 1): {1: 2},
+            (1, 0): {1: -2},
+            (0, 2): {2: -2},
+            (2, 0): {2: 2},
+            (1, 2): {0: 1},
+            (2, 1): {0: -1},
+        },
+    )
+
+
+@pytest.mark.parametrize("p,lines,planes", [(3, 3, 4), (5, 10, 6)])
+def test_sl2_has_maximal_subalgebras_of_two_dimensions(p, lines, planes):
+    # the maximal subalgebras of sl2 over GF(p) are the Borel planes and the
+    # non-split tori, which are lines: maximality is not read off one dimension
+    maximal = subalgebra_lattice(_sl2(GF(p))).maximal()
+    dims = [e.subspace.dim for e in maximal]
+    assert (dims.count(1), dims.count(2), len(dims)) == (lines, planes, lines + planes)
+
+
+def test_lattice_path_imports_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from leibniz.families import family_a_i\n"
+        "from leibniz.lattice import subalgebra_lattice\n"
+        "from leibniz.linalg import GF\n"
+        "subalgebra_lattice(family_a_i(2, GF(3)))\n"
+        "assert 'numpy' not in sys.modules, 'the lattice path imported numpy'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
