@@ -218,22 +218,27 @@ def is_ideal(algebra: LeibnizAlgebra, s: Subspace) -> bool:
 
 # -- structural invariants -----------------------------------------------
 
-def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:
-    """Span of all squares [x, x].
+def _squares_span(algebra: LeibnizAlgebra, products: Sequence[Sequence[Vector]]) -> Subspace:
+    """span{[x, x] : x in span{x_1..x_k}}, from the table products[i][j] = [x_i, x_j].
 
     Polarization [x+y, x+y] = [x,x] + [y,y] + [x,y] + [y,x] shows the span
-    is generated by {[e_i, e_i]} together with {[e_i, e_j] + [e_j, e_i]},
-    in every characteristic.
+    is generated by {[x_i, x_i]} together with {[x_i, x_j] + [x_j, x_i]},
+    i < j, in every characteristic.  Each pair is taken once: with i = j
+    the sum would be 2[x_i, x_i], which vanishes in characteristic 2.
     """
-    algebra.ensure_checked()
     field = algebra.field
-    n = algebra.dim
-    t = algebra.tensor
-    gens = [t[i][i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            gens.append(vec_add(field, t[i][j], t[j][i]))
-    return Subspace._span(field, n, gens)
+    k = len(products)
+    gens = [products[i][i] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            gens.append(vec_add(field, products[i][j], products[j][i]))
+    return Subspace._span(field, algebra.dim, gens)
+
+
+def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:
+    """Span of all squares [x, x]."""
+    algebra.ensure_checked()
+    return _squares_span(algebra, algebra.tensor)
 
 
 def _centraliser(

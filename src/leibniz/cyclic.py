@@ -2,11 +2,12 @@
 
 The chain ln_1(a) = a, ln_{k+1}(a) = [a, ln_k(a)] spans the subalgebra
 generated by a.  Cyclicity has one decision, `is_cyclic_subalgebra`, on
-every field: a nilpotent S is cyclic iff dim S/[S,S] = 1, and then every
-element outside the derived subspace [S,S] generates S ([S,S] lies in
-every maximal subalgebra).  A non-nilpotent S is decided by the exhaustive
-generator scan over a prime field and reported as `UNKNOWN` over the
-rationals rather than guessed.
+every field.  It tests the Leib(S) criterion first (dim S/Leib(S) = 1,
+and the left multiplication of S on Leib(S) nonderogatory), so a
+subalgebra that is not cyclic costs a few brackets and one small kernel,
+never a search.  Only a cyclic S gets a generator chosen: the last
+canonical row outside [S,S] when S is nilpotent, the exhaustive scan's
+first hit over GF(p), and the first point of a small integer grid over Q.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from typing import Sequence
 
 from .core import (
     LeibnizAlgebra,
+    _squares_span,
     is_subalgebra,
     lower_central_series,
-    nilpotency_class,
     product_subspace,
     restrict_to_subalgebra,
 )
 from .linalg import (
+    Matrix,
     Scalar,
     Subspace,
     Vector,
@@ -32,7 +34,6 @@ from .linalg import (
     zero_vector,
 )
 
-UNKNOWN = "unknown"
 _MAX_COPIES = 5
 
 
@@ -207,7 +208,8 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
     Scans the nonzero elements of S in the order of `nonzero_elements`
     (coefficient tuples against the canonical basis, lexicographic) and
     returns the first generator found.  `is_cyclic_subalgebra` calls it
-    for a non-nilpotent S; the tests use it as the oracle for the rest.
+    to pick the generator of a cyclic, non-nilpotent S; the tests use it
+    as the oracle for the rest.
     """
     if algebra.field.characteristic == 0:
         raise ValueError("exhaustive scan needs a finite field")
@@ -219,27 +221,133 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
     return None
 
 
-def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace):
-    """A generator of S when S is cyclic; None when it is not; UNKNOWN when undecided.
+def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace) -> tuple[Vector, Subspace, Matrix] | None:
+    """(a0, Leib(S), T) when the nonzero S passes (a) and (b) of `is_cyclic_subalgebra`, else None.
 
-    A nilpotent S is cyclic iff dim S - dim [S, S] = 1, on every field; the
-    generator is the last canonical row of S outside [S, S].  Over GF(p)
-    that is the scan's first generator: the coefficient tuples before it
-    use only later rows, which lie in [S, S].  A non-nilpotent S is scanned
-    over GF(p) and UNKNOWN over Q.
+    a0 is the last canonical row of S outside Leib(S), and T is the matrix
+    of [a0, -] on Leib(S) in the pivot coordinates of its RREF rows.
+    Raises ValueError when S is not closed under the bracket.
+    """
+    if s.field != algebra.field or s.ambient != algebra.dim:
+        raise ValueError("subspace lives outside the algebra")
+    field = algebra.field
+    bracket = algebra.bracket
+    rows = s.rows
+    products = [[bracket(x, y) for y in rows] for x in rows]
+    if not s._contains_all(w for line in products for w in line):
+        raise ValueError("subspace is not closed under the bracket")
+    leib = _squares_span(algebra, products)
+    m = leib.dim
+    if s.dim - m != 1:  # (a)
+        return None
+    a0 = next(row for row in reversed(rows) if any(leib._residual(row)))
+    images = [bracket(a0, b) for b in leib.rows]
+    t = Matrix(field, [[w[pc] for w in images] for pc in leib.pivot_columns()], _coerced=True)
+    # (b): X -> TX - XT on m x m matrices X, entry (i, j), in the unknowns X[l][j'] at l*m + j'
+    commutator = []
+    for i in range(m):
+        for j in range(m):
+            row = [field.zero] * (m * m)
+            for l in range(m):
+                row[l * m + j] += t.data[i][l]
+                row[i * m + l] -= t.data[l][j]
+            commutator.append([field.reduce(v) for v in row])
+    if Matrix(field, commutator, _coerced=True).kernel().dim != m:
+        return None
+    return a0, leib, t
+
+
+def _is_nilpotent(t: Matrix) -> bool:
+    """Whether the square matrix T satisfies T^m = 0, m its size."""
+    power = t
+    for _ in range(t.nrows - 1):
+        power = power.mul(t)
+    return not any(map(any, power.data))
+
+
+def _grid(m: int):
+    """{0..m}^m ordered by the sum of the entries, then lexicographically."""
+
+    def with_sum(length: int, total: int):
+        if length == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(max(0, total - m * (length - 1)), min(m, total) + 1):
+            for rest in with_sum(length - 1, total - first):
+                yield (first, *rest)
+
+    for total in range(m * m + 1):
+        yield from with_sum(m, total)
+
+
+def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
+    """A generator of S when S is cyclic; None when it is not or when S = 0.
+
+    Raises ValueError when S is not closed under the bracket.  The decision
+    is one criterion on every field.  Write Leib(S) = span{[x, x] : x in S};
+    polarization spans it by the [x_i, x_i] and the [x_i, x_j] + [x_j, x_i],
+    i < j, over the rows x_i of S.  Take a0 the last canonical row of S
+    outside Leib(S), T = [a0, -] on Leib(S) and w0 = [a0, a0].  Then S is
+    cyclic iff
+      (a) dim S/Leib(S) = 1, and
+      (b) T is nonderogatory: its commutant {X : TX = XT} has dimension
+          dim Leib(S).
+    The third condition sometimes stated, (c) w0 outside T(Leib(S)) when T
+    is singular, follows from (a), as the sketch shows.
+
+    Proof sketch.  [[x, x], y] = 0, so Leib(S) is an ideal with
+    [Leib(S), S] = 0 and S/Leib(S) is a Lie algebra, in which a single
+    element generates at most a line; S = Leib(S) would give [S, S] = 0 and
+    so S = 0.  So a cyclic S has (a).  Given (a),
+    every x in S is c a0 + i with i in Leib(S), and [x, x] = c^2 w0 + c T(i).
+    Hence Leib(S) = F w0 + T(Leib(S)), and [S, S] = Leib(S).  On Leib(S),
+    [x, -] = cT, so the chain of x is x, then the T-orbit of [x, x], and x
+    generates S iff c != 0 and w0 + T(i/c) is a cyclic vector of T.  A
+    cyclic vector exists iff T is nonderogatory (b); then split Leib(S) as
+    an F[x]-module into the x-primary part P, where T is nilpotent, and the
+    rest R, where T is invertible.  The R-component of w0 + T(i') can be
+    any vector of R, so some choice of i' makes it a cyclic vector of R.
+    The P-component generates P iff it lies outside T(P), and it does for
+    every i', because Leib(S) = F w0 + T(Leib(S)) puts w0 outside
+    T(Leib(S)) when T is singular.  No step uses the size of the field or
+    divides by 2, so the criterion holds over Q and over every GF(p).  Any
+    a0 outside Leib(S) gives the same verdict: a0 -> c a0 + j scales T by c.
+
+    The generator is chosen only for a cyclic S.
+    - S nilpotent, that is T nilpotent: a0, the last canonical row of S
+      outside [S, S] = Leib(S) ([S, S] lies in every maximal subalgebra,
+      so every element outside it generates S).  Over GF(p) that is the
+      scan's first hit: the coefficient tuples before it use only later
+      rows, which lie in [S, S].
+    - S not nilpotent, over GF(p): the first hit of
+      `cyclic_generator_by_scan`.
+    - S not nilpotent, over Q: the first a = a0 + sum_k c_k b_k, b_k the
+      RREF rows of Leib(S), whose chain spans S, with c running over
+      {0..m}^m, m = dim Leib(S), by sum(c) and then lexicographically.
+      The Krylov determinant of [a, a] = w0 + T(sum_k c_k b_k) is a
+      polynomial of degree <= m in each c_k, and nonzero when S is
+      cyclic, so a grid with m + 1 values per coordinate holds a point
+      where it does not vanish.
     """
     algebra.ensure_checked()
     if s.dim == 0:
         return None
-    # raises ValueError when S is not closed under the bracket
-    if nilpotency_class(restrict_to_subalgebra(algebra, s)) is None:
-        return UNKNOWN if algebra.field.characteristic == 0 else cyclic_generator_by_scan(algebra, s)
-    derived = product_subspace(algebra, s, s)
-    if s.dim - derived.dim != 1:
+    decided = _leib_criterion(algebra, s)
+    if decided is None:
         return None
-    generator = next(row for row in reversed(s.rows) if any(derived._residual(row)))
-    if generated_subalgebra(algebra, generator).span != s:
-        raise AssertionError("an element outside [S, S] failed to generate the nilpotent S")
+    a0, leib, t = decided
+    if _is_nilpotent(t):
+        if generated_subalgebra(algebra, a0).span != s:
+            raise AssertionError("an element outside [S, S] failed to generate the nilpotent S")
+        return a0
+    if algebra.field.characteristic:
+        generator = cyclic_generator_by_scan(algebra, s)
+    else:
+        candidates = (linear_combination(algebra.field, (1, *c), (a0, *leib.rows)) for c in _grid(leib.dim))
+        generator = next((a for a in candidates if generated_subalgebra(algebra, a).span == s), None)
+    if generator is None:
+        raise AssertionError("S passed the Leib(S) criterion, but no element generates it")
     return generator
 
 

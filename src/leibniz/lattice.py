@@ -25,9 +25,9 @@ found so far contains it.
 Over the rationals no enumeration is possible; the restricted report walks
 the finitely many coordinate-aligned hyperplanes containing [L, L] (every
 codimension-1 ideal contains [L, L], and any subspace containing it is an
-ideal).  Both paths decide cyclicity with `is_cyclic_subalgebra`: a
-nilpotent subalgebra by dim S/[S,S] = 1, any other by the generator scan
-over GF(p), and as UNKNOWN over Q.
+ideal).  Both paths decide cyclicity with `is_cyclic_subalgebra`, whose
+Leib(S) criterion decides every subalgebra on every field; only a cyclic
+subalgebra that is not nilpotent goes on to a generator search.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from .core import (
     is_subalgebra,
     nilpotency_class,
     product_subspace,
+    restrict_to_subalgebra,
 )
-from .cyclic import UNKNOWN, is_cyclic_subalgebra
+from .cyclic import is_cyclic_subalgebra
 from .linalg import GF, Subspace, Vector, basis_vector
 
 _MAX_PAIRS = 3_541_056  # (subspace, element) pairs of GF(5)^5
@@ -218,7 +219,7 @@ def maximal_cyclic_report(algebra: LeibnizAlgebra) -> MaximalCyclicReport:
 class RationalCandidate:
     subspace: Subspace
     nilpotent: bool
-    generator: Vector | None | str  # vector, None, or UNKNOWN
+    generator: Vector | None  # a cyclic generator, when one exists
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,9 @@ class RationalCodim1Report:
 
     Complete lattice enumeration is impossible over an infinite field, so
     only hyperplanes spanned by [L, L] together with all but one of the
-    complementary standard coordinates are examined.
+    complementary standard coordinates are examined.  Which hyperplanes
+    those are depends on the basis, and so can the answer: a codimension-1
+    ideal that is not coordinate-aligned is never seen.
     """
 
     candidates: tuple[RationalCandidate, ...]
@@ -253,8 +256,7 @@ def rational_codim1_report(algebra: LeibnizAlgebra) -> RationalCodim1Report:
         seen.add(s)
         if not is_subalgebra(algebra, s):
             continue
-        # over Q the decision is UNKNOWN exactly when S is not nilpotent
-        generator = is_cyclic_subalgebra(algebra, s)
-        candidates.append(RationalCandidate(s, generator != UNKNOWN, generator))
+        nilpotent = s.dim == 0 or nilpotency_class(restrict_to_subalgebra(algebra, s)) is not None
+        candidates.append(RationalCandidate(s, nilpotent, is_cyclic_subalgebra(algebra, s)))
     candidates.sort(key=lambda c: c.subspace.rows)
     return RationalCodim1Report(tuple(candidates))

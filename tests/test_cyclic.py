@@ -13,7 +13,7 @@ from leibniz.core import (
     restrict_to_subalgebra,
 )
 from leibniz.cyclic import (
-    UNKNOWN,
+    _leib_criterion,
     canonical_cyclic_basis,
     cyclic_generator_by_scan,
     generated_by,
@@ -25,7 +25,7 @@ from leibniz.cyclic import (
 )
 from leibniz.families import cyclic_nilpotent, dim2_l2, family_b, family_c
 from leibniz.lattice import subalgebra_lattice
-from leibniz.linalg import GF, QQ, Subspace, basis_vector, vec_add
+from leibniz.linalg import GF, QQ, Subspace, basis_vector, linear_combination, vec_add
 
 
 def test_left_normed_walks_the_chain():
@@ -154,38 +154,88 @@ def test_cyclicity_of_a_non_closed_line_is_an_error(field):
         is_cyclic_subalgebra(alg, line)
 
 
+def _found_by_random_points(algebra, s, rng):
+    """Whether one of 30 random points of S, coefficients in -5..5, generates S."""
+    for _ in range(30):
+        a = linear_combination(algebra.field, [rng.randint(-5, 5) for _ in s.rows], s.rows)
+        if generated_subalgebra(algebra, a).span == s:
+            return True
+    return False
+
+
 def test_criterion_over_q():
     alg = cyclic_nilpotent(4, QQ)
     gen = is_cyclic_subalgebra(alg, Subspace.full(QQ, 4))
-    assert gen is not None and gen != UNKNOWN
+    assert gen is not None
     assert generated_subalgebra(alg, gen).span == Subspace.full(QQ, 4)
 
 
-def test_criterion_unknown_for_non_nilpotent_over_q():
+def test_l2_is_cyclic_over_q():
     alg = dim2_l2(QQ)
-    assert is_cyclic_subalgebra(alg, Subspace.full(QQ, 2)) == UNKNOWN
+    gen = is_cyclic_subalgebra(alg, Subspace.full(QQ, 2))
+    assert gen is not None
+    assert generated_subalgebra(alg, gen).span == Subspace.full(QQ, 2)
+
+
+def test_full_spaces_of_b_and_c_are_not_cyclic_over_q():
+    # Leib(S) has codimension 2 in each (a_1 and d stay outside it): (a) fails
+    for alg in (family_b(3, [0, 1], 1, QQ), family_b(4, [0, 2, 0], 5, QQ), family_c(3, QQ), family_c(4, QQ)):
+        assert is_cyclic_subalgebra(alg, Subspace.full(QQ, alg.dim)) is None, alg
+
+
+# [a, -] on V for one-generator tables of dimension 3: the identity is
+# derogatory, the others are not (a Jordan block of eigenvalue 1, a nilpotent
+# one, and diag(0, 1))
+_TABLES_3 = [
+    ([[1, 0], [0, 1]], [1, 0]),
+    ([[1, 1], [0, 1]], [0, 0]),
+    ([[0, 1], [0, 0]], [0, 1]),
+    ([[0, 0], [0, 1]], [1, 0]),
+]
+
+
+def _one_generator_table(field, t, w0):
+    """[a, a] = w0, [a, v] = T v and [v, -] = 0 on F a + V, V = F^m: left Leibniz for every T and w0."""
+    m = len(w0)
+    brackets = {(0, 0): {1 + i: c for i, c in enumerate(w0)}}
+    for k in range(m):
+        brackets[(0, 1 + k)] = {1 + i: t[i][k] for i in range(m)}
+    return LeibnizAlgebra.from_brackets(field, m + 1, brackets)
 
 
 def test_criterion_agrees_with_scan_on_small_cases():
     # over GF(p) the exhaustive scan is the oracle, generator for generator,
-    # on every nonzero subalgebra of the corpus and, up to dimension 4, of the
-    # corpus in a random basis, where several canonical rows of S can lie
-    # outside [S, S] and the generator must be the last of them
+    # on every nonzero subalgebra of the corpus (GF(5): up to dimension 3) and
+    # of four one-generator tables, each in the standard basis and in a
+    # random one.  In a random basis several canonical rows of S can lie
+    # outside [S, S], and the generator must be the last of them.  GF(2) is
+    # where [x_i, x_i] counted twice would vanish from Leib(S); the tables
+    # are where (a) holds and only (b) can fail.
     rng = random.Random(10)
-    for p in (2, 3):
+    for p, max_dim in ((2, 5), (3, 5), (5, 3)):
         field = GF(p)
-        for name, alg in build_corpus(field):
-            algebras = [alg]
-            if alg.dim <= 4:
-                algebras.append(algebra_in_basis(alg, random_basis(field, alg.dim, rng)))
-            for algebra in algebras:
+        tables = [(f"table {t}, {w0}", _one_generator_table(field, t, w0)) for t, w0 in _TABLES_3]
+        for name, alg in build_corpus(field) + tables:
+            if alg.dim > max_dim:
+                continue
+            for algebra in (alg, algebra_in_basis(alg, random_basis(field, alg.dim, rng))):
                 for entry in subalgebra_lattice(algebra).entries:
                     s = entry.subspace
-                    if s.dim:
-                        assert is_cyclic_subalgebra(algebra, s) == cyclic_generator_by_scan(algebra, s), (name, s)
-    # over Q, in a random basis up to dimension 4: UNKNOWN exactly when S is
-    # not nilpotent, and otherwise a generator with no later canonical row
-    # outside [S, S]
+                    if not s.dim:
+                        continue
+                    expected = cyclic_generator_by_scan(algebra, s)
+                    decided = _leib_criterion(algebra, s)
+                    assert (decided is not None) == (expected is not None), (name, s)
+                    assert is_cyclic_subalgebra(algebra, s) == expected, (name, s)
+                    if decided is not None:
+                        # Leib(S) = F w0 + T(Leib(S)): w0 lies outside
+                        # T(Leib(S)) when T is singular, with no test for it
+                        a0, leib, _ = decided
+                        images = [algebra.bracket(a0, w) for w in (a0, *leib.rows)]
+                        assert Subspace._span(field, algebra.dim, images) == leib, (name, s)
+    # over Q, in a random basis up to dimension 4: a generator whose chain
+    # spans S, with no later canonical row outside [S, S] when S is
+    # nilpotent, or None, and then no random point generates S either
     for name, alg in build_corpus(QQ):
         if alg.dim > 4:
             continue
@@ -193,12 +243,57 @@ def test_criterion_agrees_with_scan_on_small_cases():
         spans = [generated_subalgebra(moved, row).span for row in random_basis(QQ, alg.dim, rng)[:2]]
         for s in [Subspace.full(QQ, alg.dim), *spans]:
             gen = is_cyclic_subalgebra(moved, s)
-            assert (gen == UNKNOWN) == (nilpotency_class(restrict_to_subalgebra(moved, s)) is None)
-            if gen is None or gen == UNKNOWN:
+            if gen is None:
+                assert not _found_by_random_points(moved, s, rng), (name, s)
                 continue
             assert generated_subalgebra(moved, gen).span == s, name
-            derived = product_subspace(moved, s, s)
-            assert all(derived.contains(row) for row in s.rows[s.rows.index(gen) + 1 :]), name
+            if nilpotency_class(restrict_to_subalgebra(moved, s)) is not None:
+                derived = product_subspace(moved, s, s)
+                assert all(derived.contains(row) for row in s.rows[s.rows.index(gen) + 1 :]), name
+
+
+def test_one_generator_tables_over_q():
+    rng = random.Random(13)
+    decided = {True: 0, False: 0}
+    for m in range(1, 5):
+        for _ in range(12):
+            t = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(m)] for _ in range(m)]
+            w0 = [rng.choice([0, 0, 1, -1]) for _ in range(m)]
+            alg = _one_generator_table(QQ, t, w0)
+            moved = algebra_in_basis(alg, random_basis(QQ, m + 1, rng))
+            full = Subspace.full(QQ, m + 1)
+            gen = is_cyclic_subalgebra(moved, full)
+            decided[gen is not None] += 1
+            if gen is None:
+                assert not _found_by_random_points(moved, full, rng), (t, w0)
+            else:
+                assert generated_subalgebra(moved, gen).span == full, (t, w0)
+    assert decided[True] and decided[False], decided
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_one_generator_tables_that_are_not_cyclic(m):
+    rng = random.Random(m)
+    zero = [[0] * m for _ in range(m)]
+    jordan = [[1 if i == k - 1 else 0 for k in range(m)] for i in range(m)]  # T v_k = v_{k-1}
+    scalar = [[2 if i == k else 0 for k in range(m)] for i in range(m)]
+    diagonal = [[max(i, 1) if i == k else 0 for k in range(m)] for i in range(m)]  # diag(1, 1, 2, .., m - 1)
+    cases = [
+        # Leib(S) = F w0 + T(V) is smaller than V: (a) fails
+        (zero, [1] + [0] * (m - 1)),
+        (jordan, [0] * m),
+        (jordan, [1] + [2] * (m - 2) + [0]),
+        # Leib(S) = V, but T is derogatory: (b) fails
+        (scalar, [1] * m),
+        (diagonal, [0] * m),
+    ]
+    for t, w0 in cases:
+        alg = _one_generator_table(QQ, t, w0)
+        for algebra in (alg, algebra_in_basis(alg, random_basis(QQ, m + 1, rng))):
+            assert is_cyclic_subalgebra(algebra, Subspace.full(QQ, m + 1)) is None, (t, w0)
+    # w0 = v_m, outside im T: the Jordan table is cyclic, and nilpotent
+    alg = _one_generator_table(QQ, jordan, [0] * (m - 1) + [1])
+    assert is_cyclic_subalgebra(alg, Subspace.full(QQ, m + 1)) == basis_vector(QQ, m + 1, 0)
 
 
 def test_canonical_basis_already_canonical():
