@@ -256,11 +256,12 @@ def _centraliser(
     if z is None:
         z = Subspace.zero(algebra.field, n)
     rows = []
+    # list, not generator, arguments to zip: see `linalg._lifted_kernel`
     for j in range(n):
         if left:
-            rows.extend(zip(*(z._residual(t[i][j]) for i in range(n))))
+            rows.extend(zip(*[z._residual(t[i][j]) for i in range(n)]))
         if right:
-            rows.extend(zip(*(z._residual(t[j][i]) for i in range(n))))
+            rows.extend(zip(*[z._residual(t[j][i]) for i in range(n)]))
     return Matrix(algebra.field, rows, _coerced=True).kernel()
 
 
@@ -294,10 +295,12 @@ def lower_central_series(algebra: LeibnizAlgebra) -> tuple[Subspace, ...]:
 
 
 def nilpotency_class(algebra: LeibnizAlgebra) -> int | None:
-    series = lower_central_series(algebra)
-    if series[-1].dim == 0:
-        return len(series) - 1
-    return None
+    return _class_of(lower_central_series(algebra))
+
+
+def _class_of(series: tuple[Subspace, ...]) -> int | None:
+    """The nilpotency class read off a lower central series: None unless it ends at 0."""
+    return len(series) - 1 if series[-1].dim == 0 else None
 
 
 def upper_central_series(algebra: LeibnizAlgebra) -> tuple[Subspace, ...]:
@@ -406,10 +409,10 @@ def invariant_profile(algebra: LeibnizAlgebra) -> AlgebraReport:
         leibniz_kernel_dim=leib.dim,
         left_center_dim=left_center(algebra).dim,
         right_center_dim=right_center(algebra).dim,
-        center_dim=center(algebra).dim,
+        center_dim=upper[0].dim,  # z_1, the first term, is the centre
         lower_central_series_dims=tuple(s.dim for s in lower),
         upper_central_series_dims=tuple(s.dim for s in upper),
-        nilpotency_class=nilpotency_class(algebra),
+        nilpotency_class=_class_of(lower),
         is_lie=leib.dim == 0,
         derivation_dim=derivations.derivation_space(algebra).dim,
         right_derivation_dim=derivations.right_derivation_space(algebra).dim,

@@ -23,7 +23,7 @@ from .core import (
     upper_central_series,
 )
 from .cyclic import is_canonical_cyclic
-from .linalg import Matrix, Scalar, Subspace, basis_vector, vec_add, vec_sub
+from .linalg import Matrix, Scalar, Subspace, _kernel, basis_vector, vec_add, vec_sub
 
 
 def left_mult_matrix(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Matrix:
@@ -53,35 +53,34 @@ class DerivationBasis:
     dim: int
 
 
-def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[list[Scalar]]:
+def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scalar]]:
+    """The nonzero constraint rows, as ``{unknown: nonzero value}``, filled from the nonzero tensor entries."""
     n = algebra.dim
-    field = algebra.field
-    reduce = field.reduce
-    zero = field.zero
+    reduce = algebra.field.reduce
     nz = algebra._nz()
+    neg = [[[(l, -c) for l, c in cell] for cell in plane] for plane in nz]
     rows = []
     for i in range(n):
         for j in range(n):
-            # the rows (i, j, l) for every l as {unknown: value}, filled from
-            # the nonzero tensor entries only
+            # the rows (i, j, l) for every l
             acc: list[dict[int, Scalar]] = [{} for _ in range(n)]
             for m, c in nz[i][j]:
                 for l in range(n):
                     acc[l][l * n + m] = c
             for m in range(n):
                 if kind == "left-derivation":
-                    terms = ((nz[m][j], i, -1), (nz[i][m], j, -1))
+                    terms = ((neg[m][j], i), (neg[i][m], j))
                 else:
-                    terms = ((nz[i][m], j, -1), (nz[j][m], i, 1))
-                for entries, col, sign in terms:
+                    terms = ((neg[i][m], j), (nz[j][m], i))
+                for entries, col in terms:
                     k = m * n + col
                     for l, c in entries:
-                        acc[l][k] = acc[l].get(k, zero) + sign * c
+                        row = acc[l]
+                        row[k] = row[k] + c if k in row else c
             for entries in acc:
-                row = [zero] * (n * n)
-                for k, v in entries.items():
-                    row[k] = reduce(v)
-                rows.append(row)
+                row = {k: r for k, v in entries.items() if (r := reduce(v))}
+                if row:
+                    rows.append(row)
     return rows
 
 
@@ -89,7 +88,7 @@ def _kernel_basis(algebra: LeibnizAlgebra, kind: str) -> DerivationBasis:
     algebra.ensure_checked()
     n = algebra.dim
     field = algebra.field
-    kern = Matrix(field, _constraint_rows(algebra, kind), _coerced=True).kernel()
+    kern = _kernel(field, n * n, _constraint_rows(algebra, kind))
     mats = tuple(
         Matrix(field, [row[r * n : (r + 1) * n] for r in range(n)], _coerced=True)
         for row in kern.rows

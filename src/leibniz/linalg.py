@@ -7,11 +7,29 @@ stored as the reduced row echelon basis of its span with zero rows removed,
 so two subspaces are equal as sets exactly when their stored bases are
 equal entry-wise.
 
-Elimination runs on sparse rows.  `_rref_in_place` is the one Gauss-Jordan
-routine, behind `Matrix.rref`, `rank`, `kernel`, `inverse`, `solve` and
-`Subspace._span`; it works on ``{column: nonzero value}`` copies of the
-rows, so the zero entries of the large, mostly-zero derivation systems
-cost nothing.
+Elimination runs on sparse rows.  `_echelon` is the one Gauss-Jordan
+routine: it takes ``{column: nonzero value}`` rows, so the zero entries of
+the large, mostly-zero derivation systems cost nothing, and returns the
+RREF rows keyed by pivot column.  `rank` and `Subspace._span` read that
+directly, `_rref_in_place` writes it back dense for `Matrix.rref`,
+`inverse` and `solve`, and `_kernel` (behind `Matrix.kernel` and the
+derivation spaces) reads the null vectors off it.
+
+Kernels over Q are computed modulo the prime P = 2^61 - 1, by the same
+`_echelon` on integer residues, and lifted back by rational
+reconstruction (`_lifted_kernel`).  The lift is kept only after an exact
+check that A x = 0 for every lifted row x, and then it is exactly the
+canonical basis:
+
+- rank_P(A) <= rank_Q(A), so dim ker_Q(A) <= k, the dimension mod P;
+- the k lifted rows keep the RREF shape (each pivot entry lifts to 1 and
+  the other pivot columns to 0), so they are independent;
+- having passed the check they lie in ker_Q(A), so they span it, and
+  being in RREF they are its canonical basis.
+
+Where a denominator of A is divisible by P, an entry has no lift, or the
+check fails (the rank drops mod P, or a lift is wrong), the exact
+elimination over Q runs instead.
 
 Scalars are coerced once, where they enter from outside the library:
 `Field.of` runs in the public constructors (`Matrix(...)`,
@@ -40,7 +58,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt, lcm
 from numbers import Rational
+from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -128,7 +148,7 @@ class Field:
             return Fraction(1) / a
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.characteristic - 2, self.characteristic)
+        return pow(a, -1, self.characteristic)
 
     def parse(self, text: str) -> Scalar:
         """Parse scalar text: ``a/b`` or ``a`` over Q, a residue in [0, p) over GF(p)."""
@@ -180,7 +200,11 @@ def vec_scale(field: Field, c: Scalar, x: Vector) -> Vector:
 
 
 def linear_combination(field: Field, coeffs: Sequence[Scalar], rows: Sequence[Vector]) -> Vector:
-    """sum_i coeffs[i] * rows[i], for a nonempty list of equally long rows."""
+    """sum_i coeffs[i] * rows[i], for a nonempty list of equally long rows; zero coefficients cost nothing."""
+    terms = [(c, row) for c, row in zip(coeffs, rows) if c]
+    if not terms:
+        return zero_vector(field, len(rows[0]))
+    coeffs, rows = zip(*terms)
     reduce = field.reduce
     return tuple(reduce(sum(c * x for c, x in zip(coeffs, col))) for col in zip(*rows))
 
@@ -189,20 +213,18 @@ def render_vector(field: Field, x: Vector) -> str:
     return "(" + ", ".join(field.render(a) for a in x) + ")"
 
 
-def _rref_in_place(field: Field, rows: list[Sequence[Scalar]]) -> list[int]:
-    """Gauss-Jordan to reduced row echelon form; returns the pivot columns.
+def _echelon(field: Field, rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
+    """Sparse Gauss-Jordan: the RREF rows of the span, keyed by pivot column.
 
-    Rows are field values.  On return the list holds the RREF rows in pivot
-    order, then zero rows, all new lists; the row objects passed in are never
-    written to.  Elimination runs on sparse copies, ``{column: nonzero
-    value}``, taken sparsest first: each row is reduced against the echelon
-    rows found so far in one pass (an echelon row is zero in every other
-    pivot column), normalised at its lowest column, and that column is then
-    cleared from the earlier echelon rows.
+    Rows are ``{column: nonzero value}`` dicts of field values, and are
+    consumed: the elimination writes to them.  They are taken sparsest
+    first; each row is reduced against the echelon rows found so far in one
+    pass (an echelon row is zero in every other pivot column), normalised
+    at its lowest column, and that column is then cleared from the earlier
+    echelon rows.
     """
     reduce = field.reduce
     zero = field.zero
-    ncols = len(rows[0]) if rows else 0
 
     def subtract(target: dict[int, Scalar], f: Scalar, source: dict[int, Scalar]) -> None:
         """target -= f * source, dropping the entries that become zero."""
@@ -213,9 +235,8 @@ def _rref_in_place(field: Field, rows: list[Sequence[Scalar]]) -> list[int]:
             else:
                 del target[c]
 
-    sparse = sorted(({c: v for c, v in enumerate(row) if v} for row in rows), key=len)
     echelon: dict[int, dict[int, Scalar]] = {}
-    for row in sparse:
+    for row in sorted(rows, key=len):
         for pc in [c for c in row if c in echelon]:
             subtract(row, row[pc], echelon[pc])
         if not row:
@@ -228,15 +249,146 @@ def _rref_in_place(field: Field, rows: list[Sequence[Scalar]]) -> list[int]:
             if pc in other:
                 subtract(other, other[pc], row)
         echelon[pc] = row
-    pivots = sorted(echelon)
+    return echelon
+
+
+def _sparse(rows: Iterable[Sequence[Scalar]]) -> list[dict[int, Scalar]]:
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(field: Field, ncols: int, echelon: dict[int, dict[int, Scalar]]) -> list[Vector]:
+    """The echelon rows as dense tuples, in pivot order."""
+    zero = field.zero
     dense = []
-    for pc in pivots:
+    for pc in sorted(echelon):
         out = [zero] * ncols
         for c, v in echelon[pc].items():
             out[c] = v
-        dense.append(out)
-    rows[:] = dense + [[zero] * ncols for _ in range(len(rows) - len(pivots))]
-    return pivots
+        dense.append(tuple(out))
+    return dense
+
+
+def _rref_in_place(field: Field, rows: list[Sequence[Scalar]]) -> list[int]:
+    """Gauss-Jordan to reduced row echelon form; returns the pivot columns.
+
+    Rows are field values.  On return the list holds the RREF rows in pivot
+    order, then zero rows, all new lists; the row objects passed in are never
+    written to.
+    """
+    ncols = len(rows[0]) if rows else 0
+    echelon = _echelon(field, _sparse(rows))
+    dense = [list(row) for row in _dense(field, ncols, echelon)]
+    rows[:] = dense + [[field.zero] * ncols for _ in range(len(rows) - len(dense))]
+    return sorted(echelon)
+
+
+def _kernel_echelon(field: Field, ncols: int, rows: list[dict[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
+    """The RREF rows of {x : r . x = 0 for every row r}; the rows are consumed.
+
+    The null vector of free column f is e_f - sum over pivots pc of
+    R[pc][f] e_pc, read off the echelon rows R; those vectors are then
+    brought to RREF themselves.
+    """
+    echelon = _echelon(field, rows)
+    null = {c: {c: field.one} for c in range(ncols) if c not in echelon}
+    for pc, row in echelon.items():
+        for c, v in row.items():
+            if c != pc:
+                null[c][pc] = field.reduce(-v)
+    return _echelon(field, null.values())
+
+
+# The prime 2^61 - 1 of the residue route, as a `Field` value that the
+# public constructor (which caps the characteristic below 2^31) never makes.
+_RESIDUES = object.__new__(Field)
+_RESIDUES.characteristic = _P = (1 << 61) - 1
+_LIFT_BOUND = isqrt(_P // 2)
+
+
+def _lift(u: int) -> Fraction | None:
+    """The fraction r/s with |r|, s <= sqrt(P/2) and r = u s mod P, or None.
+
+    Rational reconstruction: the extended Euclidean algorithm on (P, u),
+    stopped at the first remainder within the bound.  Two such fractions
+    would differ by a multiple of 1/(s s') with |numerator| < P, so there
+    is at most one.
+    """
+    r0, r1, s0, s1 = _P, u, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > _LIFT_BOUND:
+        return None
+    return Fraction(r1, s1)
+
+
+def _lifted_kernel(ncols: int, rows: list[dict[int, Fraction]]) -> list[Vector] | None:
+    """The canonical kernel basis over Q, computed modulo P; None where that fails.
+
+    The rows are mapped to GF(P), the kernel's RREF rows are computed there
+    by `_kernel_echelon`, and each entry is lifted by `_lift`.  The result
+    is returned only if every lifted row x passes A x = 0, checked in
+    integers after clearing the denominators of each row of A and of x;
+    the module docstring shows why it is then exact.  The rows are not
+    written to.
+    """
+    inverses: dict[int, int] = {1: 1}
+    residues = []
+    for row in rows:
+        out = {}
+        for c, v in row.items():
+            d = v.denominator
+            if d not in inverses:
+                if d % _P == 0:
+                    return None
+                inverses[d] = pow(d, -1, _P)
+            r = v.numerator * inverses[d] % _P
+            if r:
+                out[c] = r
+        residues.append(out)
+    lifts = {1: Fraction(1)}
+    basis = {}
+    for pc, row in _kernel_echelon(_RESIDUES, ncols, residues).items():
+        lifted = basis[pc] = {}
+        for c, u in row.items():
+            if u not in lifts:
+                lifts[u] = _lift(u)
+            if lifts[u] is None:
+                return None
+            lifted[c] = lifts[u]
+    # cols[c] holds entry c of each lifted row X_j, denominators cleared, so
+    # that a row a of A gives every a . X_j at once from the columns it
+    # touches.  The `lcm` arguments are lists, not generators: CPython 3.11
+    # builds the argument tuple of f(*generator) at one length and frees it
+    # at another, so the tuple free list of each length fills up to 2,000
+    # tuples (0.8 MB of peak RSS on the `profile-q` benchmark).
+    zeros = [0] * len(basis)
+    cols = [zeros[:] for _ in range(ncols)]
+    for j, x in enumerate(basis.values()):
+        m = lcm(*[v.denominator for v in x.values()])
+        for c, v in x.items():
+            cols[c][j] = v.numerator * (m // v.denominator)
+    for row in rows:
+        m = lcm(*[v.denominator for v in row.values()])
+        dots = zeros
+        for c, v in row.items():
+            a = v.numerator * (m // v.denominator)
+            dots = list(map(add, dots, map(a.__mul__, cols[c])))
+        if any(dots):
+            return None
+    return _dense(QQ, ncols, basis)
+
+
+def _kernel(field: Field, ncols: int, rows: list[dict[int, Scalar]]) -> Subspace:
+    """{x : r . x = 0 for every row r} as a canonical subspace; rows are ``{column: nonzero value}``, consumed.
+
+    Over Q the kernel is computed modulo P and lifted (`_lifted_kernel`);
+    the exact elimination runs only where that fails.
+    """
+    basis = _lifted_kernel(ncols, rows) if field.characteristic == 0 else None
+    if basis is None:
+        basis = _dense(field, ncols, _kernel_echelon(field, ncols, rows))
+    return Subspace(field, ncols, tuple(basis), _canonical=True)
 
 
 class Matrix:
@@ -334,25 +486,11 @@ class Matrix:
         return Matrix(self.field, rows, _coerced=True)
 
     def rank(self) -> int:
-        return len(_rref_in_place(self.field, list(self.data)))
+        return len(_echelon(self.field, _sparse(self.data)))
 
     def kernel(self) -> "Subspace":
         """Right null space {x : A x = 0} as a canonical subspace."""
-        field = self.field
-        n = self.ncols
-        rows = [r for r in self.data if any(r)]
-        pivots = _rref_in_place(field, rows)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(n):
-            if free in pivot_set:
-                continue
-            v = [field.zero] * n
-            v[free] = field.one
-            for r, pc in enumerate(pivots):
-                v[pc] = field.reduce(-rows[r][free])
-            basis.append(v)
-        return Subspace._span(field, n, basis)
+        return _kernel(self.field, self.ncols, _sparse(self.data))
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -407,10 +545,8 @@ class Subspace:
 
     @classmethod
     def _span(cls, field: Field, ambient: int, rows: list[Sequence[Scalar]]) -> "Subspace":
-        """The span of rows that are already field values of length ambient; reorders the list."""
-        _rref_in_place(field, rows)
-        basis = tuple(tuple(row) for row in rows if any(row))
-        return cls(field, ambient, basis, _canonical=True)
+        """The span of rows that are already field values of length ambient."""
+        return cls(field, ambient, tuple(_dense(field, ambient, _echelon(field, _sparse(rows)))), _canonical=True)
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":

@@ -288,6 +288,14 @@ def test_invariant_profile_l1():
     assert rep.nilpotency_class == 2
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_invariant_profile_matches_the_single_invariants(field):
+    for name, alg in build_corpus(field):
+        rep = invariant_profile(alg)
+        assert rep.center_dim == center(alg).dim, name
+        assert rep.nilpotency_class == nilpotency_class(alg), name
+
+
 def test_series_monotone():
     for alg in (cyclic_nilpotent(5, QQ), family_c(3, QQ), dim2_l2(QQ)):
         lower = lower_central_series(alg)

@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import build_corpus
 from leibniz.core import leibniz_kernel
 from leibniz.cyclic import is_canonical_cyclic
 from leibniz.derivations import (
+    _constraint_rows,
     check_invariance,
     derivation_space,
     extract_cyclic_derivation_profile,
@@ -18,7 +21,11 @@ from leibniz.derivations import (
     right_mult_matrix,
 )
 from leibniz.families import abelian, cyclic_nilpotent, dim2_l2, family_c
-from leibniz.linalg import GF, QQ, Matrix, Subspace, basis_vector
+from leibniz.linalg import GF, QQ, Matrix, Subspace, _dense, _kernel_echelon, _lifted_kernel, basis_vector
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 
 def test_left_mult_shifts_cyclic_chain():
@@ -212,3 +219,19 @@ def test_right_derivations_annihilate_leib_everywhere():
         for m in right_derivation_space(alg).basis:
             for row in leib.rows:
                 assert not any(m.apply(row)), name
+
+
+def test_lifted_derivation_kernels_equal_the_exact_ones():
+    # the 48 derivation systems of the profile benchmark (seed 1) and those
+    # of the rational corpus: the kernel computed mod P and lifted must be
+    # the exact elimination's, value for value and type for type, and none
+    # of them may need the exact fallback, which would only show as time
+    algebras = [case.algebra for case in workloads.build("profile-q", 1).cases]
+    algebras += [alg for _, alg in build_corpus(QQ)]
+    for algebra in algebras:
+        for kind in ("left-derivation", "right-derivation"):
+            n2 = algebra.dim**2
+            lifted = _lifted_kernel(n2, _constraint_rows(algebra, kind))
+            assert lifted is not None
+            exact = _dense(QQ, n2, _kernel_echelon(QQ, n2, _constraint_rows(algebra, kind)))
+            assert repr(lifted) == repr(exact)

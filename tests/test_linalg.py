@@ -7,7 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from leibniz.linalg import GF, QQ, Field, Matrix, Subspace, _rref_in_place, nonzero_elements, solve
+from leibniz.linalg import (
+    GF,
+    QQ,
+    Field,
+    Matrix,
+    Subspace,
+    _lift,
+    _lifted_kernel,
+    _P,
+    _rref_in_place,
+    _sparse,
+    linear_combination,
+    nonzero_elements,
+    solve,
+)
 
 
 def test_field_validation():
@@ -343,3 +357,54 @@ def test_rref_and_kernel_match_sympy(field, data):
         for r, pc in enumerate(aug_pivots):
             x[pc] = augmented[r][ncols]
         assert solve(m, b) == tuple(x)
+
+
+def _sympy_kernel(rows, ncols):
+    """The RREF rows of the rational null space, both computed by sympy."""
+    nullspace = _to_sympy(QQ, rows, ncols).nullspace()
+    if nullspace.shape[0] == 0:
+        return []
+    return _from_sympy(QQ, nullspace.rref()[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rational_kernel_matches_sympy(data):
+    # entries from small to large, so that both the lifted kernel and the
+    # exact fallback (a kernel entry past the lift bound) are reached
+    nrows, ncols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    size = data.draw(st.sampled_from([3, 1000, 10**9]))
+    value = st.fractions(min_value=-size, max_value=size, max_denominator=size)
+    value = st.one_of(st.just(Fraction(0)), value)
+    rows = [data.draw(st.lists(value, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    kernel = Matrix(QQ, rows).kernel()
+    assert list(kernel.rows) == _sympy_kernel(rows, ncols)
+    assert all(type(v) is Fraction for row in kernel.rows for v in row)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[Fraction(1, _P), 1]],  # P divides a denominator: no image mod P
+        [[2**40, 1]],  # the kernel entry -2^40 is past the lift bound
+        [[_P, 1], [0, 1]],  # rank 2 over Q, rank 1 mod P
+    ],
+    ids=["denominator", "lift-bound", "rank-drop"],
+)
+def test_rational_kernel_falls_back_to_exact_elimination(rows):
+    rows = [[Fraction(v) for v in row] for row in rows]
+    assert _lifted_kernel(len(rows[0]), _sparse(rows)) is None
+    assert list(Matrix(QQ, rows).kernel().rows) == _sympy_kernel(rows, len(rows[0]))
+
+
+def test_lift_is_the_smallest_fraction_of_a_residue():
+    assert _lift(5 * pow(7, -1, _P) % _P) == Fraction(5, 7)
+    assert _lift(_P - 3) == -3
+    # -2^40 = -1/2^21 mod P, since 2^61 = 1: a wrong lift that only the
+    # exact check catches
+    assert _lift(-(2**40) % _P) == Fraction(-1, 2**21)
+
+
+def test_linear_combination_of_zero_coefficients():
+    assert linear_combination(QQ, [0, 0], [(1, 2, 3), (4, 5, 6)]) == (Fraction(0),) * 3
+    assert linear_combination(GF(5), [0, 2], [(1, 2), (4, 3)]) == (3, 1)
