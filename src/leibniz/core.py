@@ -67,9 +67,15 @@ class LeibnizAlgebra:
         dim: int,
         brackets: dict[tuple[int, int], dict[int, Scalar]],
     ) -> "LeibnizAlgebra":
-        """Build from sparse 0-based bracket data {(i, j): {k: coefficient}}."""
+        """Build from sparse 0-based bracket data {(i, j): {k: coefficient}}.
+
+        Raises ValueError for an index i, j or k outside 0..dim-1.
+        """
         tensor = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), terms in brackets.items():
+            for index in (i, j, *terms):
+                if not 0 <= index < dim:
+                    raise ValueError(f"index {index} in bracket {(i, j)}: {terms} lies outside 0..{dim - 1}")
             for k, c in terms.items():
                 tensor[i][j][k] = c
         return cls(field, tensor)

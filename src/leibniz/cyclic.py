@@ -5,9 +5,10 @@ generated by a.  Cyclicity has one decision, `is_cyclic_subalgebra`, on
 every field.  It tests the Leib(S) criterion first (dim S/Leib(S) = 1,
 and the left multiplication of S on Leib(S) nonderogatory), so a
 subalgebra that is not cyclic costs a few brackets and one small kernel,
-never a search.  Only a cyclic S gets a generator chosen: the last
-canonical row outside [S,S] when S is nilpotent, the exhaustive scan's
-first hit over GF(p), and the first point of a small integer grid over Q.
+never a search.  Only a cyclic S gets a generator chosen, by one rule:
+a0, the last canonical row of S outside Leib(S), when it generates S;
+otherwise the exhaustive scan's first hit over GF(p), and the first point
+of a small integer grid, which starts at a0, over Q.
 """
 
 from __future__ import annotations
@@ -208,8 +209,8 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
     Scans the nonzero elements of S in the order of `nonzero_elements`
     (coefficient tuples against the canonical basis, lexicographic) and
     returns the first generator found.  `is_cyclic_subalgebra` calls it
-    to pick the generator of a cyclic, non-nilpotent S; the tests use it
-    as the oracle for the rest.
+    for a cyclic S that a0 does not generate; the tests use it as the
+    oracle for the rest.
     """
     if algebra.field.characteristic == 0:
         raise ValueError("exhaustive scan needs a finite field")
@@ -221,12 +222,13 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
     return None
 
 
-def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace) -> tuple[Vector, Subspace, Matrix] | None:
-    """(a0, Leib(S), T) when the nonzero S passes (a) and (b) of `is_cyclic_subalgebra`, else None.
+def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace) -> tuple[Vector, Subspace] | None:
+    """(a0, Leib(S)) when the nonzero S passes (a) and (b) of `is_cyclic_subalgebra`, else None.
 
-    a0 is the last canonical row of S outside Leib(S), and T is the matrix
-    of [a0, -] on Leib(S) in the pivot coordinates of its RREF rows.
-    Raises ValueError when S is not closed under the bracket.
+    a0 is the last canonical row of S outside Leib(S).  T, the matrix of
+    [a0, -] on Leib(S) in the pivot coordinates of its RREF rows, only
+    builds the commutant system of (b).  Raises ValueError when S is not
+    closed under the bracket.
     """
     if s.field != algebra.field or s.ambient != algebra.dim:
         raise ValueError("subspace lives outside the algebra")
@@ -242,27 +244,19 @@ def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace) -> tuple[Vector, Subsp
         return None
     a0 = next(row for row in reversed(rows) if any(leib._residual(row)))
     images = [bracket(a0, b) for b in leib.rows]
-    t = Matrix(field, [[w[pc] for w in images] for pc in leib.pivot_columns()], _coerced=True)
+    t = [[w[pc] for w in images] for pc in leib.pivot_columns()]
     # (b): X -> TX - XT on m x m matrices X, entry (i, j), in the unknowns X[l][j'] at l*m + j'
     commutator = []
     for i in range(m):
         for j in range(m):
             row = [field.zero] * (m * m)
             for l in range(m):
-                row[l * m + j] += t.data[i][l]
-                row[i * m + l] -= t.data[l][j]
+                row[l * m + j] += t[i][l]
+                row[i * m + l] -= t[l][j]
             commutator.append([field.reduce(v) for v in row])
     if Matrix(field, commutator, _coerced=True).kernel().dim != m:
         return None
-    return a0, leib, t
-
-
-def _is_nilpotent(t: Matrix) -> bool:
-    """Whether the square matrix T satisfies T^m = 0, m its size."""
-    power = t
-    for _ in range(t.nrows - 1):
-        power = power.mul(t)
-    return not any(map(any, power.data))
+    return a0, leib
 
 
 def _grid(m: int):
@@ -314,21 +308,21 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     divides by 2, so the criterion holds over Q and over every GF(p).  Any
     a0 outside Leib(S) gives the same verdict: a0 -> c a0 + j scales T by c.
 
-    The generator is chosen only for a cyclic S.
-    - S nilpotent, that is T nilpotent: a0, the last canonical row of S
-      outside [S, S] = Leib(S) ([S, S] lies in every maximal subalgebra,
-      so every element outside it generates S).  Over GF(p) that is the
-      scan's first hit: the coefficient tuples before it use only later
-      rows, which lie in [S, S].
-    - S not nilpotent, over GF(p): the first hit of
-      `cyclic_generator_by_scan`.
-    - S not nilpotent, over Q: the first a = a0 + sum_k c_k b_k, b_k the
-      RREF rows of Leib(S), whose chain spans S, with c running over
-      {0..m}^m, m = dim Leib(S), by sum(c) and then lexicographically.
-      The Krylov determinant of [a, a] = w0 + T(sum_k c_k b_k) is a
-      polynomial of degree <= m in each c_k, and nonzero when S is
-      cyclic, so a grid with m + 1 values per coordinate holds a point
-      where it does not vanish.
+    The generator is chosen only for a cyclic S, by one rule:
+    - Over GF(p): a0 when its chain spans S, else the first hit of
+      `cyclic_generator_by_scan`.  Both give the scan's first hit.  Every
+      canonical row after a0 lies in Leib(S), so every element the scan
+      visits before a0 does too; as [Leib(S), S] = 0 such an element
+      generates only a line inside Leib(S), never S.
+    - Over Q: the first a = a0 + sum_k c_k b_k, b_k the RREF rows of
+      Leib(S), whose chain spans S, with c running over {0..m}^m,
+      m = dim Leib(S), by sum(c) and then lexicographically; the first
+      point, c = 0, is a0.  The Krylov determinant of
+      [a, a] = w0 + T(sum_k c_k b_k) is a polynomial of degree <= m in
+      each c_k, and nonzero when S is cyclic, so a grid with m + 1 values
+      per coordinate holds a point where it does not vanish.
+    A nilpotent cyclic S is always generated by a0: [S, S] = Leib(S) lies
+    in every maximal subalgebra, so every element outside it generates S.
     """
     algebra.ensure_checked()
     if s.dim == 0:
@@ -336,13 +330,9 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     decided = _leib_criterion(algebra, s)
     if decided is None:
         return None
-    a0, leib, t = decided
-    if _is_nilpotent(t):
-        if generated_subalgebra(algebra, a0).span != s:
-            raise AssertionError("an element outside [S, S] failed to generate the nilpotent S")
-        return a0
+    a0, leib = decided
     if algebra.field.characteristic:
-        generator = cyclic_generator_by_scan(algebra, s)
+        generator = a0 if generated_subalgebra(algebra, a0).span == s else cyclic_generator_by_scan(algebra, s)
     else:
         candidates = (linear_combination(algebra.field, (1, *c), (a0, *leib.rows)) for c in _grid(leib.dim))
         generator = next((a for a in candidates if generated_subalgebra(algebra, a).span == s), None)

@@ -27,7 +27,7 @@ the finitely many coordinate-aligned hyperplanes containing [L, L] (every
 codimension-1 ideal contains [L, L], and any subspace containing it is an
 ideal).  Both paths decide cyclicity with `is_cyclic_subalgebra`, whose
 Leib(S) criterion decides every subalgebra on every field; only a cyclic
-subalgebra that is not nilpotent goes on to a generator search.
+subalgebra that a0 does not generate goes on to a search.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .core import (
     LeibnizAlgebra,
     full_space,
     is_ideal,
-    is_subalgebra,
     nilpotency_class,
     product_subspace,
     restrict_to_subalgebra,
@@ -244,18 +243,14 @@ def rational_codim1_report(algebra: LeibnizAlgebra) -> RationalCodim1Report:
     n = algebra.dim
     derived = product_subspace(algebra, full_space(algebra), full_space(algebra))
     complement = [i for i in range(n) if i not in set(derived.pivot_columns())]
-    seen = set()
     candidates = []
     for drop in complement:
+        # D plus all but one complementary coordinate: n - 1 dimensions, one
+        # hyperplane per dropped coordinate, and an ideal, since it holds [L, L]
         vectors = list(derived.rows) + [
             basis_vector(field, n, i) for i in complement if i != drop
         ]
         s = Subspace._span(field, n, vectors)
-        if s.dim != n - 1 or s in seen:
-            continue
-        seen.add(s)
-        if not is_subalgebra(algebra, s):
-            continue
         nilpotent = s.dim == 0 or nilpotency_class(restrict_to_subalgebra(algebra, s)) is not None
         candidates.append(RationalCandidate(s, nilpotent, is_cyclic_subalgebra(algebra, s)))
     candidates.sort(key=lambda c: c.subspace.rows)

@@ -10,10 +10,10 @@ equal entry-wise.
 Elimination runs on sparse rows.  `_echelon` is the one Gauss-Jordan
 routine: it takes ``{column: nonzero value}`` rows, so the zero entries of
 the large, mostly-zero derivation systems cost nothing, and returns the
-RREF rows keyed by pivot column.  `rank` and `Subspace._span` read that
-directly, `_rref_in_place` writes it back dense for `Matrix.rref`,
-`inverse` and `solve`, and `_kernel` (behind `Matrix.kernel` and the
-derivation spaces) reads the null vectors off it.
+RREF rows keyed by pivot column.  `rank`, `Subspace._span`,
+`Matrix.rref`, `inverse` and `solve` read that directly, and `_kernel`
+(behind `Matrix.kernel` and the derivation spaces) reads the null vectors
+off it.
 
 Kernels over Q are computed modulo the prime P = 2^61 - 1, by the same
 `_echelon` on integer residues, and lifted back by rational
@@ -268,20 +268,6 @@ def _dense(field: Field, ncols: int, echelon: dict[int, dict[int, Scalar]]) -> l
     return dense
 
 
-def _rref_in_place(field: Field, rows: list[Sequence[Scalar]]) -> list[int]:
-    """Gauss-Jordan to reduced row echelon form; returns the pivot columns.
-
-    Rows are field values.  On return the list holds the RREF rows in pivot
-    order, then zero rows, all new lists; the row objects passed in are never
-    written to.
-    """
-    ncols = len(rows[0]) if rows else 0
-    echelon = _echelon(field, _sparse(rows))
-    dense = [list(row) for row in _dense(field, ncols, echelon)]
-    rows[:] = dense + [[field.zero] * ncols for _ in range(len(rows) - len(dense))]
-    return sorted(echelon)
-
-
 def _kernel_echelon(field: Field, ncols: int, rows: list[dict[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
     """The RREF rows of {x : r . x = 0 for every row r}; the rows are consumed.
 
@@ -481,8 +467,9 @@ class Matrix:
         return Matrix(self.field, rows, _coerced=True)
 
     def rref(self) -> "Matrix":
-        rows = list(self.data)
-        _rref_in_place(self.field, rows)
+        """The RREF rows in pivot order, then zero rows up to the row count."""
+        rows = _dense(self.field, self.ncols, _echelon(self.field, _sparse(self.data)))
+        rows += [zero_vector(self.field, self.ncols)] * (self.nrows - len(rows))
         return Matrix(self.field, rows, _coerced=True)
 
     def rank(self) -> int:
@@ -497,11 +484,11 @@ class Matrix:
             raise ValueError("only square matrices are invertible")
         field = self.field
         n = self.nrows
-        aug = [list(row) + list(basis_vector(field, n, i)) for i, row in enumerate(self.data)]
-        pivots = _rref_in_place(field, aug)
-        if pivots[:n] != list(range(n)):
+        aug = [row + basis_vector(field, n, i) for i, row in enumerate(self.data)]
+        echelon = _echelon(field, _sparse(aug))
+        if any(i not in echelon for i in range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(field, [row[n:] for row in aug], _coerced=True)
+        return Matrix(field, [row[n:] for row in _dense(field, 2 * n, echelon)], _coerced=True)
 
 
 def solve(a: Matrix, b: Sequence[Scalar]) -> Vector | None:
@@ -510,13 +497,13 @@ def solve(a: Matrix, b: Sequence[Scalar]) -> Vector | None:
         raise ValueError("right-hand side length must equal the row count")
     field = a.field
     n = a.ncols
-    aug = [list(row) + [field.of(v)] for row, v in zip(a.data, b)]
-    pivots = _rref_in_place(field, aug)
-    if pivots and pivots[-1] == n:
+    aug = [(*row, field.of(v)) for row, v in zip(a.data, b)]
+    echelon = _echelon(field, _sparse(aug))
+    if n in echelon:
         return None
     x = [field.zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][n]
+    for pc, row in echelon.items():
+        x[pc] = row.get(n, field.zero)
     return tuple(x)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,24 @@ def test_check_dim1_violation():
     assert violations[0].residual == (Fraction(1),)
     with pytest.raises(ValueError):
         a.ensure_checked()
+
+
+@pytest.mark.parametrize(
+    "key, terms",
+    [
+        ((-1, 0), {0: 1}),
+        ((2, 0), {0: 1}),
+        ((0, -1), {0: 1}),
+        ((0, 2), {0: 1}),
+        ((0, 0), {-2: 1}),
+        ((0, 0), {2: 1}),
+    ],
+    ids=["i<0", "i>=dim", "j<0", "j>=dim", "k<0", "k>=dim"],
+)
+def test_from_brackets_rejects_indices_out_of_range(key, terms):
+    # a negative index would wrap around: (-1, 0): {-2: 1} is [e2, e1] = e1
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        LeibnizAlgebra.from_brackets(QQ, 2, {key: terms})
 
 
 def test_check_cyclic5_gf7():

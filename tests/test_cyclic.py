@@ -210,10 +210,13 @@ def test_criterion_agrees_with_scan_on_small_cases():
     # random one.  In a random basis several canonical rows of S can lie
     # outside [S, S], and the generator must be the last of them.  GF(2) is
     # where [x_i, x_i] counted twice would vanish from Leib(S); the tables
-    # are where (a) holds and only (b) can fail.
+    # are where (a) holds and only (b) can fail.  On every field some cyclic
+    # S is generated by a0 and some is not, so both ways to the scan's first
+    # hit are taken.
     rng = random.Random(10)
     for p, max_dim in ((2, 5), (3, 5), (5, 3)):
         field = GF(p)
+        a0_generates = {True: 0, False: 0}
         tables = [(f"table {t}, {w0}", _one_generator_table(field, t, w0)) for t, w0 in _TABLES_3]
         for name, alg in build_corpus(field) + tables:
             if alg.dim > max_dim:
@@ -230,9 +233,11 @@ def test_criterion_agrees_with_scan_on_small_cases():
                     if decided is not None:
                         # Leib(S) = F w0 + T(Leib(S)): w0 lies outside
                         # T(Leib(S)) when T is singular, with no test for it
-                        a0, leib, _ = decided
+                        a0, leib = decided
                         images = [algebra.bracket(a0, w) for w in (a0, *leib.rows)]
                         assert Subspace._span(field, algebra.dim, images) == leib, (name, s)
+                        a0_generates[generated_subalgebra(algebra, a0).span == s] += 1
+        assert a0_generates[True] and a0_generates[False], (p, a0_generates)
     # over Q, in a random basis up to dimension 4: a generator whose chain
     # spans S, with no later canonical row outside [S, S] when S is
     # nilpotent, or None, and then no random point generates S either

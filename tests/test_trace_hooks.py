@@ -24,7 +24,7 @@ def test_install_patches_and_restores_every_hook():
     before = _snapshot()
     with tracer.Tracer().install():
         assert linalg.Field.of is not before[linalg.Field]["of"]
-        assert lattice.is_subalgebra is not before[lattice]["is_subalgebra"]
+        assert cyclic.is_subalgebra is not before[cyclic]["is_subalgebra"]
     after = _snapshot()
     for owner, attrs in before.items():
         for attr, value in attrs.items():
@@ -33,13 +33,19 @@ def test_install_patches_and_restores_every_hook():
 
 
 def test_traced_calls_are_counted():
-    # L2 is cyclic and not nilpotent, so its full space, and nothing else,
-    # goes to the generator scan; the lattice filters RREF rows without
-    # calling `enumerate_subspaces`, so the enumeration hook is counted on a
-    # direct call
+    # [e1, e1] = e2, [e1, e2] = e2 and [e1, e3] = 2 e3 over GF(3): the table
+    # of a = e1 with T = diag(1, 2) and w0 = e2 on span(e2, e3).  The full
+    # space (a0 = e1) and span(e1 - e2, e3) (a0 = e1 - e2) are cyclic, and
+    # neither is generated by its a0, so exactly these two go to the
+    # generator scan.  The lattice filters RREF rows without calling
+    # `enumerate_subspaces`, so the enumeration hook is counted on a direct
+    # call
+    algebra = core.LeibnizAlgebra.from_brackets(
+        linalg.GF(3), 3, {(0, 0): {1: 1}, (0, 1): {1: 1}, (0, 2): {2: 2}}
+    )
     with tracer.Tracer().install() as t:
-        lattice.subalgebra_lattice(families.dim2_l2(linalg.GF(2)))
+        lattice.subalgebra_lattice(algebra)
         assert sum(1 for _ in lattice.enumerate_subspaces(2, 2)) == 5
     assert t.calls("lattice.subalgebra_lattice") == 1
-    assert t.calls("cyclic.scan") == 1
+    assert t.calls("cyclic.scan") == 2
     assert t.counters["lattice.enumerate.items"] == 5
