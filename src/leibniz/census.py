@@ -175,8 +175,8 @@ def _fingerprint(dim: int, value: int) -> str:
 
 def census_record(dim: int, value: int) -> dict:
     """The full exact record for one identity-satisfying tensor; ValueError for any other value."""
-    algebra = algebra_from_int(dim, value)  # checks dim and value
-    profile = invariant_profile(algebra)  # checks the identity first
+    algebra = algebra_from_int(dim, value)  # checks dim, value and the identity
+    profile = invariant_profile(algebra)
     report = maximal_cyclic_report(algebra)
     nilpotent = profile.nilpotency_class is not None
     matched: str | None = None

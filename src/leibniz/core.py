@@ -7,8 +7,9 @@ An algebra is a structure tensor c[i][j][k] over an exact field, defining
 
 holds on the whole algebra iff it holds on all basis triples, because the
 defect is trilinear; `check_left_leibniz` therefore tests exactly the n^3
-basis triples.  The check result is cached on the value, so the invariant
-computations (which require a verified algebra) can demand it cheaply.
+basis triples.  The constructor runs that check and raises
+`LeibnizIdentityError` when it finds a violation, so every `LeibnizAlgebra`
+value satisfies the identity and no function taking one checks it again.
 """
 
 from __future__ import annotations
@@ -27,8 +28,27 @@ class IdentityViolation:
     residual: Vector
 
 
+class LeibnizIdentityError(ValueError):
+    """A structure tensor that violates the left Leibniz identity; `.violations` lists where."""
+
+    def __init__(self, violations: tuple[IdentityViolation, ...]):
+        first = violations[0]
+        super().__init__(
+            f"left Leibniz identity fails on {len(violations)} basis triples, first at {first.indices}"
+        )
+        self.violations = violations
+
+    def __reduce__(self):
+        return type(self), (self.violations,)
+
+
 class LeibnizAlgebra:
-    """Finite-dimensional algebra given by its structure tensor."""
+    """Finite-dimensional Leibniz algebra given by its structure tensor.
+
+    Raises `LeibnizIdentityError` for a tensor that violates the identity.
+    `_assume_checked` skips the check, for tables derived by exact
+    arithmetic from an algebra that passed it.
+    """
 
     __slots__ = ("field", "dim", "tensor", "_violations", "_nonzero")
 
@@ -55,10 +75,10 @@ class LeibnizAlgebra:
                 row.append(tuple(field.of(v) for v in vec))
             rows.append(tuple(row))
         self.tensor: tuple[tuple[Vector, ...], ...] = tuple(rows)
-        self._violations: tuple[IdentityViolation, ...] | None = (
-            () if _assume_checked else None
-        )
         self._nonzero: tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...] | None = None
+        self._violations: tuple[IdentityViolation, ...] | None = () if _assume_checked else None
+        if not _assume_checked and self.check_left_leibniz():
+            raise LeibnizIdentityError(self._violations)
 
     @classmethod
     def from_brackets(
@@ -113,8 +133,8 @@ class LeibnizAlgebra:
         """Bilinear extension of the structure tensor.
 
         x and y are field values (see `linalg`) and are not coerced.  Ints
-        work over either field, since only the result is reduced, but any
-        other type, a float say, would leak into the result.
+        work over either field, since only the result is reduced; an inexact
+        entry, a float say, is a TypeError from `Field.reduce`.
         """
         n = self.dim
         if len(x) != n or len(y) != n:
@@ -139,7 +159,9 @@ class LeibnizAlgebra:
     def check_left_leibniz(self) -> tuple[IdentityViolation, ...]:
         """Violations of [[a,b],c] - [a,[b,c]] + [b,[a,c]] = 0 on basis triples.
 
-        Returned in lexicographic (i, j, k) order with 1-based indices.
+        Returned in lexicographic (i, j, k) order with 1-based indices.  The
+        constructor runs this check, so on a constructed algebra it returns
+        the cached empty tuple.
         """
         if self._violations is not None:
             return self._violations
@@ -168,23 +190,6 @@ class LeibnizAlgebra:
                         )
         self._violations = tuple(violations)
         return self._violations
-
-    @property
-    def checked(self) -> bool:
-        return self._violations is not None and not self._violations
-
-    def ensure_checked(self) -> None:
-        violations = self.check_left_leibniz()
-        if violations:
-            first = violations[0]
-            raise ValueError(
-                f"left Leibniz identity fails on {len(violations)} basis triples, "
-                f"first at {first.indices}"
-            )
-
-
-def check_left_leibniz(algebra: LeibnizAlgebra) -> tuple[IdentityViolation, ...]:
-    return algebra.check_left_leibniz()
 
 
 # -- subspace-level operations -------------------------------------------
@@ -243,7 +248,6 @@ def _squares_span(algebra: LeibnizAlgebra, products: Sequence[Sequence[Vector]])
 
 def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:
     """Span of all squares [x, x]."""
-    algebra.ensure_checked()
     return _squares_span(algebra, algebra.tensor)
 
 
@@ -256,7 +260,6 @@ def _centraliser(
     row per (j, output coordinate), with coefficients the residuals of the
     tensor entries.
     """
-    algebra.ensure_checked()
     n = algebra.dim
     t = algebra.tensor
     if z is None:
@@ -289,7 +292,6 @@ def lower_central_series(algebra: LeibnizAlgebra) -> tuple[Subspace, ...]:
     The stabilized value appears once as the final term; for a nilpotent
     algebra the final term is the zero subspace.
     """
-    algebra.ensure_checked()
     full = full_space(algebra)
     terms = [full]
     while True:
@@ -345,9 +347,7 @@ def restrict_to_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> LeibnizAlgeb
         tensor.append(plane)
     if not tensor:
         raise ValueError("cannot restrict to the zero subspace")
-    return LeibnizAlgebra(
-        algebra.field, tensor, _assume_checked=algebra.checked
-    )
+    return LeibnizAlgebra(algebra.field, tensor, _assume_checked=True)
 
 
 def algebra_in_basis(algebra: LeibnizAlgebra, rows: Sequence[Vector]) -> LeibnizAlgebra:
@@ -362,7 +362,7 @@ def algebra_in_basis(algebra: LeibnizAlgebra, rows: Sequence[Vector]) -> Leibniz
         [linear_combination(algebra.field, algebra.bracket(x, y), inverse) for y in p.data]
         for x in p.data
     ]
-    return LeibnizAlgebra(algebra.field, tensor, _assume_checked=algebra.checked)
+    return LeibnizAlgebra(algebra.field, tensor, _assume_checked=True)
 
 
 # -- the aggregated invariant profile --------------------------------------
@@ -403,7 +403,6 @@ class AlgebraReport:
 
 def invariant_profile(algebra: LeibnizAlgebra) -> AlgebraReport:
     """Deterministically fill every report field."""
-    algebra.ensure_checked()
     from . import derivations  # local import; derivations depends on this module
 
     leib = leibniz_kernel(algebra)

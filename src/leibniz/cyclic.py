@@ -4,7 +4,7 @@ The chain ln_1(a) = a, ln_{k+1}(a) = [a, ln_k(a)] spans the subalgebra
 generated by a.  Cyclicity has one decision, `is_cyclic_subalgebra`, on
 every field.  It tests the Leib(S) criterion first (dim S/Leib(S) = 1,
 and the left multiplication of S on Leib(S) nonderogatory), so a
-subalgebra that is not cyclic costs a few brackets and one small kernel,
+subalgebra that is not cyclic costs a few brackets and one small rank,
 never a search.  Only a cyclic S gets a generator chosen, by one rule:
 a0, the last canonical row of S outside Leib(S), when it generates S;
 otherwise the exhaustive scan's first hit over GF(p), and the first point
@@ -38,18 +38,21 @@ from .linalg import (
 _MAX_COPIES = 5
 
 
+def _ln_chain(algebra: LeibnizAlgebra, v: Vector, k: int) -> list[Vector]:
+    """ln_1(v) .. ln_k(v) for a vector v of field values."""
+    chain = [v]
+    for _ in range(k - 1):
+        chain.append(algebra.bracket(v, chain[-1]))
+    return chain
+
+
 def left_normed(algebra: LeibnizAlgebra, a: Sequence[Scalar], k: int) -> Vector:
     """ln_k(a): ln_1 = a, ln_{k+1} = [a, ln_k]."""
     if k < 1:
         raise ValueError("the commutator index must be >= 1")
     if len(a) != algebra.dim:
         raise ValueError("vector length differs from the algebra dimension")
-    algebra.ensure_checked()
-    v = tuple(algebra.field.of(x) for x in a)
-    out = v
-    for _ in range(k - 1):
-        out = algebra.bracket(v, out)
-    return out
+    return _ln_chain(algebra, tuple(algebra.field.of(x) for x in a), k)[-1]
 
 
 @dataclass(frozen=True)
@@ -62,30 +65,26 @@ class CyclicProbe:
 
 
 def generated_subalgebra(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> CyclicProbe:
-    """The subalgebra <a> = span{ln_k(a)}, with bracket closure verified.
+    """The subalgebra <a> = span{ln_k(a)}.
 
     ln_1..ln_n suffice, n the dimension: once ln_{m+1} lies in
     span{ln_1..ln_m} that span is invariant under [a, -], so every later
-    term lies in it too, and the chain is the first dim <a> terms.
+    term lies in it too, and the chain is the first dim <a> terms.  That
+    the span is closed under the bracket is a theorem, which
+    `proposition_check` (iii) tests.
     """
-    algebra.ensure_checked()
     field = algebra.field
     n = algebra.dim
     if len(a) != n:
         raise ValueError("vector length differs from the algebra dimension")
     v = tuple(field.of(x) for x in a)
-    terms = [v]
-    for _ in range(n - 1):
-        terms.append(algebra.bracket(v, terms[-1]))
-    span = Subspace._span(field, n, list(terms))
-    if not is_subalgebra(algebra, span):
-        raise AssertionError("ln-chain span failed to close under the bracket")
+    terms = _ln_chain(algebra, v, n)
+    span = Subspace._span(field, n, terms)
     return CyclicProbe(v, tuple(terms[: span.dim]), span)
 
 
 def generated_by(algebra: LeibnizAlgebra, vectors: Sequence[Sequence[Scalar]]) -> Subspace:
     """Smallest bracket-closed subspace containing the given vectors."""
-    algebra.ensure_checked()
     span = Subspace.from_vectors(algebra.field, algebra.dim, vectors)
     while True:
         bigger = span.sum(product_subspace(algebra, span, span))
@@ -95,13 +94,8 @@ def generated_by(algebra: LeibnizAlgebra, vectors: Sequence[Sequence[Scalar]]) -
 
 
 def _ln_tail_span(algebra: LeibnizAlgebra, a: Vector, k: int) -> Subspace:
-    """span{ln_t(a) : t >= k}; stabilizes within ambient-dimension further steps."""
-    vecs = []
-    w = left_normed(algebra, a, k)
-    for _ in range(algebra.dim + 1):
-        vecs.append(w)
-        w = algebra.bracket(a, w)
-    return Subspace._span(algebra.field, algebra.dim, vecs)
+    """span{ln_t(a) : t >= k}, a field values; stabilizes within ambient-dimension further steps."""
+    return Subspace._span(algebra.field, algebra.dim, _ln_chain(algebra, a, k + algebra.dim)[k - 1 :])
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,6 @@ def proposition_check(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Propositi
     derived subalgebra and its lower central series; (vii) [[x, y], z] = 0
     for x, y in <a> and z anywhere.
     """
-    algebra.ensure_checked()
     field = algebra.field
     n = algebra.dim
     probe = generated_subalgebra(algebra, a)
@@ -216,8 +209,9 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
         raise ValueError("exhaustive scan needs a finite field")
     if not is_subalgebra(algebra, s):
         raise ValueError("subspace is not a subalgebra")
+    field, n = algebra.field, algebra.dim
     for v in nonzero_elements(s):
-        if generated_subalgebra(algebra, v).span == s:
+        if Subspace._span(field, n, _ln_chain(algebra, v, n)) == s:
             return v
     return None
 
@@ -227,8 +221,8 @@ def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace) -> tuple[Vector, Subsp
 
     a0 is the last canonical row of S outside Leib(S).  T, the matrix of
     [a0, -] on Leib(S) in the pivot coordinates of its RREF rows, only
-    builds the commutant system of (b).  Raises ValueError when S is not
-    closed under the bracket.
+    gives the powers I, T, ..., T^(m-1) whose rank decides (b).  Raises
+    ValueError when S is not closed under the bracket.
     """
     if s.field != algebra.field or s.ambient != algebra.dim:
         raise ValueError("subspace lives outside the algebra")
@@ -244,17 +238,13 @@ def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace) -> tuple[Vector, Subsp
         return None
     a0 = next(row for row in reversed(rows) if any(leib._residual(row)))
     images = [bracket(a0, b) for b in leib.rows]
-    t = [[w[pc] for w in images] for pc in leib.pivot_columns()]
-    # (b): X -> TX - XT on m x m matrices X, entry (i, j), in the unknowns X[l][j'] at l*m + j'
-    commutator = []
-    for i in range(m):
-        for j in range(m):
-            row = [field.zero] * (m * m)
-            for l in range(m):
-                row[l * m + j] += t[i][l]
-                row[i * m + l] -= t[l][j]
-            commutator.append([field.reduce(v) for v in row])
-    if Matrix(field, commutator, _coerced=True).kernel().dim != m:
+    t = Matrix(field, [[w[pc] for w in images] for pc in leib.pivot_columns()], _coerced=True)
+    # (b): the minimal polynomial of T has degree m iff I, T, ..., T^(m-1) are independent
+    powers, power = [], Matrix.identity(field, m)
+    for _ in range(m):
+        powers.append([x for row in power.data for x in row])
+        power = t.mul(power)
+    if Matrix(field, powers, _coerced=True).rank() != m:
         return None
     return a0, leib
 
@@ -285,8 +275,9 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     outside Leib(S), T = [a0, -] on Leib(S) and w0 = [a0, a0].  Then S is
     cyclic iff
       (a) dim S/Leib(S) = 1, and
-      (b) T is nonderogatory: its commutant {X : TX = XT} has dimension
-          dim Leib(S).
+      (b) T is nonderogatory: its minimal polynomial has degree
+          m = dim Leib(S), that is I, T, ..., T^(m-1) are linearly
+          independent.
     The third condition sometimes stated, (c) w0 outside T(Leib(S)) when T
     is singular, follows from (a), as the sketch shows.
 
@@ -298,8 +289,10 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     Hence Leib(S) = F w0 + T(Leib(S)), and [S, S] = Leib(S).  On Leib(S),
     [x, -] = cT, so the chain of x is x, then the T-orbit of [x, x], and x
     generates S iff c != 0 and w0 + T(i/c) is a cyclic vector of T.  A
-    cyclic vector exists iff T is nonderogatory (b); then split Leib(S) as
-    an F[x]-module into the x-primary part P, where T is nilpotent, and the
+    cyclic vector exists iff T is nonderogatory, that is iff its minimal
+    polynomial has degree m; that degree is the least k with I, T, ..., T^k
+    dependent, so this is the rank test (b).  Then split Leib(S) as an
+    F[x]-module into the x-primary part P, where T is nilpotent, and the
     rest R, where T is invertible.  The R-component of w0 + T(i') can be
     any vector of R, so some choice of i' makes it a cyclic vector of R.
     The P-component generates P iff it lies outside T(P), and it does for
@@ -324,7 +317,6 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     A nilpotent cyclic S is always generated by a0: [S, S] = Leib(S) lies
     in every maximal subalgebra, so every element outside it generates S.
     """
-    algebra.ensure_checked()
     if s.dim == 0:
         return None
     decided = _leib_criterion(algebra, s)
@@ -366,7 +358,6 @@ def canonical_cyclic_basis(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> tupl
     [a_i, a_j] = 0 for i >= 2.  Raises when <a> is not of that shape
     (in particular when <a> is not nilpotent).
     """
-    algebra.ensure_checked()
     chain = generated_subalgebra(algebra, a).chain
     if not chain:
         raise ValueError("the zero vector generates nothing")

@@ -28,7 +28,6 @@ from .linalg import Matrix, Scalar, Subspace, _kernel, basis_vector, vec_add, ve
 
 def left_mult_matrix(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Matrix:
     """Matrix of x -> [a, x] in the standard basis: column m is [a, e_m]."""
-    algebra.ensure_checked()
     field = algebra.field
     a = tuple(field.of(v) for v in a)
     cols = [algebra.bracket(a, e) for e in Subspace.full(field, algebra.dim).rows]
@@ -37,7 +36,6 @@ def left_mult_matrix(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Matrix:
 
 def right_mult_matrix(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Matrix:
     """Matrix of x -> [x, a] in the standard basis: column m is [e_m, a]."""
-    algebra.ensure_checked()
     field = algebra.field
     a = tuple(field.of(v) for v in a)
     cols = [algebra.bracket(e, a) for e in Subspace.full(field, algebra.dim).rows]
@@ -85,7 +83,6 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scala
 
 
 def _kernel_basis(algebra: LeibnizAlgebra, kind: str) -> DerivationBasis:
-    algebra.ensure_checked()
     n = algebra.dim
     field = algebra.field
     kern = _kernel(field, n * n, _constraint_rows(algebra, kind))
@@ -119,7 +116,6 @@ def _satisfies(algebra: LeibnizAlgebra, m: Matrix, kind: str) -> bool:
     field = algebra.field
     if m.field != field or (m.nrows, m.ncols) != (n, n):
         raise ValueError("matrix shape or field differs from the algebra")
-    algebra.ensure_checked()
     cols = [m.column(i) for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -217,7 +213,6 @@ def check_invariance(algebra: LeibnizAlgebra, m: Matrix, kind: str) -> Invarianc
     every upper central series term; right derivations must map the left
     center into the right center and annihilate the Leibniz kernel.
     """
-    algebra.ensure_checked()
 
     def maps_into(source: Subspace, target: Subspace) -> bool:
         return target._contains_all(m.apply(r) for r in source.rows)

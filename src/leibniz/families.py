@@ -6,11 +6,12 @@ extensions `A-i` / `A-ii` / `A-iii` of a maximal cyclic subalgebra, the
 non-nilpotent scaling extension `B`, and its characteristic-0 eigenbasis
 form `C`.  The `A-iii` table carries a documented index ambiguity for the
 [a1, s] product, selected by the `convention` flag ("printed" vs
-"derived"); the `B` table accepts gamma_2 even though only gamma_2 = 0
-yields a valid algebra.  Constructors do not verify the identity - run
-`check_left_leibniz` on the result; the test harness maps the valid
-parameter locus that way.  Table entries may be plain ints such as -1 or
-j: `LeibnizAlgebra` brings every entry into the field.
+"derived"); the `B` table is valid only for gamma_2 = 0.  Every
+constructor ends in `LeibnizAlgebra`, which checks the identity, so
+parameters off the valid locus (gamma_2 != 0 for `B`, a nonzero "printed"
+tau for `A-iii`) raise `LeibnizIdentityError` with the violated triples.
+Table entries may be plain ints such as -1 or j: `LeibnizAlgebra` brings
+every entry into the field.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def family_a_iii(
     `convention` selects the index of the single [a1, s] product: "printed"
     places it at a_{n-t}, "derived" at a_{n-t+2}; "printed" with t = n names
     a_0, so a nonzero tau there is a ValueError.  The identity is
-    parameter-dependent; callers check.
+    parameter-dependent: a table that violates it raises
+    `LeibnizIdentityError`.
     """
     if n < 2:
         raise ValueError("the cyclic part must have dimension >= 2")
@@ -136,8 +138,8 @@ def family_b(
     `gammas` lists gamma_2 .. gamma_n.  The table is the displayed one:
     [a1, d] = -a1, [d, a_j] = j a_j + sum_u gamma_u a_{u+j-1}, and
     [d, d] = -(gamma_3 a_2 + ... + gamma_n a_{n-1}) + delta a_n.  Only
-    gamma_2 = 0 satisfies the identity; the constructor accepts any value
-    so the harness can demonstrate the forcing.
+    gamma_2 = 0 satisfies the identity; any other value raises
+    `LeibnizIdentityError`, whose violations show the forcing.
     """
     if n < 2:
         raise ValueError("the cyclic part must have dimension >= 2")
@@ -167,16 +169,13 @@ def family_b(
 
 
 def family_c(n: int, field: Field) -> LeibnizAlgebra:
-    """Type C: [s, b_j] = j b_j, [b1, s] = -b1 over a characteristic-0 field."""
+    """Type C: [s, b_j] = j b_j, [b1, s] = -b1 over a characteristic-0 field.
+
+    This is the type-B table with every gamma and delta zero.
+    """
     if field.characteristic != 0:
         raise ValueError("this family requires characteristic 0")
-    if n < 2:
-        raise ValueError("the cyclic part must have dimension >= 2")
-    entries = _cyclic_entries(field, n)
-    entries[(0, n)] = {0: -1}
-    for j in range(1, n + 1):
-        entries[(n, j - 1)] = {j - 1: j}
-    return LeibnizAlgebra.from_brackets(field, n + 1, entries)
+    return family_b(n, [0] * (n - 1), 0, field)
 
 
 # -- proof procedures -------------------------------------------------------
@@ -204,7 +203,6 @@ def nilpotent_complement(
     Requires a canonical cyclic basis of the ideal K and [a1, b] in
     span{a2..an}; returns d = b - (beta_2 a_1 + ... + beta_n a_{n-1}).
     """
-    algebra.ensure_checked()
     field = algebra.field
     k_rows, b = _coerced_chain(algebra, k_rows, b)
     coords = _k_coords(field, k_rows, algebra.bracket(k_rows[0], b))
@@ -229,7 +227,6 @@ def scaling_complement(
     Requires [b, a1] = beta_1 a1 + ... with beta_1 != 0 (the non-nilpotent
     case split).
     """
-    algebra.ensure_checked()
     field = algebra.field
     k_rows, b = _coerced_chain(algebra, k_rows, b)
     coords = _k_coords(field, k_rows, algebra.bracket(b, k_rows[0]))
@@ -285,7 +282,6 @@ def eigenbasis_reduction(algebra: LeibnizAlgebra) -> EigenReduction:
     Postconditions are verified exactly: [s, s] = 0, [b1, s] = -b1,
     [s, b_j] = j b_j, [b1, b_{j-1}] = b_j, [b1, b_n] = 0.
     """
-    algebra.ensure_checked()
     field = algebra.field
     n = algebra.dim - 1
     if 0 < field.characteristic <= n:

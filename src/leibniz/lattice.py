@@ -171,7 +171,6 @@ def subalgebra_lattice(algebra: LeibnizAlgebra) -> SubalgebraLattice:
     subalgebras are compared only with the maximal ones, by decreasing
     dimension.
     """
-    algebra.ensure_checked()
     field = algebra.field
     n = algebra.dim
     _check_enumerable(n, field.characteristic)
@@ -238,7 +237,6 @@ class RationalCodim1Report:
 def rational_codim1_report(algebra: LeibnizAlgebra) -> RationalCodim1Report:
     if algebra.field.characteristic != 0:
         raise ValueError("this path is the rational-field fallback")
-    algebra.ensure_checked()
     field = algebra.field
     n = algebra.dim
     derived = product_subspace(algebra, full_space(algebra), full_space(algebra))

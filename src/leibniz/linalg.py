@@ -45,7 +45,10 @@ Every value inside the library is canonical (a `Fraction`, or an int in
 
 - arithmetic is Python's ``+ - *`` on field values;
 - each entry the code produces is reduced once with `Field.reduce`, so
-  ``a - f * b`` costs one reduction, not one per operation;
+  ``a - f * b`` costs one reduction, not one per operation; `reduce` takes
+  exact raw values only, a `Fraction` or an int over Q and an int over
+  GF(p), so a float, or a Fraction over GF(p), that skipped `Field.of`
+  raises TypeError there instead of leaking into the result;
 - a zero test is truthiness: ``if not c``, ``any(vec)``, ``not any(vec)``.
 
 Membership has one test: v lies in S when its residual against S's RREF
@@ -60,7 +63,7 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 from numbers import Rational
-from operator import add
+from operator import add, index
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -136,10 +139,10 @@ class Field:
         return int(value) % self.characteristic
 
     def reduce(self, raw) -> Scalar:
-        """Normalize the result of raw +/* arithmetic on field scalars."""
+        """Normalize the result of raw +/* arithmetic on field scalars; an inexact raw value is a TypeError."""
         if self.characteristic == 0:
-            return raw if isinstance(raw, Fraction) else Fraction(raw)
-        return raw % self.characteristic
+            return raw if isinstance(raw, Fraction) else Fraction(index(raw))
+        return index(raw) % self.characteristic
 
     def inv(self, a: Scalar) -> Scalar:
         if self.characteristic == 0:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ from conftest import build_corpus
 
 from leibniz.census import algebra_from_int
 from leibniz.core import (
+    IdentityViolation,
     LeibnizAlgebra,
+    LeibnizIdentityError,
     algebra_in_basis,
     center,
-    check_left_leibniz,
     full_space,
     hypercenter,
     invariant_profile,
@@ -33,6 +35,8 @@ from leibniz.families import (
     dim2_l1,
     dim2_l2,
     family_a_i,
+    family_a_iii,
+    family_b,
     family_c,
 )
 from leibniz.lattice import enumerate_subspaces
@@ -64,17 +68,75 @@ def test_bracket_dimension_mismatch():
 
 
 def test_check_l2_passes():
-    assert check_left_leibniz(dim2_l2(QQ)) == ()
+    assert dim2_l2(QQ).check_left_leibniz() == ()
 
 
 def test_check_dim1_violation():
-    a = LeibnizAlgebra.from_brackets(QQ, 1, {(0, 0): {0: 1}})
-    violations = check_left_leibniz(a)
+    with pytest.raises(LeibnizIdentityError) as info:
+        LeibnizAlgebra.from_brackets(QQ, 1, {(0, 0): {0: 1}})
+    violations = info.value.violations
     assert len(violations) == 1
     assert violations[0].indices == (1, 1, 1)
     assert violations[0].residual == (Fraction(1),)
-    with pytest.raises(ValueError):
-        a.ensure_checked()
+
+
+def _violation(indices, *residual):
+    return IdentityViolation(indices, tuple(residual))
+
+
+# every way a table enters the library, each with a table that violates the
+# identity, and the violations the check reports for it
+_INVALID_TABLES = {
+    "constructor": (
+        lambda: LeibnizAlgebra(GF(3), [[[0, 1], [1, 0]], [[0, 0], [0, 0]]]),
+        (_violation((1, 2, 1), 0, 1), _violation((1, 2, 2), 1, 0)),
+    ),
+    "from_brackets": (
+        lambda: LeibnizAlgebra.from_brackets(QQ, 2, {(0, 1): {0: 1}, (1, 0): {1: 1}}),
+        (
+            _violation((1, 2, 1), -1, 0),
+            _violation((1, 2, 2), 1, 1),
+            _violation((2, 1, 1), 1, 1),
+            _violation((2, 1, 2), 0, -1),
+        ),
+    ),
+    "family_b gamma_2 = 1": (
+        lambda: family_b(3, [1, 0], 0, QQ),
+        (_violation((1, 4, 4), 0, -1, 0, 0), _violation((4, 1, 4), 0, 1, 0, 0)),
+    ),
+    "printed A-iii tau = 1": (
+        lambda: family_a_iii(4, 2, [0, 0], 1, QQ, "printed"),
+        (_violation((1, 5, 5), 0, 0, 1, 0, 0), _violation((5, 1, 5), 0, 0, -1, 0, 0)),
+    ),
+    "algebra_from_int": (lambda: algebra_from_int(2, 1), (_violation((1, 1, 1), 1, 0),)),
+}
+
+
+@pytest.mark.parametrize("build, expected", _INVALID_TABLES.values(), ids=_INVALID_TABLES.keys())
+def test_every_entry_point_rejects_an_invalid_table(build, expected):
+    with pytest.raises(LeibnizIdentityError) as info:
+        build()
+    assert isinstance(info.value, ValueError)
+    assert info.value.violations == expected
+    assert f"fails on {len(expected)} basis triples, first at {expected[0].indices}" in str(info.value)
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert type(copy) is LeibnizIdentityError
+    assert copy.violations == expected and str(copy) == str(info.value)
+
+
+@pytest.mark.parametrize("derive", ["algebra_in_basis", "restrict_to_subalgebra"])
+def test_derived_algebras_are_not_checked_again(monkeypatch, derive):
+    a = family_c(3, QQ)
+
+    def fail(self):
+        raise AssertionError("the identity was checked again")
+
+    monkeypatch.setattr(LeibnizAlgebra, "check_left_leibniz", fail)
+    if derive == "algebra_in_basis":
+        b = algebra_in_basis(a, [(1, 1, 0, 0), (0, 1, 0, 2), (0, 0, 1, 0), (0, 0, 0, 1)])
+    else:
+        b = restrict_to_subalgebra(a, span(QQ, 4, *(basis_vector(QQ, 4, i) for i in range(3))))
+    assert b.dim == (4 if derive == "algebra_in_basis" else 3)
 
 
 @pytest.mark.parametrize(
@@ -96,13 +158,15 @@ def test_from_brackets_rejects_indices_out_of_range(key, terms):
 
 
 def test_check_cyclic5_gf7():
-    assert check_left_leibniz(cyclic_nilpotent(5, GF(7))) == ()
+    assert cyclic_nilpotent(5, GF(7)).check_left_leibniz() == ()
 
 
 def test_violation_order_is_lexicographic():
     # a tensor violating the identity at several triples
-    a = LeibnizAlgebra.from_brackets(QQ, 2, {(0, 1): {0: 1}, (1, 0): {1: 1}})
-    idx = [v.indices for v in check_left_leibniz(a)]
+    with pytest.raises(LeibnizIdentityError) as info:
+        LeibnizAlgebra.from_brackets(QQ, 2, {(0, 1): {0: 1}, (1, 0): {1: 1}})
+    idx = [v.indices for v in info.value.violations]
+    assert len(idx) == 4
     assert idx == sorted(idx)
 
 
@@ -213,9 +277,8 @@ def test_lower_series_terms_are_ideals():
 
 
 def test_square_bracket_left_annihilates():
-    # [[x, x], y] = 0, exhaustively on basis pairs for checked algebras
+    # [[x, x], y] = 0, exhaustively on basis pairs; every algebra value satisfies the identity
     for alg in (cyclic_nilpotent(5, QQ), dim2_l2(GF(3)), family_c(4, QQ)):
-        alg.ensure_checked()
         n = alg.dim
         for i in range(n):
             sq = alg.basis_bracket(i, i)
@@ -255,6 +318,7 @@ def test_restrict_to_subalgebra():
     r = restrict_to_subalgebra(a, tail)
     assert r.dim == 3
     assert nilpotency_class(r) == 1  # the tail is abelian
+    assert LeibnizAlgebra(QQ, r.tensor) == r
     with pytest.raises(ValueError):
         restrict_to_subalgebra(a, span(QQ, 4, basis_vector(QQ, 4, 0)))
 
@@ -263,7 +327,8 @@ def test_algebra_in_basis_roundtrip():
     a = cyclic_nilpotent(3, QQ)
     rows = [(1, 1, 0), (0, 1, 2), (0, 0, 1)]
     b = algebra_in_basis(a, [tuple(map(Fraction, r)) for r in rows])
-    assert check_left_leibniz(b) == ()
+    # the constructor checks the derived table afresh and raises on a violation
+    assert LeibnizAlgebra(QQ, b.tensor) == b
     # changing back recovers the original tensor
     import leibniz.linalg as la
 
@@ -332,8 +397,11 @@ def test_nilpotent_class_at_most_dim_and_hypercenter_full():
 
 def _oracle_inputs():
     algebras = [alg for p in (2, 3) for _, alg in build_corpus(GF(p))]
-    dim2 = [algebra_from_int(2, v) for v in range(256)]
-    algebras += [alg for alg in dim2 if not alg.check_left_leibniz()]
+    for v in range(256):
+        try:
+            algebras.append(algebra_from_int(2, v))
+        except LeibnizIdentityError:
+            pass
     return algebras
 
 

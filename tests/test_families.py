@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from leibniz.core import (
+    LeibnizAlgebra,
+    LeibnizIdentityError,
     algebra_in_basis,
     center,
-    check_left_leibniz,
     invariant_profile,
     is_ideal,
     leibniz_kernel,
@@ -58,7 +59,7 @@ def test_cyclic3_invariants():
 
 
 def test_cyclic5_gf7_identity():
-    assert check_left_leibniz(cyclic_nilpotent(5, GF(7))) == ()
+    assert cyclic_nilpotent(5, GF(7)).check_left_leibniz() == ()
 
 
 def test_l1_class2_and_l2_not_nilpotent():
@@ -72,7 +73,7 @@ def test_l1_class2_and_l2_not_nilpotent():
 
 def test_family_a_i_structure():
     a = family_a_i(3, QQ)
-    assert check_left_leibniz(a) == ()
+    assert a.check_left_leibniz() == ()
     assert nilpotency_class(a) == 3
     k = k_span(a, 3)
     d_line = Subspace.from_vectors(QQ, 4, [basis_vector(QQ, 4, 3)])
@@ -110,16 +111,16 @@ def test_quaternion_analog_two_cyclic_ideals():
 def test_family_a_iii_tau_zero_passes_both_conventions():
     for conv in ("printed", "derived"):
         a = family_a_iii(4, 2, [0, 0], 0, QQ, conv)
-        assert check_left_leibniz(a) == ()
+        assert a.check_left_leibniz() == ()
 
 
 def test_family_a_iii_tau_probe():
-    printed = family_a_iii(4, 2, [0, 0], 1, QQ, "printed")
-    violations = check_left_leibniz(printed)
-    assert violations
-    assert any(v.indices == (5, 1, 5) for v in violations)
+    with pytest.raises(LeibnizIdentityError) as info:
+        family_a_iii(4, 2, [0, 0], 1, QQ, "printed")
+    violations = info.value.violations
+    assert [v.indices for v in violations] == [(1, 5, 5), (5, 1, 5)]
     derived = family_a_iii(4, 2, [0, 0], 1, QQ, "derived")
-    assert check_left_leibniz(derived) == ()
+    assert derived.check_left_leibniz() == ()
 
 
 def test_family_a_iii_validation():
@@ -140,7 +141,7 @@ def test_family_a_iii_validation():
 
 def test_family_b_zero_parameters():
     a = family_b(3, [0, 0], 0, QQ)
-    assert check_left_leibniz(a) == ()
+    assert a.check_left_leibniz() == ()
     assert nilpotency_class(a) is None
     k = k_span(a, 3)
     assert is_ideal(a, k)
@@ -149,13 +150,14 @@ def test_family_b_zero_parameters():
 
 
 def test_family_b_gamma2_forced_to_zero():
-    a = family_b(3, [1, 0], 0, QQ)
-    assert check_left_leibniz(a) != ()
+    with pytest.raises(LeibnizIdentityError) as info:
+        family_b(3, [1, 0], 0, QQ)
+    assert [v.indices for v in info.value.violations] == [(1, 4, 4), (4, 1, 4)]
 
 
 def test_family_b_compensating_square():
     a = family_b(4, [0, 2, 0], 5, QQ)
-    assert check_left_leibniz(a) == ()
+    assert a.check_left_leibniz() == ()
     # [d, d] = -gamma_3 a_2 + delta a_4 = -2 a_2 + 5 a_4
     assert a.basis_bracket(4, 4) == (0, Fraction(-2), 0, Fraction(5), 0)
 
@@ -170,8 +172,17 @@ def test_family_b_validation():
 def test_family_c_small():
     a = family_c(2, QQ)
     assert a.dim == 3
-    assert check_left_leibniz(a) == ()
+    assert a.check_left_leibniz() == ()
     assert nilpotency_class(a) is None
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_family_c_is_the_displayed_table(n):
+    # [b1, b_j] = b_{j+1} (j < n), [b1, s] = -b1, [s, b_j] = j b_j, every other product zero
+    entries = {(0, m): {m + 1: 1} for m in range(n - 1)}
+    entries[(0, n)] = {0: -1}
+    entries.update({(n, j - 1): {j - 1: j} for j in range(1, n + 1)})
+    assert family_c(n, QQ).tensor == LeibnizAlgebra.from_brackets(QQ, n + 1, entries).tensor
 
 
 def test_family_c_eigenvalues():
@@ -290,9 +301,10 @@ def test_eigenbasis_reduction_postconditions_random():
 
 
 def test_eigenbasis_reduction_rejects_gamma2():
-    bad = family_b(3, [1, 0], 0, QQ)
-    with pytest.raises(ValueError):
-        eigenbasis_reduction(bad)
+    # A-iii with t = 2 has [s, a1] = a2: a valid algebra whose gamma_2 would be 1
+    a = family_a_iii(3, 2, [0], 0, QQ, "derived")
+    with pytest.raises(ValueError, match="gamma_2 = 0"):
+        eigenbasis_reduction(a)
 
 
 def test_eigenbasis_reduction_rejects_small_characteristic():

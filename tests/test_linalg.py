@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from leibniz.families import cyclic_nilpotent
 from leibniz.linalg import (
     GF,
     QQ,
@@ -242,6 +243,22 @@ def test_floats_rejected_at_the_boundary(field, value):
         Subspace.from_vectors(field, 2, [(value, 1)])
     with pytest.raises(TypeError):
         Subspace.full(field, 2).reduce((value, 0))
+    with pytest.raises(TypeError):
+        field.reduce(value)
+    with pytest.raises(TypeError):
+        cyclic_nilpotent(2, field).bracket((value, 0), (1, 0))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_reduce_takes_exact_raw_values(field):
+    assert field.reduce(7) == field.of(7)
+    assert field.reduce(np.int64(-1)) == field.of(-1)
+    assert cyclic_nilpotent(2, field).bracket((2, 0), (1, 0)) == (0, field.of(2))
+    if field.characteristic:
+        with pytest.raises(TypeError):
+            field.reduce(Fraction(1, 2))
+    else:
+        assert field.reduce(Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_boundary_reduces_out_of_range_ints():
