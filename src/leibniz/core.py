@@ -10,14 +10,31 @@ defect is trilinear; `check_left_leibniz` therefore tests exactly the n^3
 basis triples.  The constructor runs that check and raises
 `LeibnizIdentityError` when it finds a violation, so every `LeibnizAlgebra`
 value satisfies the identity and no function taking one checks it again.
+
+The bracket, the identity check, the product spaces, the centralisers and
+the derivation rows all read one integer table, c·T (`LeibnizAlgebra._nz`).
+Over Q, c is the lcm of the denominators of T; over GF(p), c = 1 and the
+table is T.  Everything but the bracket itself uses the integer table as it
+is, and stays exact:
+
+- c[x, y] is the bracket of an isomorphic algebra, under x -> x/c, so every
+  subspace an invariant is built from (product spaces, centres, both
+  central series, derivation spaces) is the same for both tables;
+- scaling a row, or a whole constraint system, by a nonzero constant
+  changes no span and no kernel, so vectors are scaled to integers before
+  they are bracketed or reduced;
+- the identity residual is quadratic in the table, so it scales by c^2: the
+  same triples fail, and a reported residual is divided back by c^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .linalg import Field, Matrix, Scalar, Subspace, Vector, linear_combination, vec_add
+from .linalg import Field, Matrix, Scalar, Subspace, Vector, _int_reduce, _integral, _kernel, linear_combination, vec_add
 
 
 @dataclass(frozen=True)
@@ -50,7 +67,7 @@ class LeibnizAlgebra:
     arithmetic from an algebra that passed it.
     """
 
-    __slots__ = ("field", "dim", "tensor", "_violations", "_nonzero")
+    __slots__ = ("field", "dim", "tensor", "_violations", "_nonzero", "_unscale")
 
     def __init__(
         self,
@@ -116,14 +133,24 @@ class LeibnizAlgebra:
     # -- bracket ---------------------------------------------------------
 
     def _nz(self):
+        """The integer table c·T as its nonzero entries: ``nz[i][j]`` holds (k, c·T[i][j][k]).
+
+        Built on first use, with `_unscale`, which maps an entry of a bracket
+        taken on this table to the true bracket: `Field.reduce` where c = 1,
+        and a product with 1/c otherwise.
+        """
         if self._nonzero is None:
+            t = self.tensor
+            scale = 1 if self.field.characteristic else lcm(*[v.denominator for plane in t for vec in plane for v in vec])
             self._nonzero = tuple(
                 tuple(
-                    tuple((k, c) for k, c in enumerate(vec) if c)
+                    tuple((k, v.numerator * (scale // v.denominator)) for k, v in enumerate(vec) if v)
                     for vec in plane
                 )
-                for plane in self.tensor
+                for plane in t
             )
+            reduce = self.field.reduce
+            self._unscale = reduce if scale == 1 else Fraction(1, scale).__mul__
         return self._nonzero
 
     def basis_bracket(self, i: int, j: int) -> Vector:
@@ -151,8 +178,8 @@ class LeibnizAlgebra:
                 c = xi * yj
                 for k, w in nz_i[j]:
                     acc[k] += c * w
-        reduce = self.field.reduce
-        return tuple(reduce(v) for v in acc)
+        unscale = self._unscale
+        return tuple(unscale(v) for v in acc)
 
     # -- identity check ----------------------------------------------------
 
@@ -161,13 +188,15 @@ class LeibnizAlgebra:
 
         Returned in lexicographic (i, j, k) order with 1-based indices.  The
         constructor runs this check, so on a constructed algebra it returns
-        the cached empty tuple.
+        the cached empty tuple.  The residuals are summed in integers on the
+        integer table, where they come out c^2 times the true ones.
         """
         if self._violations is not None:
             return self._violations
         n = self.dim
-        reduce = self.field.reduce
         nz = self._nz()
+        trim = _int_reduce(self.field)
+        unscale = self._unscale
         violations = []
         for i in range(n):
             for j in range(n):
@@ -183,11 +212,10 @@ class LeibnizAlgebra:
                     for m, c in nz[i][k]:
                         for l, w in nz[j][m]:
                             acc[l] += c * w
-                    residual = tuple(reduce(v) for v in acc)
-                    if any(residual):
-                        violations.append(
-                            IdentityViolation((i + 1, j + 1, k + 1), residual)
-                        )
+                    if any(acc) and any(map(trim, acc)):  # exact over Q; mod p over GF(p)
+                        # quadratic in the table: unscaled twice, by c^2
+                        residual = tuple(unscale(unscale(v)) for v in acc)
+                        violations.append(IdentityViolation((i + 1, j + 1, k + 1), residual))
         self._violations = tuple(violations)
         return self._violations
 
@@ -199,9 +227,29 @@ def full_space(algebra: LeibnizAlgebra) -> Subspace:
 
 
 def product_subspace(algebra: LeibnizAlgebra, s: Subspace, t: Subspace) -> Subspace:
-    """span{[x, y] : x in basis(S), y in basis(T)}; bilinearity makes this the full product span."""
-    products = [algebra.bracket(x, y) for x in s.rows for y in t.rows]
-    return Subspace._span(algebra.field, algebra.dim, products)
+    """span{[x, y] : x in basis(S), y in basis(T)}; bilinearity makes this the full product span.
+
+    The rows are scaled to integers and bracketed on the integer table,
+    which changes no span; only the nonzero entries of the products are
+    made field values.
+    """
+    n = algebra.dim
+    nz = algebra._nz()
+    reduce = algebra.field.reduce
+    xs = [[(i, xi) for i, xi in enumerate(_integral(x)) if xi] for x in s.rows]
+    ys = [[(j, yj) for j, yj in enumerate(_integral(y)) if yj] for y in t.rows]
+    products = []
+    for x in xs:
+        for y in ys:
+            acc = [0] * n
+            for i, xi in x:
+                nz_i = nz[i]
+                for j, yj in y:
+                    c = xi * yj
+                    for k, w in nz_i[j]:
+                        acc[k] += c * w
+            products.append([v and reduce(v) for v in acc])
+    return Subspace._span(algebra.field, n, products)
 
 
 def _brackets_in(algebra: LeibnizAlgebra, s: Subspace, xs: Sequence[Vector], ys: Sequence[Vector]) -> bool:
@@ -258,20 +306,36 @@ def _centraliser(
 
     x -> [x, e_j] mod Z is linear, so each side contributes one constraint
     row per (j, output coordinate), with coefficients the residuals of the
-    tensor entries.
+    entries of the integer table against Z.  Row pc of Z, scaled to
+    integers, is m_pc z_pc with m_pc at its pivot; with M the lcm of the
+    m_pc, the residual of v is M v - sum over pc of v[pc] (M / m_pc) m_pc z_pc,
+    M times the true one, and all in integers.
     """
     n = algebra.dim
-    t = algebra.tensor
-    if z is None:
-        z = Subspace.zero(algebra.field, n)
+    field = algebra.field
+    nz = algebra._nz()
+    trim = _int_reduce(field)
+    zint = [] if z is None else [(pc, _integral(row)) for pc, row in zip(z.pivot_columns(), z.rows)]
+    scale = lcm(*[row[pc] for pc, row in zint])
+
+    def residual(entries):
+        v = [0] * n
+        for k, w in entries:
+            v[k] = scale * w
+        for pc, row in zint:
+            f = v[pc] // row[pc]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
     rows = []
     # list, not generator, arguments to zip: see `linalg._lifted_kernel`
     for j in range(n):
         if left:
-            rows.extend(zip(*[z._residual(t[i][j]) for i in range(n)]))
+            rows.extend(zip(*[residual(nz[i][j]) for i in range(n)]))
         if right:
-            rows.extend(zip(*[z._residual(t[j][i]) for i in range(n)]))
-    return Matrix(algebra.field, rows, _coerced=True).kernel()
+            rows.extend(zip(*[residual(nz[j][i]) for i in range(n)]))
+    return _kernel(field, n, [{c: r for c, v in enumerate(row) if v and (r := trim(v))} for row in rows])
 
 
 def left_center(algebra: LeibnizAlgebra) -> Subspace:

@@ -23,7 +23,7 @@ from .core import (
     upper_central_series,
 )
 from .cyclic import is_canonical_cyclic
-from .linalg import Matrix, Scalar, Subspace, _kernel, basis_vector, vec_add, vec_sub
+from .linalg import Matrix, Scalar, Subspace, _int_reduce, _kernel, basis_vector, vec_add, vec_sub
 
 
 def left_mult_matrix(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Matrix:
@@ -52,9 +52,13 @@ class DerivationBasis:
 
 
 def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scalar]]:
-    """The nonzero constraint rows, as ``{unknown: nonzero value}``, filled from the nonzero tensor entries."""
+    """The nonzero constraint rows, as ``{unknown: nonzero value}``, filled from the nonzero table entries.
+
+    Every row is linear in the tensor, so the rows are taken from the integer
+    table c·T: c times the true rows, in integers, with the same kernel.
+    """
     n = algebra.dim
-    reduce = algebra.field.reduce
+    trim = _int_reduce(algebra.field)
     nz = algebra._nz()
     neg = [[[(l, -c) for l, c in cell] for cell in plane] for plane in nz]
     rows = []
@@ -76,7 +80,7 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scala
                         row = acc[l]
                         row[k] = row[k] + c if k in row else c
             for entries in acc:
-                row = {k: r for k, v in entries.items() if (r := reduce(v))}
+                row = {k: r for k, v in entries.items() if (r := trim(v))}
                 if row:
                     rows.append(row)
     return rows

@@ -51,6 +51,21 @@ Every value inside the library is canonical (a `Fraction`, or an int in
   raises TypeError there instead of leaking into the result;
 - a zero test is truthiness: ``if not c``, ``any(vec)``, ``not any(vec)``.
 
+Integer rows.  Over Q, `core` and `derivations` take their rows from the
+integer structure table c·T, with c the lcm of the tensor's denominators
+(c = 1 over GF(p)), and scale each vector by the lcm of its own
+denominators (`_integral`).  That is exact: c[x, y] is the bracket of an
+isomorphic algebra, under x -> x/c; scaling a row, or a whole constraint
+system, by a nonzero constant changes no span and no kernel; and the
+Leibniz identity residual, quadratic in the table, comes out c^2 times the
+true one, which `core` divides back out before it reports it.  Integer
+arithmetic on such rows is reduced by `_int_reduce`: mod p over GF(p), and
+not at all over Q, where an int is exact.  `_kernel` (and so
+`_lifted_kernel`) takes the int rows as they are, since an int has
+``numerator`` and ``denominator``; the nonzero entries of a row given to
+`Subspace._span` are made field values first, so that no int reaches a
+`Subspace` over Q.
+
 Membership has one test: v lies in S when its residual against S's RREF
 rows is zero.  Closure, ideal and invariance checks and ``S <= T`` call
 `Subspace._contains_all`, which reduces each vector in turn, stops at the
@@ -210,6 +225,20 @@ def linear_combination(field: Field, coeffs: Sequence[Scalar], rows: Sequence[Ve
     coeffs, rows = zip(*terms)
     reduce = field.reduce
     return tuple(reduce(sum(c * x for c, x in zip(coeffs, col))) for col in zip(*rows))
+
+
+def _integral(row: Sequence[Scalar]) -> list[int]:
+    """The row scaled by the lcm of its denominators: integers with the same span.
+
+    Over GF(p) the row is already ints, and comes back unchanged.
+    """
+    m = lcm(*[v.denominator for v in row])
+    return [v.numerator * (m // v.denominator) for v in row]
+
+
+def _int_reduce(field: Field):
+    """Reduces integer arithmetic on integer rows: mod p over GF(p); over Q an int is exact and kept."""
+    return field.reduce if field.characteristic else int
 
 
 def render_vector(field: Field, x: Vector) -> str:
@@ -521,9 +550,8 @@ class Subspace:
         self.field = field
         self.ambient = ambient
         self.rows = rows
-        self._pivots = tuple(
-            next(c for c, v in enumerate(row) if v) for row in rows
-        )
+        # from a list: tuple(generator) is sized 10, then cut down (see `_lifted_kernel`)
+        self._pivots = tuple([next(c for c, v in enumerate(row) if v) for row in rows])
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":

@@ -5,12 +5,14 @@ Over Q that is a `Fraction`; over GF(p) an int in [0, p).  The arithmetic in
 when it is falsy, and each entry is reduced once, not after every operation.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import build_corpus
+from conftest import build_corpus, random_basis
 
 from leibniz.core import (
+    algebra_in_basis,
     center,
     leibniz_kernel,
     left_center,
@@ -85,3 +87,18 @@ def test_bracket_reduces_unreduced_int_inputs(p):
         got = alg.bracket(raw_x, raw_y)
         assert got == alg.bracket(x, y), name
         assert_canonical(field, got, (name, "bracket of unreduced ints"))
+
+
+def test_rational_invariants_are_fractions_in_a_random_basis():
+    """The invariants reduce integer rows (the table times c, rows times their lcm); none may leak an int.
+
+    The standard basis is covered above; a random basis gives tables with denominators, so c > 1.
+    """
+    rng = random.Random(3)
+    for name, alg in build_corpus(QQ):
+        a = algebra_in_basis(alg, random_basis(QQ, alg.dim, rng))
+        for s in [*lower_central_series(a), *upper_central_series(a), center(a), leibniz_kernel(a)]:
+            assert_canonical(QQ, entries(s.rows), (name, "subspace"))
+        for kind in (derivation_space(a), right_derivation_space(a)):
+            for d in kind.basis:
+                assert_canonical(QQ, entries(d.data), (name, kind.kind))

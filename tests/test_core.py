@@ -80,6 +80,47 @@ def test_check_dim1_violation():
     assert violations[0].residual == (Fraction(1),)
 
 
+def _residuals_by_definition(tensor):
+    """The nonzero residuals [[a,b],c] - [a,[b,c]] + [b,[a,c]] on basis triples, in Fractions from the tensor."""
+    n = len(tensor)
+
+    def bracket(x, y):
+        return [sum(x[i] * y[j] * tensor[i][j][k] for i in range(n) for j in range(n)) for k in range(n)]
+
+    e = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    found = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = bracket(bracket(e[i], e[j]), e[k])
+        rhs = [a - b for a, b in zip(bracket(e[i], bracket(e[j], e[k])), bracket(e[j], bracket(e[i], e[k])))]
+        residual = tuple(a - b for a, b in zip(lhs, rhs))
+        if any(residual):
+            found.append(IdentityViolation((i + 1, j + 1, k + 1), residual))
+    return tuple(found)
+
+
+def test_a_fractional_table_reports_its_true_residuals():
+    """The check sums on the integer table c*T, where residuals are c^2 times the true ones."""
+    with pytest.raises(LeibnizIdentityError) as info:
+        LeibnizAlgebra.from_brackets(QQ, 1, {(0, 0): {0: Fraction(1, 2)}})
+    assert info.value.violations == (IdentityViolation((1, 1, 1), (Fraction(1, 4),)),)
+    # c = lcm(2, 3, 5) = 30 in two dimensions
+    brackets = {(0, 0): {1: Fraction(1, 2)}, (0, 1): {0: Fraction(1, 3)}, (1, 1): {0: Fraction(2, 5), 1: 1}}
+    tensor = [[[Fraction(brackets.get((i, j), {}).get(k, 0)) for k in range(2)] for j in range(2)] for i in range(2)]
+    expected = _residuals_by_definition(tensor)
+    assert expected and any(v.denominator > 1 for x in expected for v in x.residual)
+    with pytest.raises(LeibnizIdentityError) as info:
+        LeibnizAlgebra.from_brackets(QQ, 2, brackets)
+    assert info.value.violations == expected
+
+
+def test_a_fractional_table_brackets_and_pickles_exactly():
+    a = LeibnizAlgebra.from_brackets(QQ, 2, {(0, 0): {1: Fraction(1, 2)}})
+    assert a.bracket((3, 0), (1, 0)) == (Fraction(0), Fraction(3, 2))
+    assert all(type(v) is Fraction for v in a.bracket((0, 1), (1, 0)))
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and b.bracket((3, 0), (1, 0)) == a.bracket((3, 0), (1, 0))
+
+
 def _violation(indices, *residual):
     return IdentityViolation(indices, tuple(residual))
 
