@@ -179,7 +179,7 @@ class LeibnizAlgebra:
                 for k, w in nz_i[j]:
                     acc[k] += c * w
         unscale = self._unscale
-        return tuple(unscale(v) for v in acc)
+        return tuple([unscale(v) for v in acc])
 
     # -- identity check ----------------------------------------------------
 

@@ -202,19 +202,19 @@ def zero_vector(field: Field, n: int) -> Vector:
 
 
 def basis_vector(field: Field, n: int, i: int) -> Vector:
-    return tuple(field.one if j == i else field.zero for j in range(n))
+    return tuple([field.one if j == i else field.zero for j in range(n)])
 
 
 def vec_add(field: Field, x: Vector, y: Vector) -> Vector:
-    return tuple(field.reduce(a + b) for a, b in zip(x, y, strict=True))
+    return tuple([field.reduce(a + b) for a, b in zip(x, y, strict=True)])
 
 
 def vec_sub(field: Field, x: Vector, y: Vector) -> Vector:
-    return tuple(field.reduce(a - b) for a, b in zip(x, y, strict=True))
+    return tuple([field.reduce(a - b) for a, b in zip(x, y, strict=True)])
 
 
 def vec_scale(field: Field, c: Scalar, x: Vector) -> Vector:
-    return tuple(field.reduce(c * a) for a in x)
+    return tuple([field.reduce(c * a) for a in x])
 
 
 def linear_combination(field: Field, coeffs: Sequence[Scalar], rows: Sequence[Vector]) -> Vector:
@@ -224,7 +224,7 @@ def linear_combination(field: Field, coeffs: Sequence[Scalar], rows: Sequence[Ve
         return zero_vector(field, len(rows[0]))
     coeffs, rows = zip(*terms)
     reduce = field.reduce
-    return tuple(reduce(sum(c * x for c, x in zip(coeffs, col))) for col in zip(*rows))
+    return tuple([reduce(sum(c * x for c, x in zip(coeffs, col))) for col in zip(*rows)])
 
 
 def _integral(row: Sequence[Scalar]) -> list[int]:

@@ -56,6 +56,35 @@ def test_screen_matches_exact_check_off_word_boundaries(dim, start, stop):
     assert valid_tensor_ints(dim, start, stop) == _exact_valid(dim, start, stop)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_screen_triple_order_is_a_permutation_of_the_basis_triples(dim):
+    order = census_mod._triple_order(dim)
+    assert sorted(order) == list(itertools.product(range(dim), repeat=3))
+
+
+def test_screen_triple_order_dim3():
+    order = census_mod._triple_order(3)
+    assert order[:5] == ((2, 2, 2), (2, 1, 2), (1, 2, 2), (1, 1, 2), (2, 2, 1))
+    assert order[-1] == (0, 0, 0)
+
+
+def test_screen_stops_once_every_word_has_died(monkeypatch):
+    # in this window the last of the 64 words dies at the 7th of the 27 triples
+    start, stop = 1 << 23, (1 << 23) + 4096
+    evaluated = []
+    flatnonzero = np.flatnonzero
+
+    def counting_flatnonzero(a):
+        evaluated.append(a.shape[0])
+        return flatnonzero(a)
+
+    monkeypatch.setattr(census_mod.np, "flatnonzero", counting_flatnonzero)
+    assert valid_tensor_ints(3, start, stop) == []
+    monkeypatch.undo()
+    assert len(evaluated) == 7 and evaluated[0] == 64
+    assert _exact_valid(3, start, stop) == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_screen_matches_exact_check_on_random_windows(data):
@@ -182,6 +211,14 @@ def test_dim3_classes(census3):
     assert list(classes) == sorted(DIM3_CLASS_SIZES)
     assert all(members[0] == key and list(members) == sorted(members) for key, members in classes.items())
     assert sorted(v for members in classes.values() for v in members) == [r["tensor"] for r in census3.records]
+
+
+def test_dim3_classes_group_every_survivor_by_its_class_key(census3):
+    # census() looks keys up in one orbit per class; class_key computes each value's orbit afresh
+    grouped = {}
+    for r in census3.records:
+        grouped.setdefault(class_key(3, r["tensor"]), []).append(r["tensor"])
+    assert census3.classes == {key: tuple(grouped[key]) for key in sorted(grouped)}
 
 
 def test_small_dim_classes():
