@@ -107,7 +107,13 @@ def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     tensors have all failed are dropped from `words`, `bad` and the planes.
     Over all 2^27 tensors at d = 3 the live words go 2,097,152 -> 458,752 ->
     90,112 -> 49,664 -> 23,552 -> ... -> 657 after the last triple.
+
+    Raises ValueError unless 1 <= dim <= MAX_CENSUS_DIM and
+    0 <= start <= stop <= 2^(dim^3): a word past the last tensor would
+    alias a real one, as the planes read only the low dim^3 bits.
     """
+    if not 1 <= dim <= MAX_CENSUS_DIM or not 0 <= start <= stop <= 1 << dim**3:
+        raise ValueError(f"need 1 <= dim <= {MAX_CENSUS_DIM} and 0 <= start <= stop <= 2^(dim^3)")
     d = dim
     words = np.arange(start >> 6, (stop + 63) >> 6, dtype=np.uint64)
     t = np.empty((d**3, words.shape[0]), np.uint64)

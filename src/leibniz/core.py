@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Sequence
 
@@ -137,7 +138,8 @@ class LeibnizAlgebra:
 
         Built on first use, with `_unscale`, which maps an entry of a bracket
         taken on this table to the true bracket: `Field.reduce` where c = 1,
-        and a product with 1/c otherwise.
+        and ``Fraction(entry, c)`` otherwise.  Both take exact values only,
+        so a float entry is a TypeError, and both pickle.
         """
         if self._nonzero is None:
             t = self.tensor
@@ -150,7 +152,7 @@ class LeibnizAlgebra:
                 for plane in t
             )
             reduce = self.field.reduce
-            self._unscale = reduce if scale == 1 else Fraction(1, scale).__mul__
+            self._unscale = reduce if scale == 1 else partial(Fraction, denominator=scale)
         return self._nonzero
 
     def basis_bracket(self, i: int, j: int) -> Vector:
@@ -161,7 +163,7 @@ class LeibnizAlgebra:
 
         x and y are field values (see `linalg`) and are not coerced.  Ints
         work over either field, since only the result is reduced; an inexact
-        entry, a float say, is a TypeError from `Field.reduce`.
+        entry, a float say, is a TypeError from `_unscale`.
         """
         n = self.dim
         if len(x) != n or len(y) != n:

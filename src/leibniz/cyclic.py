@@ -5,10 +5,11 @@ generated by a.  Cyclicity has one decision, `is_cyclic_subalgebra`, on
 every field.  It tests the Leib(S) criterion first (dim S/Leib(S) = 1,
 and the left multiplication of S on Leib(S) nonderogatory), so a
 subalgebra that is not cyclic costs a few brackets and one small rank,
-never a search.  Only a cyclic S gets a generator chosen, by one rule:
-a0, the last canonical row of S outside Leib(S), when it generates S;
-otherwise the exhaustive scan's first hit over GF(p), and the first point
-of a small integer grid, which starts at a0, over Q.
+never a search.  Only a cyclic S gets a generator chosen, by one search
+on every field: the first generator on a small integer grid of elements
+a0 + i, i in Leib(S), that starts at a0, the last canonical row of S
+outside Leib(S).  `cyclic_generator_by_scan`, the exhaustive search over
+GF(p), is the tests' oracle; the library does not call it.
 """
 
 from __future__ import annotations
@@ -201,9 +202,9 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
 
     Scans the nonzero elements of S in the order of `nonzero_elements`
     (coefficient tuples against the canonical basis, lexicographic) and
-    returns the first generator found.  `is_cyclic_subalgebra` calls it
-    for a cyclic S that a0 does not generate; the tests use it as the
-    oracle for the rest.
+    returns the first generator found.  Nothing in the library calls it;
+    the tests use it as the oracle for the verdict of
+    `is_cyclic_subalgebra`, whose grid search may pick another generator.
     """
     if algebra.field.characteristic == 0:
         raise ValueError("exhaustive scan needs a finite field")
@@ -249,19 +250,19 @@ def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace) -> tuple[Vector, Subsp
     return a0, leib
 
 
-def _grid(m: int):
-    """{0..m}^m ordered by the sum of the entries, then lexicographically."""
+def _grid(m: int, top: int):
+    """{0..top}^m ordered by the sum of the entries, then lexicographically."""
 
     def with_sum(length: int, total: int):
         if length == 0:
             if total == 0:
                 yield ()
             return
-        for first in range(max(0, total - m * (length - 1)), min(m, total) + 1):
+        for first in range(max(0, total - top * (length - 1)), min(top, total) + 1):
             for rest in with_sum(length - 1, total - first):
                 yield (first, *rest)
 
-    for total in range(m * m + 1):
+    for total in range(m * top + 1):
         yield from with_sum(m, total)
 
 
@@ -301,19 +302,18 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     divides by 2, so the criterion holds over Q and over every GF(p).  Any
     a0 outside Leib(S) gives the same verdict: a0 -> c a0 + j scales T by c.
 
-    The generator is chosen only for a cyclic S, by one rule:
-    - Over GF(p): a0 when its chain spans S, else the first hit of
-      `cyclic_generator_by_scan`.  Both give the scan's first hit.  Every
-      canonical row after a0 lies in Leib(S), so every element the scan
-      visits before a0 does too; as [Leib(S), S] = 0 such an element
-      generates only a line inside Leib(S), never S.
-    - Over Q: the first a = a0 + sum_k c_k b_k, b_k the RREF rows of
-      Leib(S), whose chain spans S, with c running over {0..m}^m,
-      m = dim Leib(S), by sum(c) and then lexicographically; the first
-      point, c = 0, is a0.  The Krylov determinant of
-      [a, a] = w0 + T(sum_k c_k b_k) is a polynomial of degree <= m in
-      each c_k, and nonzero when S is cyclic, so a grid with m + 1 values
-      per coordinate holds a point where it does not vanish.
+    The generator is chosen only for a cyclic S, by one search on every
+    field: the first a = a0 + sum_k c_k b_k, b_k the RREF rows of Leib(S),
+    whose chain spans S, with c running over {0..top}^m, m = dim Leib(S),
+    by sum(c) and then lexicographically; top = m over Q and
+    min(m, p - 1) over GF(p), and the first point, c = 0, is a0.  Every
+    generator is a nonzero multiple of some a0 + i with i in Leib(S), so
+    the search cannot miss:
+    - when p - 1 < m the grid is all of GF(p)^m;
+    - otherwise the Krylov determinant of [a, a] = w0 + T(sum_k c_k b_k)
+      is a polynomial of degree <= m in each c_k, nonzero when S is
+      cyclic, and a grid with m + 1 distinct values per coordinate holds a
+      point where it does not vanish.
     A nilpotent cyclic S is always generated by a0: [S, S] = Leib(S) lies
     in every maximal subalgebra, so every element outside it generates S.
     """
@@ -323,11 +323,10 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     if decided is None:
         return None
     a0, leib = decided
-    if algebra.field.characteristic:
-        generator = a0 if generated_subalgebra(algebra, a0).span == s else cyclic_generator_by_scan(algebra, s)
-    else:
-        candidates = (linear_combination(algebra.field, (1, *c), (a0, *leib.rows)) for c in _grid(leib.dim))
-        generator = next((a for a in candidates if generated_subalgebra(algebra, a).span == s), None)
+    field, m = algebra.field, leib.dim
+    top = min(m, field.characteristic - 1) if field.characteristic else m
+    candidates = (linear_combination(field, (1, *c), (a0, *leib.rows)) for c in _grid(m, top))
+    generator = next((a for a in candidates if generated_subalgebra(algebra, a).span == s), None)
     if generator is None:
         raise AssertionError("S passed the Leib(S) criterion, but no element generates it")
     return generator

@@ -26,8 +26,9 @@ Over the rationals no enumeration is possible; the restricted report walks
 the finitely many coordinate-aligned hyperplanes containing [L, L] (every
 codimension-1 ideal contains [L, L], and any subspace containing it is an
 ideal).  Both paths decide cyclicity with `is_cyclic_subalgebra`, whose
-Leib(S) criterion decides every subalgebra on every field; only a cyclic
-subalgebra that a0 does not generate goes on to a search.
+Leib(S) criterion decides every subalgebra on every field; a cyclic
+subalgebra then gets its generator from the same grid search, which
+starts at a0, on both fields.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ def enumerate_subspaces(ambient: int, p: int):
     every yielded basis is already in RREF.  Raises ValueError for p < 2, a
     negative ambient, or more (subspace, element) pairs, sum_k [ambient k]_p
     p^k, than GF(5)^5 has.  `subalgebra_lattice` applies the same limit: it
-    bounds the candidates its filter visits, one per subspace, and the
-    elements a generator scan can visit in the subalgebras that survive.
+    bounds the candidates its filter visits, one per subspace, and the grid
+    points a generator search can visit, fewer than p^k in a subalgebra of
+    dimension k.
     """
     _check_enumerable(ambient, p)
     field = GF(p)

@@ -15,11 +15,11 @@ RREF rows keyed by pivot column.  `rank`, `Subspace._span`,
 (behind `Matrix.kernel` and the derivation spaces) reads the null vectors
 off it.
 
-Kernels over Q are computed modulo the prime P = 2^61 - 1, by the same
-`_echelon` on integer residues, and lifted back by rational
-reconstruction (`_lifted_kernel`).  The lift is kept only after an exact
-check that A x = 0 for every lifted row x, and then it is exactly the
-canonical basis:
+Kernels over Q are computed from integer rows modulo the prime
+P = 2^61 - 1, by the same `_echelon` on their residues, and lifted back
+by rational reconstruction (`_lifted_kernel`).  The lift is kept only
+after an exact check that A x = 0 for every lifted row x, and then it is
+exactly the canonical basis:
 
 - rank_P(A) <= rank_Q(A), so dim ker_Q(A) <= k, the dimension mod P;
 - the k lifted rows keep the RREF shape (each pivot entry lifts to 1 and
@@ -27,9 +27,8 @@ canonical basis:
 - having passed the check they lie in ker_Q(A), so they span it, and
   being in RREF they are its canonical basis.
 
-Where a denominator of A is divisible by P, an entry has no lift, or the
-check fails (the rank drops mod P, or a lift is wrong), the exact
-elimination over Q runs instead.
+Where an entry has no lift or the check fails (the rank drops mod P, or
+a lift is wrong), the exact elimination over Q runs instead.
 
 Scalars are coerced once, where they enter from outside the library:
 `Field.of` runs in the public constructors (`Matrix(...)`,
@@ -60,9 +59,10 @@ system, by a nonzero constant changes no span and no kernel; and the
 Leibniz identity residual, quadratic in the table, comes out c^2 times the
 true one, which `core` divides back out before it reports it.  Integer
 arithmetic on such rows is reduced by `_int_reduce`: mod p over GF(p), and
-not at all over Q, where an int is exact.  `_kernel` (and so
-`_lifted_kernel`) takes the int rows as they are, since an int has
-``numerator`` and ``denominator``; the nonzero entries of a row given to
+not at all over Q, where an int is exact.  Every kernel takes rows in
+this one format: `Matrix.kernel` scales its rows by `_integral` too, so
+`_lifted_kernel` reduces each entry mod P as it is and checks A x = 0
+with no denominator of A to clear.  The nonzero entries of a row given to
 `Subspace._span` are made field values first, so that no int reaches a
 `Subspace` over Q.
 
@@ -340,30 +340,16 @@ def _lift(u: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _lifted_kernel(ncols: int, rows: list[dict[int, Fraction]]) -> list[Vector] | None:
-    """The canonical kernel basis over Q, computed modulo P; None where that fails.
+def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | None:
+    """The canonical kernel basis over Q of integer rows, computed modulo P; None where that fails.
 
-    The rows are mapped to GF(P), the kernel's RREF rows are computed there
+    The rows are reduced mod P, the kernel's RREF rows are computed there
     by `_kernel_echelon`, and each entry is lifted by `_lift`.  The result
     is returned only if every lifted row x passes A x = 0, checked in
-    integers after clearing the denominators of each row of A and of x;
-    the module docstring shows why it is then exact.  The rows are not
-    written to.
+    integers after clearing the denominators of x; the module docstring
+    shows why it is then exact.  The rows are not written to.
     """
-    inverses: dict[int, int] = {1: 1}
-    residues = []
-    for row in rows:
-        out = {}
-        for c, v in row.items():
-            d = v.denominator
-            if d not in inverses:
-                if d % _P == 0:
-                    return None
-                inverses[d] = pow(d, -1, _P)
-            r = v.numerator * inverses[d] % _P
-            if r:
-                out[c] = r
-        residues.append(out)
+    residues = [{c: r for c, v in row.items() if (r := v % _P)} for row in rows]
     lifts = {1: Fraction(1)}
     basis = {}
     for pc, row in _kernel_echelon(_RESIDUES, ncols, residues).items():
@@ -376,7 +362,7 @@ def _lifted_kernel(ncols: int, rows: list[dict[int, Fraction]]) -> list[Vector] 
             lifted[c] = lifts[u]
     # cols[c] holds entry c of each lifted row X_j, denominators cleared, so
     # that a row a of A gives every a . X_j at once from the columns it
-    # touches.  The `lcm` arguments are lists, not generators: CPython 3.11
+    # touches.  The `lcm` argument is a list, not a generator: CPython 3.11
     # builds the argument tuple of f(*generator) at one length and frees it
     # at another, so the tuple free list of each length fills up to 2,000
     # tuples (0.8 MB of peak RSS on the `profile-q` benchmark).
@@ -387,21 +373,21 @@ def _lifted_kernel(ncols: int, rows: list[dict[int, Fraction]]) -> list[Vector] 
         for c, v in x.items():
             cols[c][j] = v.numerator * (m // v.denominator)
     for row in rows:
-        m = lcm(*[v.denominator for v in row.values()])
         dots = zeros
-        for c, v in row.items():
-            a = v.numerator * (m // v.denominator)
+        for c, a in row.items():
             dots = list(map(add, dots, map(a.__mul__, cols[c])))
         if any(dots):
             return None
     return _dense(QQ, ncols, basis)
 
 
-def _kernel(field: Field, ncols: int, rows: list[dict[int, Scalar]]) -> Subspace:
+def _kernel(field: Field, ncols: int, rows: list[dict[int, int]]) -> Subspace:
     """{x : r . x = 0 for every row r} as a canonical subspace; rows are ``{column: nonzero value}``, consumed.
 
-    Over Q the kernel is computed modulo P and lifted (`_lifted_kernel`);
-    the exact elimination runs only where that fails.
+    The values are ints: field values over GF(p), and over Q integer rows,
+    scaled by `_integral` or taken from the integer table.  Over Q the
+    kernel is computed modulo P and lifted (`_lifted_kernel`); the exact
+    elimination runs only where that fails.
     """
     basis = _lifted_kernel(ncols, rows) if field.characteristic == 0 else None
     if basis is None:
@@ -509,7 +495,7 @@ class Matrix:
 
     def kernel(self) -> "Subspace":
         """Right null space {x : A x = 0} as a canonical subspace."""
-        return _kernel(self.field, self.ncols, _sparse(self.data))
+        return _kernel(self.field, self.ncols, _sparse(map(_integral, self.data)))
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:

@@ -56,6 +56,16 @@ def test_screen_matches_exact_check_off_word_boundaries(dim, start, stop):
     assert valid_tensor_ints(dim, start, stop) == _exact_valid(dim, start, stop)
 
 
+# past the last tensor, where a word would alias a real one; a negative
+# start; a dimension outside 1..3; an inverted window
+@pytest.mark.parametrize(
+    "dim, start, stop", [(3, 0, (1 << 27) + 1), (3, 0, 1 << 28), (3, -64, 10), (0, 0, 1), (4, 0, 1), (2, 10, 5)]
+)
+def test_screen_rejects_windows_outside_the_tensors(dim, start, stop):
+    with pytest.raises(ValueError):
+        valid_tensor_ints(dim, start, stop)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_screen_triple_order_is_a_permutation_of_the_basis_triples(dim):
     order = census_mod._triple_order(dim)

@@ -119,6 +119,10 @@ def test_a_fractional_table_brackets_and_pickles_exactly():
     assert all(type(v) is Fraction for v in a.bracket((0, 1), (1, 0)))
     b = pickle.loads(pickle.dumps(a))
     assert b == a and b.bracket((3, 0), (1, 0)) == a.bracket((3, 0), (1, 0))
+    # dividing by c = 2 must not let a float through as an inexact entry
+    for algebra in (a, b):
+        with pytest.raises(TypeError):
+            algebra.bracket((0.1, 0), (1, 0))
 
 
 def _violation(indices, *residual):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -185,12 +186,16 @@ def test_full_spaces_of_b_and_c_are_not_cyclic_over_q():
 
 # [a, -] on V for one-generator tables of dimension 3: the identity is
 # derogatory, the others are not (a Jordan block of eigenvalue 1, a nilpotent
-# one, and diag(0, 1))
+# one, and diag(0, 1)).  In the last two, over GF(3) and GF(5) respectively,
+# a0 and a0 + b2 fail while a0 + b1 and a0 + 2 b2 generate, so the generator
+# depends on the order of the grid
 _TABLES_3 = [
     ([[1, 0], [0, 1]], [1, 0]),
     ([[1, 1], [0, 1]], [0, 0]),
     ([[0, 1], [0, 0]], [0, 1]),
     ([[0, 0], [0, 1]], [1, 0]),
+    ([[0, 1], [1, 0]], [1, 2]),
+    ([[0, 2], [1, 1]], [1, 2]),
 ]
 
 
@@ -203,17 +208,35 @@ def _one_generator_table(field, t, w0):
     return LeibnizAlgebra.from_brackets(field, m + 1, brackets)
 
 
+def _first_grid_generator(algebra, s, a0, leib):
+    """The first a0 + sum_k c_k b_k whose chain spans S, b_k the rows of Leib(S).
+
+    c runs over {0..top}^m, m = dim Leib(S) and top = min(m, p - 1), by the
+    sum of its entries and then lexicographically.
+    """
+    m = leib.dim
+    top = min(m, algebra.field.characteristic - 1)
+    for c in sorted(itertools.product(range(top + 1), repeat=m), key=lambda c: (sum(c), c)):
+        a = linear_combination(algebra.field, (1, *c), (a0, *leib.rows))
+        if generated_subalgebra(algebra, a).span == s:
+            return a
+    return None
+
+
 def test_criterion_agrees_with_scan_on_small_cases():
-    # over GF(p) the exhaustive scan is the oracle, generator for generator,
-    # on every nonzero subalgebra of the corpus (GF(5): up to dimension 3) and
-    # of four one-generator tables, each in the standard basis and in a
-    # random one.  In a random basis several canonical rows of S can lie
-    # outside [S, S], and the generator must be the last of them.  GF(2) is
-    # where [x_i, x_i] counted twice would vanish from Leib(S); the tables
-    # are where (a) holds and only (b) can fail.  On every field some cyclic
-    # S is generated by a0 and some is not, so both ways to the scan's first
-    # hit are taken.
+    # over GF(p) the exhaustive scan is the oracle for the verdict, and the
+    # first grid point that generates S for the generator, on every nonzero
+    # subalgebra of the corpus (GF(5): up to dimension 3) and of six
+    # one-generator tables, each in the standard basis and in a random one.
+    # In a random basis several canonical rows of S can lie outside [S, S],
+    # and a0 must be the last of them.  GF(2) is where [x_i, x_i] counted
+    # twice would vanish from Leib(S); the tables are where (a) holds and
+    # only (b) can fail.  On every field some cyclic S is generated by a0
+    # and some is not, so the search goes past its first point; over GF(2)
+    # or GF(3) some S that a0 does not generate has m = dim Leib(S) > p - 1,
+    # where the grid is all of GF(p)^m.
     rng = random.Random(10)
+    wide_a0_fails = 0
     for p, max_dim in ((2, 5), (3, 5), (5, 3)):
         field = GF(p)
         a0_generates = {True: 0, False: 0}
@@ -228,16 +251,22 @@ def test_criterion_agrees_with_scan_on_small_cases():
                         continue
                     expected = cyclic_generator_by_scan(algebra, s)
                     decided = _leib_criterion(algebra, s)
+                    gen = is_cyclic_subalgebra(algebra, s)
                     assert (decided is not None) == (expected is not None), (name, s)
-                    assert is_cyclic_subalgebra(algebra, s) == expected, (name, s)
+                    assert (gen is not None) == (expected is not None), (name, s)
                     if decided is not None:
                         # Leib(S) = F w0 + T(Leib(S)): w0 lies outside
                         # T(Leib(S)) when T is singular, with no test for it
                         a0, leib = decided
                         images = [algebra.bracket(a0, w) for w in (a0, *leib.rows)]
                         assert Subspace._span(field, algebra.dim, images) == leib, (name, s)
-                        a0_generates[generated_subalgebra(algebra, a0).span == s] += 1
+                        assert gen == _first_grid_generator(algebra, s, a0, leib), (name, s)
+                        generates = generated_subalgebra(algebra, a0).span == s
+                        a0_generates[generates] += 1
+                        if leib.dim > p - 1 and not generates:
+                            wide_a0_fails += 1
         assert a0_generates[True] and a0_generates[False], (p, a0_generates)
+    assert wide_a0_fails
     # over Q, in a random basis up to dimension 4: a generator whose chain
     # spans S, with no later canonical row outside [S, S] when S is
     # nilpotent, or None, and then no random point generates S either

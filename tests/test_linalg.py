@@ -14,6 +14,7 @@ from leibniz.linalg import (
     Field,
     Matrix,
     Subspace,
+    _integral,
     _lift,
     _lifted_kernel,
     _P,
@@ -398,7 +399,7 @@ def test_rational_kernel_matches_sympy(data):
 @pytest.mark.parametrize(
     "rows",
     [
-        [[Fraction(1, _P), 1]],  # P divides a denominator: no image mod P
+        [[Fraction(1, _P), 1]],  # P divides a denominator: the integer row (1, P) is (1, 0) mod P
         [[2**40, 1]],  # the kernel entry -2^40 is past the lift bound
         [[_P, 1], [0, 1]],  # rank 2 over Q, rank 1 mod P
     ],
@@ -406,7 +407,7 @@ def test_rational_kernel_matches_sympy(data):
 )
 def test_rational_kernel_falls_back_to_exact_elimination(rows):
     rows = [[Fraction(v) for v in row] for row in rows]
-    assert _lifted_kernel(len(rows[0]), _sparse(rows)) is None
+    assert _lifted_kernel(len(rows[0]), _sparse(map(_integral, rows))) is None
     assert list(Matrix(QQ, rows).kernel().rows) == _sympy_kernel(rows, len(rows[0]))
 
 

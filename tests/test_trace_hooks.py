@@ -36,16 +36,22 @@ def test_traced_calls_are_counted():
     # [e1, e1] = e2, [e1, e2] = e2 and [e1, e3] = 2 e3 over GF(3): the table
     # of a = e1 with T = diag(1, 2) and w0 = e2 on span(e2, e3).  The full
     # space (a0 = e1) and span(e1 - e2, e3) (a0 = e1 - e2) are cyclic, and
-    # neither is generated by its a0, so exactly these two go to the
-    # generator scan.  The lattice filters RREF rows without calling
+    # neither is generated by its a0; both get a generator from the grid
+    # search, and the exhaustive scan, which only the tests call, is not
+    # called.  The lattice filters RREF rows without calling
     # `enumerate_subspaces`, so the enumeration hook is counted on a direct
     # call
-    algebra = core.LeibnizAlgebra.from_brackets(
-        linalg.GF(3), 3, {(0, 0): {1: 1}, (0, 1): {1: 1}, (0, 2): {2: 2}}
-    )
+    field = linalg.GF(3)
+    algebra = core.LeibnizAlgebra.from_brackets(field, 3, {(0, 0): {1: 1}, (0, 1): {1: 1}, (0, 2): {2: 2}})
     with tracer.Tracer().install() as t:
-        lattice.subalgebra_lattice(algebra)
+        lat = lattice.subalgebra_lattice(algebra)
         assert sum(1 for _ in lattice.enumerate_subspaces(2, 2)) == 5
+    generated = {e.subspace: e.generator for e in lat.entries}
+    full = linalg.Subspace.full(field, 3)
+    plane = linalg.Subspace.from_vectors(field, 3, [(1, -1, 0), (0, 0, 1)])
+    for s, a0 in ((full, (1, 0, 0)), (plane, (1, 2, 0))):
+        gen = generated[s]
+        assert gen is not None and gen != a0 and cyclic.generated_subalgebra(algebra, gen).span == s
     assert t.calls("lattice.subalgebra_lattice") == 1
-    assert t.calls("cyclic.scan") == 2
+    assert t.calls("cyclic.scan") == 0
     assert t.counters["lattice.enumerate.items"] == 5
