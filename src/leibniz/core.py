@@ -11,11 +11,15 @@ basis triples.  The constructor runs that check and raises
 `LeibnizIdentityError` when it finds a violation, so every `LeibnizAlgebra`
 value satisfies the identity and no function taking one checks it again.
 
-The bracket, the identity check, the product spaces, the centralisers and
-the derivation rows all read one integer table, c·T (`LeibnizAlgebra._nz`).
-Over Q, c is the lcm of the denominators of T; over GF(p), c = 1 and the
-table is T.  Everything but the bracket itself uses the integer table as it
-is, and stays exact:
+The constructor builds the tensor, the integer table c·T and the map back
+from it in one pass, with c the lcm of the denominators of T (c = 1 over
+GF(p), where the table is T).  A caller's table is coerced with `Field.of`
+and checked; a table the library derives by exact arithmetic from a valid
+algebra (`restrict_to_subalgebra`, `algebra_in_basis`) is canonical
+already, and is taken as it is.  The bracket, the identity check, the
+product spaces, the centralisers and the derivation rows all read the
+integer table.  Everything but the bracket itself uses it as it is, and
+stays exact:
 
 - c[x, y] is the bracket of an isomorphic algebra, under x -> x/c, so every
   subspace an invariant is built from (product spaces, centres, both
@@ -35,7 +39,7 @@ from functools import partial
 from math import lcm
 from typing import Sequence
 
-from .linalg import Field, Matrix, Scalar, Subspace, Vector, _int_reduce, _integral, _kernel, linear_combination, vec_add
+from .linalg import Field, Matrix, Scalar, Subspace, Vector, _integral, _kernel, linear_combination, vec_add
 
 
 @dataclass(frozen=True)
@@ -64,38 +68,41 @@ class LeibnizAlgebra:
     """Finite-dimensional Leibniz algebra given by its structure tensor.
 
     Raises `LeibnizIdentityError` for a tensor that violates the identity.
-    `_assume_checked` skips the check, for tables derived by exact
-    arithmetic from an algebra that passed it.
+    `_derived` takes the tensor as it is, with no coercion, shape check or
+    identity check: it is for nested tuples of canonical field values that
+    exact arithmetic derived from an algebra that passed the check.
     """
 
-    __slots__ = ("field", "dim", "tensor", "_violations", "_nonzero", "_unscale")
+    __slots__ = ("field", "dim", "tensor", "_table", "_unscale", "_violations")
 
     def __init__(
         self,
         field: Field,
         tensor: Sequence[Sequence[Sequence[Scalar]]],
         *,
-        _assume_checked: bool = False,
+        _derived: bool = False,
     ):
         n = len(tensor)
         if n == 0:
             raise ValueError("algebra dimension must be positive")
+        if not _derived:
+            if any(len(plane) != n or any(len(vec) != n for vec in plane) for plane in tensor):
+                raise ValueError("structure tensor is not n x n x n")
+            tensor = [tuple([tuple([field.of(v) for v in vec]) for vec in plane]) for plane in tensor]
         self.field = field
         self.dim = n
-        rows = []
-        for plane in tensor:
-            if len(plane) != n:
-                raise ValueError("structure tensor is not n x n x n")
-            row = []
-            for vec in plane:
-                if len(vec) != n:
-                    raise ValueError("structure tensor is not n x n x n")
-                row.append(tuple(field.of(v) for v in vec))
-            rows.append(tuple(row))
-        self.tensor: tuple[tuple[Vector, ...], ...] = tuple(rows)
-        self._nonzero: tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...] | None = None
-        self._violations: tuple[IdentityViolation, ...] | None = () if _assume_checked else None
-        if not _assume_checked and self.check_left_leibniz():
+        self.tensor: tuple[tuple[Vector, ...], ...] = tuple(tensor)
+        # the integer table as its nonzero entries: _table[i][j] holds
+        # (k, c·T[i][j][k]); `_unscale` maps an entry of a bracket taken on it
+        # to the true bracket, takes exact values only, and pickles
+        scale = lcm(*[v.denominator for plane in self.tensor for vec in plane for v in vec])
+        self._table = tuple([
+            tuple([tuple([(k, v.numerator * (scale // v.denominator)) for k, v in enumerate(vec) if v]) for vec in plane])
+            for plane in self.tensor
+        ])
+        self._unscale = field.reduce if scale == 1 else partial(Fraction, denominator=scale)
+        self._violations: tuple[IdentityViolation, ...] | None = () if _derived else None
+        if not _derived and self.check_left_leibniz():
             raise LeibnizIdentityError(self._violations)
 
     @classmethod
@@ -133,28 +140,6 @@ class LeibnizAlgebra:
 
     # -- bracket ---------------------------------------------------------
 
-    def _nz(self):
-        """The integer table c·T as its nonzero entries: ``nz[i][j]`` holds (k, c·T[i][j][k]).
-
-        Built on first use, with `_unscale`, which maps an entry of a bracket
-        taken on this table to the true bracket: `Field.reduce` where c = 1,
-        and ``Fraction(entry, c)`` otherwise.  Both take exact values only,
-        so a float entry is a TypeError, and both pickle.
-        """
-        if self._nonzero is None:
-            t = self.tensor
-            scale = 1 if self.field.characteristic else lcm(*[v.denominator for plane in t for vec in plane for v in vec])
-            self._nonzero = tuple(
-                tuple(
-                    tuple((k, v.numerator * (scale // v.denominator)) for k, v in enumerate(vec) if v)
-                    for vec in plane
-                )
-                for plane in t
-            )
-            reduce = self.field.reduce
-            self._unscale = reduce if scale == 1 else partial(Fraction, denominator=scale)
-        return self._nonzero
-
     def basis_bracket(self, i: int, j: int) -> Vector:
         return self.tensor[i][j]
 
@@ -169,7 +154,7 @@ class LeibnizAlgebra:
         if len(x) != n or len(y) != n:
             raise ValueError("vector length differs from the algebra dimension")
         acc = [0] * n
-        nz = self._nz()
+        nz = self._table
         for i, xi in enumerate(x):
             if not xi:
                 continue
@@ -196,8 +181,7 @@ class LeibnizAlgebra:
         if self._violations is not None:
             return self._violations
         n = self.dim
-        nz = self._nz()
-        trim = _int_reduce(self.field)
+        nz = self._table
         unscale = self._unscale
         violations = []
         for i in range(n):
@@ -214,9 +198,9 @@ class LeibnizAlgebra:
                     for m, c in nz[i][k]:
                         for l, w in nz[j][m]:
                             acc[l] += c * w
-                    if any(acc) and any(map(trim, acc)):  # exact over Q; mod p over GF(p)
+                    if any(acc) and any(map(unscale, acc)):  # exact over Q; mod p over GF(p)
                         # quadratic in the table: unscaled twice, by c^2
-                        residual = tuple(unscale(unscale(v)) for v in acc)
+                        residual = tuple([unscale(unscale(v)) for v in acc])
                         violations.append(IdentityViolation((i + 1, j + 1, k + 1), residual))
         self._violations = tuple(violations)
         return self._violations
@@ -228,15 +212,23 @@ def full_space(algebra: LeibnizAlgebra) -> Subspace:
     return Subspace.full(algebra.field, algebra.dim)
 
 
+def _check_inside(algebra: LeibnizAlgebra, *spaces: Subspace) -> None:
+    """Raises ValueError unless every subspace lies in the algebra's own field and space."""
+    if any(s.field != algebra.field or s.ambient != algebra.dim for s in spaces):
+        raise ValueError("subspace lives outside the algebra")
+
+
 def product_subspace(algebra: LeibnizAlgebra, s: Subspace, t: Subspace) -> Subspace:
     """span{[x, y] : x in basis(S), y in basis(T)}; bilinearity makes this the full product span.
 
     The rows are scaled to integers and bracketed on the integer table,
     which changes no span; only the nonzero entries of the products are
-    made field values.
+    made field values.  Raises ValueError when S or T lives outside the
+    algebra.
     """
+    _check_inside(algebra, s, t)
     n = algebra.dim
-    nz = algebra._nz()
+    nz = algebra._table
     reduce = algebra.field.reduce
     xs = [[(i, xi) for i, xi in enumerate(_integral(x)) if xi] for x in s.rows]
     ys = [[(j, yj) for j, yj in enumerate(_integral(y)) if yj] for y in t.rows]
@@ -256,8 +248,7 @@ def product_subspace(algebra: LeibnizAlgebra, s: Subspace, t: Subspace) -> Subsp
 
 def _brackets_in(algebra: LeibnizAlgebra, s: Subspace, xs: Sequence[Vector], ys: Sequence[Vector]) -> bool:
     """Whether [x, y] lies in S for every x in xs and y in ys; by bilinearity basis rows suffice."""
-    if s.field != algebra.field or s.ambient != algebra.dim:
-        raise ValueError("subspace lives outside the algebra")
+    _check_inside(algebra, s)
     return s._contains_all(algebra.bracket(x, y) for x in xs for y in ys)
 
 
@@ -315,8 +306,7 @@ def _centraliser(
     """
     n = algebra.dim
     field = algebra.field
-    nz = algebra._nz()
-    trim = _int_reduce(field)
+    nz = algebra._table
     zint = [] if z is None else [(pc, _integral(row)) for pc, row in zip(z.pivot_columns(), z.rows)]
     scale = lcm(*[row[pc] for pc, row in zint])
 
@@ -337,7 +327,7 @@ def _centraliser(
             rows.extend(zip(*[residual(nz[i][j]) for i in range(n)]))
         if right:
             rows.extend(zip(*[residual(nz[j][i]) for i in range(n)]))
-    return _kernel(field, n, [{c: r for c, v in enumerate(row) if v and (r := trim(v))} for row in rows])
+    return _kernel(field, n, [{c: v for c, v in enumerate(row) if v} for row in rows])
 
 
 def left_center(algebra: LeibnizAlgebra) -> Subspace:
@@ -409,11 +399,11 @@ def restrict_to_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> LeibnizAlgeb
         for y in s.rows:
             w = algebra.bracket(x, y)
             # w lies in S, whose basis is RREF: coordinates are the pivot entries
-            plane.append([w[p] for p in pivots])
-        tensor.append(plane)
+            plane.append(tuple([w[p] for p in pivots]))
+        tensor.append(tuple(plane))
     if not tensor:
         raise ValueError("cannot restrict to the zero subspace")
-    return LeibnizAlgebra(algebra.field, tensor, _assume_checked=True)
+    return LeibnizAlgebra(algebra.field, tensor, _derived=True)
 
 
 def algebra_in_basis(algebra: LeibnizAlgebra, rows: Sequence[Vector]) -> LeibnizAlgebra:
@@ -425,10 +415,10 @@ def algebra_in_basis(algebra: LeibnizAlgebra, rows: Sequence[Vector]) -> Leibniz
     inverse = p.inverse().data
     # new coordinates of w are (P^T)^-1 w = sum_i w_i * (row i of P^-1)
     tensor = [
-        [linear_combination(algebra.field, algebra.bracket(x, y), inverse) for y in p.data]
+        tuple([linear_combination(algebra.field, algebra.bracket(x, y), inverse) for y in p.data])
         for x in p.data
     ]
-    return LeibnizAlgebra(algebra.field, tensor, _assume_checked=True)
+    return LeibnizAlgebra(algebra.field, tensor, _derived=True)
 
 
 # -- the aggregated invariant profile --------------------------------------
@@ -481,8 +471,8 @@ def invariant_profile(algebra: LeibnizAlgebra) -> AlgebraReport:
         left_center_dim=left_center(algebra).dim,
         right_center_dim=right_center(algebra).dim,
         center_dim=upper[0].dim,  # z_1, the first term, is the centre
-        lower_central_series_dims=tuple(s.dim for s in lower),
-        upper_central_series_dims=tuple(s.dim for s in upper),
+        lower_central_series_dims=tuple([s.dim for s in lower]),
+        upper_central_series_dims=tuple([s.dim for s in upper]),
         nilpotency_class=_class_of(lower),
         is_lie=leib.dim == 0,
         derivation_dim=derivations.derivation_space(algebra).dim,

@@ -19,8 +19,10 @@ from typing import Sequence
 
 from .core import (
     LeibnizAlgebra,
+    _check_inside,
     _squares_span,
     is_subalgebra,
+    leibniz_kernel,
     lower_central_series,
     product_subspace,
     restrict_to_subalgebra,
@@ -165,8 +167,6 @@ def proposition_check(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Propositi
     if probe.span.dim == 0:
         results["v"] = results["vi"] = True
     else:
-        from .core import leibniz_kernel
-
         restricted = restrict_to_subalgebra(algebra, probe.span)
 
         def lift(sub: Subspace) -> Subspace:
@@ -269,12 +269,12 @@ def _grid(m: int, top: int):
 def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     """A generator of S when S is cyclic; None when it is not or when S = 0.
 
-    Raises ValueError when S is not closed under the bracket.  The decision
-    is one criterion on every field.  Write Leib(S) = span{[x, x] : x in S};
-    polarization spans it by the [x_i, x_i] and the [x_i, x_j] + [x_j, x_i],
-    i < j, over the rows x_i of S.  Take a0 the last canonical row of S
-    outside Leib(S), T = [a0, -] on Leib(S) and w0 = [a0, a0].  Then S is
-    cyclic iff
+    Raises ValueError when S lives outside the algebra or is not closed
+    under the bracket.  The decision is one criterion on every field.
+    Write Leib(S) = span{[x, x] : x in S}; polarization spans it by the
+    [x_i, x_i] and the [x_i, x_j] + [x_j, x_i], i < j, over the rows x_i
+    of S.  Take a0 the last canonical row of S outside Leib(S),
+    T = [a0, -] on Leib(S) and w0 = [a0, a0].  Then S is cyclic iff
       (a) dim S/Leib(S) = 1, and
       (b) T is nonderogatory: its minimal polynomial has degree
           m = dim Leib(S), that is I, T, ..., T^(m-1) are linearly
@@ -317,6 +317,7 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     A nilpotent cyclic S is always generated by a0: [S, S] = Leib(S) lies
     in every maximal subalgebra, so every element outside it generates S.
     """
+    _check_inside(algebra, s)
     if s.dim == 0:
         return None
     decided = _leib_criterion(algebra, s)

@@ -23,7 +23,7 @@ from .core import (
     upper_central_series,
 )
 from .cyclic import is_canonical_cyclic
-from .linalg import Matrix, Scalar, Subspace, _int_reduce, _kernel, basis_vector, vec_add, vec_sub
+from .linalg import Matrix, Scalar, Subspace, _kernel, basis_vector, vec_add, vec_sub
 
 
 def left_mult_matrix(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Matrix:
@@ -58,8 +58,7 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scala
     table c·T: c times the true rows, in integers, with the same kernel.
     """
     n = algebra.dim
-    trim = _int_reduce(algebra.field)
-    nz = algebra._nz()
+    nz = algebra._table
     neg = [[[(l, -c) for l, c in cell] for cell in plane] for plane in nz]
     rows = []
     for i in range(n):
@@ -80,7 +79,7 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scala
                         row = acc[l]
                         row[k] = row[k] + c if k in row else c
             for entries in acc:
-                row = {k: r for k, v in entries.items() if (r := trim(v))}
+                row = {k: v for k, v in entries.items() if v}
                 if row:
                     rows.append(row)
     return rows
@@ -90,10 +89,10 @@ def _kernel_basis(algebra: LeibnizAlgebra, kind: str) -> DerivationBasis:
     n = algebra.dim
     field = algebra.field
     kern = _kernel(field, n * n, _constraint_rows(algebra, kind))
-    mats = tuple(
+    mats = tuple([
         Matrix(field, [row[r * n : (r + 1) * n] for r in range(n)], _coerced=True)
         for row in kern.rows
-    )
+    ])
     return DerivationBasis(kind, mats, kern.dim)
 
 

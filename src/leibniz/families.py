@@ -183,12 +183,15 @@ def family_c(n: int, field: Field) -> LeibnizAlgebra:
 def _coerced_chain(algebra: LeibnizAlgebra, k_rows: Sequence[Vector], b: Vector) -> tuple[list[Vector], Vector]:
     """The caller's K basis and b as field values; raises unless K is canonical cyclic and b is outside K."""
     field = algebra.field
-    k_rows = [tuple(field.of(v) for v in row) for row in k_rows]
+    k_rows = [tuple([field.of(v) for v in row]) for row in k_rows]
     if not is_canonical_cyclic(algebra, k_rows):
         raise ValueError("basis is not a canonical cyclic chain")
-    if Subspace._span(field, algebra.dim, list(k_rows)).contains(b):
+    if len(b) != algebra.dim:
+        raise ValueError("vector length differs from ambient dimension")
+    b = tuple([field.of(v) for v in b])
+    if not any(Subspace._span(field, algebra.dim, k_rows)._residual(b)):
         raise ValueError("b must lie outside K")
-    return k_rows, tuple(field.of(v) for v in b)
+    return k_rows, b
 
 
 def _k_coords(field: Field, k_rows: Sequence[Vector], v: Vector) -> Vector | None:

@@ -36,8 +36,9 @@ Scalars are coerced once, where they enter from outside the library:
 public functions that take a caller's vector (`Matrix.apply`,
 `Subspace.reduce`, `Subspace.contains`, `solve`).  Floats are rejected
 there rather than truncated or made binary-exact.  Internal callers pass values straight
-through: `Matrix(..., _coerced=True)`, `Subspace._span` (row reduction
-only) and `Subspace._residual` skip the coercion.
+through: `Matrix(..., _coerced=True)`, `LeibnizAlgebra(..., _derived=True)`,
+`Subspace._span` (row reduction only) and `Subspace._residual` skip the
+coercion.
 
 Every value inside the library is canonical (a `Fraction`, or an int in
 [0, p)), and the arithmetic on it follows one rule:
@@ -50,21 +51,17 @@ Every value inside the library is canonical (a `Fraction`, or an int in
   raises TypeError there instead of leaking into the result;
 - a zero test is truthiness: ``if not c``, ``any(vec)``, ``not any(vec)``.
 
-Integer rows.  Over Q, `core` and `derivations` take their rows from the
-integer structure table c·T, with c the lcm of the tensor's denominators
-(c = 1 over GF(p)), and scale each vector by the lcm of its own
-denominators (`_integral`).  That is exact: c[x, y] is the bracket of an
-isomorphic algebra, under x -> x/c; scaling a row, or a whole constraint
-system, by a nonzero constant changes no span and no kernel; and the
-Leibniz identity residual, quadratic in the table, comes out c^2 times the
-true one, which `core` divides back out before it reports it.  Integer
-arithmetic on such rows is reduced by `_int_reduce`: mod p over GF(p), and
-not at all over Q, where an int is exact.  Every kernel takes rows in
-this one format: `Matrix.kernel` scales its rows by `_integral` too, so
-`_lifted_kernel` reduces each entry mod P as it is and checks A x = 0
-with no denominator of A to clear.  The nonzero entries of a row given to
-`Subspace._span` are made field values first, so that no int reaches a
-`Subspace` over Q.
+Integer rows.  Every kernel takes integer rows and reduces them itself
+(`_residues`): modulo p over GF(p), and modulo P over Q.  The rows come
+from the integer structure table c·T, with c the lcm of the tensor's
+denominators (c = 1 over GF(p)), or from vectors scaled by the lcm of
+their own denominators (`_integral`, which `Matrix.kernel` applies too).
+That is exact: c[x, y] is the bracket of an isomorphic algebra, under
+x -> x/c, and scaling a row, or a whole constraint system, by a nonzero
+constant changes no span and no kernel.  So `_lifted_kernel` checks
+A x = 0 with no denominator of A to clear.  The nonzero entries of a row
+given to `Subspace._span` are made field values first, so that no int
+reaches a `Subspace` over Q.
 
 Membership has one test: v lies in S when its residual against S's RREF
 rows is zero.  Closure, ideal and invariance checks and ``S <= T`` call
@@ -236,11 +233,6 @@ def _integral(row: Sequence[Scalar]) -> list[int]:
     return [v.numerator * (m // v.denominator) for v in row]
 
 
-def _int_reduce(field: Field):
-    """Reduces integer arithmetic on integer rows: mod p over GF(p); over Q an int is exact and kept."""
-    return field.reduce if field.characteristic else int
-
-
 def render_vector(field: Field, x: Vector) -> str:
     return "(" + ", ".join(field.render(a) for a in x) + ")"
 
@@ -340,6 +332,11 @@ def _lift(u: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
+def _residues(p: int, rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Integer rows modulo p, without the entries that vanish there; the rows are not written to."""
+    return [{c: r for c, v in row.items() if (r := v % p)} for row in rows]
+
+
 def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | None:
     """The canonical kernel basis over Q of integer rows, computed modulo P; None where that fails.
 
@@ -349,7 +346,7 @@ def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | Non
     integers after clearing the denominators of x; the module docstring
     shows why it is then exact.  The rows are not written to.
     """
-    residues = [{c: r for c, v in row.items() if (r := v % _P)} for row in rows]
+    residues = _residues(_P, rows)
     lifts = {1: Fraction(1)}
     basis = {}
     for pc, row in _kernel_echelon(_RESIDUES, ncols, residues).items():
@@ -382,16 +379,17 @@ def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | Non
 
 
 def _kernel(field: Field, ncols: int, rows: list[dict[int, int]]) -> Subspace:
-    """{x : r . x = 0 for every row r} as a canonical subspace; rows are ``{column: nonzero value}``, consumed.
+    """{x : r . x = 0 for every row r} as a canonical subspace; rows are ``{column: nonzero int}``, consumed.
 
-    The values are ints: field values over GF(p), and over Q integer rows,
-    scaled by `_integral` or taken from the integer table.  Over Q the
-    kernel is computed modulo P and lifted (`_lifted_kernel`); the exact
-    elimination runs only where that fails.
+    The ints are scaled by `_integral` or taken from the integer table, and
+    need not be reduced: over GF(p) they are reduced modulo p here; over Q
+    the kernel is computed modulo P and lifted (`_lifted_kernel`), and the
+    exact elimination runs only where that fails.
     """
-    basis = _lifted_kernel(ncols, rows) if field.characteristic == 0 else None
+    p = field.characteristic
+    basis = None if p else _lifted_kernel(ncols, rows)
     if basis is None:
-        basis = _dense(field, ncols, _kernel_echelon(field, ncols, rows))
+        basis = _dense(field, ncols, _kernel_echelon(field, ncols, _residues(p, rows) if p else rows))
     return Subspace(field, ncols, tuple(basis), _canonical=True)
 
 
@@ -403,9 +401,9 @@ class Matrix:
     def __init__(self, field: Field, rows: Iterable[Iterable], *, _coerced: bool = False):
         self.field = field
         if _coerced:
-            self.data: tuple[Vector, ...] = tuple(map(tuple, rows))
+            self.data: tuple[Vector, ...] = tuple([tuple(row) for row in rows])
             return
-        self.data = tuple(tuple(field.of(v) for v in row) for row in rows)
+        self.data = tuple([tuple([field.of(v) for v in row]) for row in rows])
         if self.data:
             width = len(self.data[0])
             if any(len(row) != width for row in self.data):
@@ -456,7 +454,7 @@ class Matrix:
             raise ValueError("dimension mismatch in matrix-vector product")
         v = [self.field.of(x) for x in v]
         reduce = self.field.reduce
-        return tuple(reduce(sum(a * b for a, b in zip(row, v))) for row in self.data)
+        return tuple([reduce(sum(a * b for a, b in zip(row, v))) for row in self.data])
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.ncols != other.nrows:
@@ -541,7 +539,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        rows = [tuple(field.of(v) for v in vec) for vec in vectors]
+        rows = [tuple([field.of(v) for v in vec]) for vec in vectors]
         for row in rows:
             if len(row) != ambient:
                 raise ValueError("vector length differs from ambient dimension")
@@ -558,7 +556,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        rows = tuple(basis_vector(field, ambient, i) for i in range(ambient))
+        rows = tuple([basis_vector(field, ambient, i) for i in range(ambient)])
         return cls(field, ambient, rows, _canonical=True)
 
     @property

@@ -12,17 +12,19 @@ import pytest
 from conftest import build_corpus, random_basis
 
 from leibniz.core import (
+    LeibnizAlgebra,
     algebra_in_basis,
     center,
     leibniz_kernel,
     left_center,
     lower_central_series,
+    restrict_to_subalgebra,
     right_center,
     upper_central_series,
 )
 from leibniz.derivations import derivation_space, right_derivation_space
 from leibniz.lattice import subalgebra_lattice
-from leibniz.linalg import GF, QQ, Matrix, Subspace
+from leibniz.linalg import GF, QQ, Field, Matrix, Subspace
 
 FIELDS = [GF(2), GF(3), QQ]
 
@@ -102,3 +104,31 @@ def test_rational_invariants_are_fractions_in_a_random_basis():
         for kind in (derivation_space(a), right_derivation_space(a)):
             for d in kind.basis:
                 assert_canonical(QQ, entries(d.data), (name, kind.kind))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_derived_tables_are_canonical_and_not_coerced_again(monkeypatch, field):
+    """`algebra_in_basis` coerces the caller's n^2 basis entries and nothing else; `restrict_to_subalgebra` nothing."""
+    of = Field.of
+    calls = []
+
+    def counted(self, value):
+        calls.append(value)
+        return of(self, value)
+
+    rng = random.Random(5)
+    for name, alg in build_corpus(field):
+        n = alg.dim
+        rows = random_basis(field, n, rng)
+        lower = lower_central_series(alg)
+        sub = lower[1] if len(lower) > 1 and lower[1].dim else lower[0]
+        monkeypatch.setattr(Field, "of", counted)
+        calls.clear()
+        moved = algebra_in_basis(alg, rows)
+        assert len(calls) == n * n, name
+        restricted = restrict_to_subalgebra(alg, sub)
+        assert len(calls) == n * n, name
+        monkeypatch.undo()
+        for derived in (moved, restricted):
+            assert_canonical(field, [v for plane in derived.tensor for vec in plane for v in vec], name)
+            assert LeibnizAlgebra(field, derived.tensor) == derived

@@ -536,3 +536,12 @@ def test_membership_predicates_reject_a_subspace_outside_the_algebra():
         for predicate in (is_subalgebra, is_left_ideal, is_right_ideal, is_ideal):
             with pytest.raises(ValueError):
                 predicate(alg, s)
+
+
+def test_product_subspace_rejects_a_subspace_outside_the_algebra():
+    alg = cyclic_nilpotent(3, QQ)
+    full = Subspace.full(QQ, 3)
+    for other in (Subspace.full(QQ, 2), Subspace.full(GF(5), 3)):
+        for s, t in ((other, full), (full, other), (other, other)):
+            with pytest.raises(ValueError):
+                product_subspace(alg, s, t)

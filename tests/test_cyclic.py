@@ -146,6 +146,14 @@ def test_zero_subspace_is_not_cyclic():
     assert is_cyclic_subalgebra(alg, Subspace.zero(QQ, 2)) is None
 
 
+@pytest.mark.parametrize(
+    "s", [Subspace.zero(GF(5), 7), Subspace.zero(QQ, 2), Subspace.full(GF(5), 3)], ids=["zero", "short", "GF(5)"]
+)
+def test_cyclicity_of_a_subspace_outside_the_algebra_is_an_error(s):
+    with pytest.raises(ValueError):
+        is_cyclic_subalgebra(cyclic_nilpotent(3, QQ), s)
+
+
 @pytest.mark.parametrize("field", [GF(2), QQ], ids=str)
 def test_cyclicity_of_a_non_closed_line_is_an_error(field):
     # [e1, e1] = e2 leaves span{e1}

@@ -331,3 +331,8 @@ def test_complements_coerce_the_callers_vectors():
     a = family_a_i(3, GF(5))
     k_rows = [(6, 0, 0, 0), (0, 1, 0, 0), (0, 0, -4, 0)]  # e1, e2, e3 as out-of-range ints
     assert nilpotent_complement(a, k_rows, (1, 0, 0, 6)) == (0, 0, 0, 1)
+    # b inside K once reduced, and b of the wrong length, are refused
+    with pytest.raises(ValueError, match="b must lie outside K"):
+        nilpotent_complement(a, k_rows, (1, -4, 0, 5))
+    with pytest.raises(ValueError, match="length"):
+        nilpotent_complement(a, k_rows, (0, 0, 0))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from leibniz.linalg import (
     Matrix,
     Subspace,
     _integral,
+    _kernel,
     _lift,
     _lifted_kernel,
     _P,
@@ -95,6 +97,20 @@ def test_kernel_single_equation():
     k = Matrix(QQ, [[1, 2]]).kernel()
     assert k == Subspace.from_vectors(QQ, 2, [(-2, 1)])
     assert k.rows == ((Fraction(1), Fraction(-1, 2)),)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_reduces_integer_rows_modulo_p(p):
+    """Rows of any ints give the kernel of their residues, whatever multiples of p they carry."""
+    field = GF(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        ncols = rng.randint(1, 6)
+        dense = [[rng.randint(-2 * p, 2 * p) for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
+        rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
+        shifted = [{c: w for c, v in row.items() if (w := v + p * rng.randint(-3, 3))} for row in rows]
+        expected = Matrix(field, dense).kernel()
+        assert _kernel(field, ncols, rows) == _kernel(field, ncols, shifted) == expected, dense
 
 
 def test_solve_identity():
