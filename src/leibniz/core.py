@@ -29,6 +29,14 @@ stays exact:
   they are bracketed or reduced;
 - the identity residual is quadratic in the table, so it scales by c^2: the
   same triples fail, and a reported residual is divided back by c^2.
+
+Two vectors are multiplied by one loop, `_product`, over the nonzero
+entries of the integer table.  It returns the unreduced accumulators of
+[x, y], which `bracket` unscales and `product_subspace` reduces.  The
+closure test that returns its products is `_closed_products`: it brackets
+each pair of rows of S once and raises unless every product lies in S.
+`restrict_to_subalgebra` and the Leib(S) criterion of `cyclic` read their
+tables off it.
 """
 
 from __future__ import annotations
@@ -62,6 +70,22 @@ class LeibnizIdentityError(ValueError):
 
     def __reduce__(self):
         return type(self), (self.violations,)
+
+
+def _product(table, x: Sequence[Scalar], y: Sequence[Scalar]) -> list:
+    """The accumulators of [x, y] on an integer table, unreduced: the one loop over its nonzero entries."""
+    acc = [0] * len(table)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = xi * yj
+            for k, w in row[j]:
+                acc[k] += c * w
+    return acc
 
 
 class LeibnizAlgebra:
@@ -153,20 +177,8 @@ class LeibnizAlgebra:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ValueError("vector length differs from the algebra dimension")
-        acc = [0] * n
-        nz = self._table
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            nz_i = nz[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, w in nz_i[j]:
-                    acc[k] += c * w
         unscale = self._unscale
-        return tuple([unscale(v) for v in acc])
+        return tuple([unscale(v) for v in _product(self._table, x, y)])
 
     # -- identity check ----------------------------------------------------
 
@@ -227,23 +239,24 @@ def product_subspace(algebra: LeibnizAlgebra, s: Subspace, t: Subspace) -> Subsp
     algebra.
     """
     _check_inside(algebra, s, t)
-    n = algebra.dim
-    nz = algebra._table
+    table = algebra._table
     reduce = algebra.field.reduce
-    xs = [[(i, xi) for i, xi in enumerate(_integral(x)) if xi] for x in s.rows]
-    ys = [[(j, yj) for j, yj in enumerate(_integral(y)) if yj] for y in t.rows]
-    products = []
-    for x in xs:
-        for y in ys:
-            acc = [0] * n
-            for i, xi in x:
-                nz_i = nz[i]
-                for j, yj in y:
-                    c = xi * yj
-                    for k, w in nz_i[j]:
-                        acc[k] += c * w
-            products.append([v and reduce(v) for v in acc])
-    return Subspace._span(algebra.field, n, products)
+    ys = [_integral(y) for y in t.rows]
+    products = [[v and reduce(v) for v in _product(table, x, y)] for x in map(_integral, s.rows) for y in ys]
+    return Subspace._span(algebra.field, algebra.dim, products)
+
+
+def _closed_products(algebra: LeibnizAlgebra, s: Subspace) -> list[list[Vector]]:
+    """The table [x, y] over the rows x, y of S, each pair bracketed once.
+
+    Raises ValueError when S lives outside the algebra or is not closed under the bracket.
+    """
+    _check_inside(algebra, s)
+    bracket = algebra.bracket
+    products = [[bracket(x, y) for y in s.rows] for x in s.rows]
+    if not s._contains_all(w for line in products for w in line):
+        raise ValueError("subspace is not closed under the bracket")
+    return products
 
 
 def _brackets_in(algebra: LeibnizAlgebra, s: Subspace, xs: Sequence[Vector], ys: Sequence[Vector]) -> bool:
@@ -390,19 +403,12 @@ def hypercenter(algebra: LeibnizAlgebra) -> Subspace:
 
 def restrict_to_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> LeibnizAlgebra:
     """The algebra induced on a subalgebra, in the coordinates of its canonical basis."""
-    if not is_subalgebra(algebra, s):
-        raise ValueError("subspace is not closed under the bracket")
-    pivots = s.pivot_columns()
-    tensor = []
-    for x in s.rows:
-        plane = []
-        for y in s.rows:
-            w = algebra.bracket(x, y)
-            # w lies in S, whose basis is RREF: coordinates are the pivot entries
-            plane.append(tuple([w[p] for p in pivots]))
-        tensor.append(tuple(plane))
-    if not tensor:
+    products = _closed_products(algebra, s)
+    if not products:
         raise ValueError("cannot restrict to the zero subspace")
+    pivots = s.pivot_columns()
+    # each product lies in S, whose basis is RREF: its coordinates are the pivot entries
+    tensor = [tuple([tuple([w[p] for p in pivots]) for w in line]) for line in products]
     return LeibnizAlgebra(algebra.field, tensor, _derived=True)
 
 

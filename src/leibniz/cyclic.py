@@ -20,6 +20,7 @@ from typing import Sequence
 from .core import (
     LeibnizAlgebra,
     _check_inside,
+    _closed_products,
     _squares_span,
     is_subalgebra,
     leibniz_kernel,
@@ -112,20 +113,14 @@ class PropositionReport:
         return all(self.results.values())
 
 
-def _all_bracketings(algebra: LeibnizAlgebra, a: Vector, copies: int) -> list[Vector]:
-    memo: dict[int, list[Vector]] = {1: [a]}
-
-    def rec(k: int) -> list[Vector]:
-        if k not in memo:
-            out = []
-            for split in range(1, k):
-                for x in rec(split):
-                    for y in rec(k - split):
-                        out.append(algebra.bracket(x, y))
-            memo[k] = out
-        return memo[k]
-
-    return rec(copies)
+def _all_bracketings(algebra: LeibnizAlgebra, a: Vector, copies: int) -> list[list[Vector]]:
+    """Entry k - 1 lists every bracketing of k copies of a, for k = 1..copies."""
+    levels = [[a]]
+    for k in range(2, copies + 1):
+        levels.append([
+            algebra.bracket(x, y) for split in range(1, k) for x in levels[split - 1] for y in levels[k - split - 1]
+        ])
+    return levels
 
 
 def proposition_check(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> PropositionReport:
@@ -151,13 +146,8 @@ def proposition_check(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Propositi
         for y in chain
     )
 
-    ok = True
-    for copies in range(2, _MAX_COPIES + 1):
-        ln_k = left_normed(algebra, a, copies)
-        for w in _all_bracketings(algebra, a, copies):
-            if any(w) and w != ln_k:
-                ok = False
-    results["ii"] = ok
+    levels = zip(_ln_chain(algebra, a, _MAX_COPIES), _all_bracketings(algebra, a, _MAX_COPIES))
+    results["ii"] = all(not any(w) or w == ln_k for ln_k, level in levels for w in level)
 
     results["iii"] = probe.span == generated_by(algebra, [a])
 
@@ -222,23 +212,18 @@ def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace) -> tuple[Vector, Subsp
 
     a0 is the last canonical row of S outside Leib(S).  T, the matrix of
     [a0, -] on Leib(S) in the pivot coordinates of its RREF rows, only
-    gives the powers I, T, ..., T^(m-1) whose rank decides (b).  Raises
-    ValueError when S is not closed under the bracket.
+    gives the powers I, T, ..., T^(m-1) whose rank decides (b).  The
+    products [x_i, x_j] come from `core._closed_products`, which raises
+    ValueError when S lives outside the algebra or is not closed under the
+    bracket.
     """
-    if s.field != algebra.field or s.ambient != algebra.dim:
-        raise ValueError("subspace lives outside the algebra")
     field = algebra.field
-    bracket = algebra.bracket
-    rows = s.rows
-    products = [[bracket(x, y) for y in rows] for x in rows]
-    if not s._contains_all(w for line in products for w in line):
-        raise ValueError("subspace is not closed under the bracket")
-    leib = _squares_span(algebra, products)
+    leib = _squares_span(algebra, _closed_products(algebra, s))
     m = leib.dim
     if s.dim - m != 1:  # (a)
         return None
-    a0 = next(row for row in reversed(rows) if any(leib._residual(row)))
-    images = [bracket(a0, b) for b in leib.rows]
+    a0 = next(row for row in reversed(s.rows) if any(leib._residual(row)))
+    images = [algebra.bracket(a0, b) for b in leib.rows]
     t = Matrix(field, [[w[pc] for w in images] for pc in leib.pivot_columns()], _coerced=True)
     # (b): the minimal polynomial of T has degree m iff I, T, ..., T^(m-1) are independent
     powers, power = [], Matrix.identity(field, m)

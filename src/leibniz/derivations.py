@@ -23,7 +23,7 @@ from .core import (
     upper_central_series,
 )
 from .cyclic import is_canonical_cyclic
-from .linalg import Matrix, Scalar, Subspace, _kernel, basis_vector, vec_add, vec_sub
+from .linalg import Matrix, Scalar, Subspace, _kernel, basis_vector, linear_combination, vec_add, vec_sub
 
 
 def left_mult_matrix(algebra: LeibnizAlgebra, a: Sequence[Scalar]) -> Matrix:
@@ -122,7 +122,7 @@ def _satisfies(algebra: LeibnizAlgebra, m: Matrix, kind: str) -> bool:
     cols = [m.column(i) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = m.apply(algebra.basis_bracket(i, j))
+            lhs = linear_combination(field, algebra.basis_bracket(i, j), cols)
             e_i, e_j = basis_vector(field, n, i), basis_vector(field, n, j)
             if kind == "left-derivation":
                 rhs = vec_add(field, algebra.bracket(cols[i], e_j), algebra.bracket(e_i, cols[j]))
@@ -217,8 +217,10 @@ def check_invariance(algebra: LeibnizAlgebra, m: Matrix, kind: str) -> Invarianc
     center into the right center and annihilate the Leibniz kernel.
     """
 
+    cols = [m.column(i) for i in range(m.ncols)]
+
     def maps_into(source: Subspace, target: Subspace) -> bool:
-        return target._contains_all(m.apply(r) for r in source.rows)
+        return target._contains_all(linear_combination(algebra.field, r, cols) for r in source.rows)
 
     checks: list[tuple[str, bool]] = []
     if kind == "left-derivation":

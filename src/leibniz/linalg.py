@@ -106,11 +106,10 @@ class Field:
     __slots__ = ("characteristic",)
 
     def __init__(self, characteristic: int = 0):
-        if characteristic != 0:
-            if not isinstance(characteristic, int) or characteristic >= 1 << 31:
-                raise ValueError(f"characteristic out of range: {characteristic!r}")
-            if not _is_prime(characteristic):
-                raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
+        if not isinstance(characteristic, int) or isinstance(characteristic, bool) or characteristic >= 1 << 31:
+            raise ValueError(f"characteristic out of range: {characteristic!r}")
+        if characteristic and not _is_prime(characteristic):
+            raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
         self.characteristic = characteristic
 
     @property
@@ -531,6 +530,8 @@ class Subspace:
     def __init__(self, field: Field, ambient: int, rows: tuple[Vector, ...], *, _canonical: bool = False):
         if not _canonical:
             raise ValueError("use Subspace.from_vectors")
+        if ambient < 0:
+            raise ValueError(f"ambient dimension must be >= 0, got {ambient}")
         self.field = field
         self.ambient = ambient
         self.rows = rows

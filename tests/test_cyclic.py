@@ -154,6 +154,21 @@ def test_cyclicity_of_a_subspace_outside_the_algebra_is_an_error(s):
         is_cyclic_subalgebra(cyclic_nilpotent(3, QQ), s)
 
 
+@pytest.mark.parametrize(
+    "s",
+    [
+        Subspace.zero(GF(5), 7),
+        Subspace.full(QQ, 2),
+        Subspace.full(GF(5), 3),
+        Subspace.from_vectors(QQ, 3, [(1, 0, 0)]),
+    ],
+    ids=["GF(5)^7", "short", "GF(5)", "not closed"],
+)
+def test_leib_criterion_rejects_a_subspace_outside_the_algebra_or_not_closed(s):
+    with pytest.raises(ValueError):
+        _leib_criterion(cyclic_nilpotent(3, QQ), s)
+
+
 @pytest.mark.parametrize("field", [GF(2), QQ], ids=str)
 def test_cyclicity_of_a_non_closed_line_is_an_error(field):
     # [e1, e1] = e2 leaves span{e1}

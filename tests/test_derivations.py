@@ -20,8 +20,8 @@ from leibniz.derivations import (
     right_derivation_space,
     right_mult_matrix,
 )
-from leibniz.families import abelian, cyclic_nilpotent, dim2_l2, family_c
-from leibniz.linalg import GF, QQ, Matrix, Subspace, _dense, _kernel_echelon, _lifted_kernel, basis_vector
+from leibniz.families import abelian, cyclic_nilpotent, dim2_l2, family_a_iii, family_c
+from leibniz.linalg import GF, QQ, Field, Matrix, Subspace, _dense, _kernel_echelon, _lifted_kernel, basis_vector
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -196,6 +196,29 @@ def test_invariance_reports():
         rep = check_invariance(a, m, "right-derivation")
         assert rep.passed
         assert dict(rep.checks)["leibniz_kernel_annihilated"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_derivation_checks_coerce_nothing(monkeypatch, field):
+    """`is_derivation` and `check_invariance` take the canonical entries of a constructed matrix as they are."""
+    a = family_a_iii(4, 2, [1, 0], 1, field, "derived")
+    left = [Matrix(field, m.data) for m in derivation_space(a).basis]
+    right = [Matrix(field, m.data) for m in right_derivation_space(a).basis]
+    assert left and right
+    calls = []
+    of = Field.of
+
+    def counted(self, value):
+        calls.append(value)
+        return of(self, value)
+
+    monkeypatch.setattr(Field, "of", counted)
+    for m in left:
+        assert is_derivation(a, m) and check_invariance(a, m, "left-derivation").passed
+    for m in right:
+        assert is_right_derivation(a, m) and check_invariance(a, m, "right-derivation").passed
+    assert not is_derivation(a, Matrix.identity(field, a.dim))
+    assert calls == []
 
 
 def test_invariance_zero_map():

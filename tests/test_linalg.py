@@ -34,6 +34,11 @@ def test_field_validation():
         Field(1)
     with pytest.raises(ValueError):
         Field(1 << 31)
+    # the characteristic is an int, not a float or a bool that compares equal to one
+    for bad in (0.0, 2.0, 3.5, False, True, Fraction(0), "0", None):
+        with pytest.raises(ValueError):
+            Field(bad)
+    assert Field(0) == Field() == QQ and Field(5) == GF(5)
 
 
 def test_field_arithmetic_exact():
@@ -144,6 +149,20 @@ def test_subspace_contains():
     e1 = Subspace.from_vectors(QQ, 2, [(1, 0)])
     assert not e1.contains((1, 1))
     assert e1.contains((7, 0))
+
+
+def test_negative_ambient_dimensions_are_rejected():
+    for build in (
+        lambda: Subspace.full(QQ, -1),
+        lambda: Subspace.zero(QQ, -1),
+        lambda: Subspace.from_vectors(QQ, -2, []),
+        lambda: Subspace.full(GF(3), -2),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    # ambient 0 stays valid: the zero space of F^0, and the kernel of an empty matrix
+    assert Subspace.full(QQ, 0) == Subspace.zero(QQ, 0) == Subspace.from_vectors(QQ, 0, [])
+    assert Matrix(QQ, []).kernel() == Subspace.zero(QQ, 0)
 
 
 def test_subspace_ambient_mismatch_rejected():
