@@ -9,13 +9,18 @@ ones or all zeros, read off the word index, for the bits above.  The
 identity residual on every basis triple and coordinate is evaluated with
 word ANDs and XORs, with no per-tensor work.
 
-The basis triples run in a fixed order: those whose residuals read fewer
-in-word bits first, ties broken by descending (i, j, k), so at d = 3 the
-order starts (2,2,2), (2,1,2), (1,2,2), (1,1,2), (2,2,1) and ends (0,0,0).
-A triple that reads no in-word bit fails whole words.  After each triple
-the words whose 64 tensors have all failed are dropped, and the screen
-stops once none is left: over the 2^21 words of d = 3 the live words go
-2,097,152 -> 458,752 -> 90,112 -> 49,664 -> 23,552 -> ... -> 657.
+The words are never all built.  The screen enumerates the word bits
+(tensor bits 6 and up) triple by triple: it starts from one word with no
+word bit assigned, takes next the basis triple whose residuals read the
+fewest word bits not yet assigned (ties broken by fewer in-word bits read,
+then by descending (i, j, k)), extends every live word by every value of
+those bits, evaluates the triple and drops the words whose 64 tensors have
+all failed.  At d = 3 the first two triples, (0,0,2) and (2,2,2), assign 15
+of the 21 word bits, (2,2,1) and (2,1,2) the other six, and the screen
+stops once no word is left.  Over all 2^27 tensors the live words go
+512 -> 32,768 -> 7,168 -> ... -> 44,304 at the peak -> ... -> 657, where
+the whole range has 2,097,152 words.  The census screens windows of 2^24
+tensors, each with at most 24,048 live words.
 
 Isomorphism is decided exactly.  A tensor's class key is the least tensor
 integer in its GL(d, 2) orbit, found by applying all invertible changes of
@@ -30,14 +35,12 @@ cyclic subalgebra is labelled with the first classified family instance
 Every record field but the fingerprint and tensor is a class invariant, so
 one full exact record (invariant profile, subalgebra lattice, maximal-cyclic
 flags, label) is built per class, on its least member, and each member gets
-its own copy.  Records come in tensor order, the same for every worker count.
+its own copy.  Records come in tensor order.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-from copy import deepcopy
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
@@ -51,9 +54,10 @@ from .linalg import GF, Matrix
 
 CENSUS_P = 2
 MAX_CENSUS_DIM = 3
-_CHUNK = 1 << 20
+# the census screens this many tensors at a time, to bound the live words (24,048 at most at d = 3)
+_WINDOW = 1 << 24
 # bit b < 6 of the tensor integer 64*w + s, as a mask over the 64 slots s of a word
-_IN_WORD = tuple(sum(1 << s for s in range(64) if s >> b & 1) for b in range(6))
+_IN_WORD = tuple(np.uint64(sum(1 << s for s in range(64) if s >> b & 1)) for b in range(6))
 
 
 def algebra_from_int(dim: int, value: int) -> LeibnizAlgebra:
@@ -69,76 +73,118 @@ def algebra_from_int(dim: int, value: int) -> LeibnizAlgebra:
     return LeibnizAlgebra(field, tensor)
 
 
-@lru_cache(maxsize=None)
-def _triple_order(dim: int) -> tuple[tuple[int, int, int], ...]:
-    """The basis triples (i, j, k) in the order the screen evaluates them.
+def _reads(dim: int, triple: tuple[int, int, int]) -> frozenset[int]:
+    """The tensor bits the residuals of one basis triple read.
 
-    A triple's residuals read the entries (i,j,*), (j,k,*), (i,k,*), (*,k,*),
-    (i,*,*) and (j,*,*).  Triples that read fewer in-word bits (tensor bits
-    below 6) come first, ties broken by descending (i, j, k): a triple that
-    reads none fails all 64 tensors of a word or none of them.
+    These are the entries (i,j,*), (*,k,*), (j,k,*), (i,*,*), (i,k,*) and
+    (j,*,*) of the triple (i, j, k), at bit a*d*d + b*d + e.
     """
     d = dim
+    i, j, k = triple
+    return frozenset(
+        a * d * d + b * d + e
+        for m, c in itertools.product(range(d), repeat=2)
+        for a, b, e in ((i, j, m), (m, k, c), (j, k, m), (i, m, c), (i, k, m), (j, m, c))
+    )
 
+
+@lru_cache(maxsize=None)
+def _triple_order(dim: int) -> tuple[tuple[int, int, int], ...]:
+    """The basis triples (i, j, k), fewest in-word bits read first.
+
+    In-word bits are the tensor bits below 6.  Ties are broken by descending
+    (i, j, k).  `_stages` breaks its own ties by this order.
+    """
     def key(triple: tuple[int, int, int]) -> tuple[int, list[int]]:
-        i, j, k = triple
-        reads = {
-            a * d * d + b * d + e
-            for m, c in itertools.product(range(d), repeat=2)
-            for a, b, e in ((i, j, m), (m, k, c), (j, k, m), (i, m, c), (i, k, m), (j, m, c))
-        }
-        return sum(b < 6 for b in reads), [-x for x in triple]
+        return sum(b < 6 for b in _reads(dim, triple)), [-x for x in triple]
 
-    return tuple(sorted(itertools.product(range(d), repeat=3), key=key))
+    return tuple(sorted(itertools.product(range(dim), repeat=3), key=key))
+
+
+@lru_cache(maxsize=None)
+def _stages(dim: int) -> tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...]:
+    """(triple, the word bits it assigns) in the order the screen evaluates the triples.
+
+    Word bit b is tensor bit b + 6.  Each step takes the triple that reads
+    the fewest word bits not yet assigned, ties broken by `_triple_order`,
+    and assigns those bits.
+    """
+    left = list(_triple_order(dim))
+    assigned: set[int] = set()
+    stages = []
+    while left:
+        new = [{b - 6 for b in _reads(dim, t) if b >= 6} - assigned for t in left]
+        pick = min(range(len(left)), key=lambda n: len(new[n]))
+        assigned |= new[pick]
+        stages.append((left.pop(pick), tuple(sorted(new[pick]))))
+    return tuple(stages)
 
 
 def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     """Tensor integers in [start, stop) whose algebra satisfies the identity, ascending.
 
-    Word w of np.arange(start >> 6, ...) stands for tensors 64*w .. 64*w + 63.
-    Bit b of tensor 64*w + s is bit b of s for b < 6, the same for every
-    word (_IN_WORD[b]), and bit b - 6 of w otherwise, so every plane is built
-    from the word index alone.  The residual of [[e_i,e_j],e_k] -
-    [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]] over GF(2) on each basis triple and
-    coordinate is ORed into one word of failures per 64 tensors.
+    Word w stands for tensors 64*w .. 64*w + 63.  Bit b of tensor 64*w + s
+    is bit b of s for b < 6, the same for every word (_IN_WORD[b]), and bit
+    b - 6 of w otherwise.  The residual of [[e_i,e_j],e_k] - [e_i,[e_j,e_k]]
+    + [e_j,[e_i,e_k]] over GF(2) on each basis triple and coordinate is ORed
+    into `bad`, one word of failures per 64 tensors.
 
-    The triples run in `_triple_order`: fewest in-word bits read first, ties
-    broken by descending (i, j, k).  After each one the words whose 64
-    tensors have all failed are dropped from `words`, `bad` and the planes.
-    Over all 2^27 tensors at d = 3 the live words go 2,097,152 -> 458,752 ->
-    90,112 -> 49,664 -> 23,552 -> ... -> 657 after the last triple.
+    The words are enumerated bit by bit, not materialised.  The screen
+    starts from the one word with no word bit assigned and runs the triples
+    in `_stages`: each one first extends every live word by every value of
+    the word bits it reads and no earlier triple did, carrying its `bad`
+    along, then evaluates its residuals and drops the words whose 64
+    tensors have all failed.  The screen stops once no word is left.  Over
+    all 2^27 tensors at d = 3 the live words go 512 -> 32,768 -> ... and
+    peak at 44,304, against the 2,097,152 words of the whole range; the 806
+    survivors lie in 657 words.
+
+    A window [start, stop) covers the words w0 = start >> 6 to w1 - 1,
+    w1 = ceil(stop / 64).  After each extension a partial word w is dropped
+    if w >= w1, or if w with every unassigned bit set is still below w0.
+    The tensors of the end words outside the window are filtered last.
 
     Raises ValueError unless 1 <= dim <= MAX_CENSUS_DIM and
-    0 <= start <= stop <= 2^(dim^3): a word past the last tensor would
-    alias a real one, as the planes read only the low dim^3 bits.
+    0 <= start <= stop <= 2^(dim^3).
     """
     if not 1 <= dim <= MAX_CENSUS_DIM or not 0 <= start <= stop <= 1 << dim**3:
         raise ValueError(f"need 1 <= dim <= {MAX_CENSUS_DIM} and 0 <= start <= stop <= 2^(dim^3)")
     d = dim
-    words = np.arange(start >> 6, (stop + 63) >> 6, dtype=np.uint64)
-    t = np.empty((d**3, words.shape[0]), np.uint64)
-    for b in range(d**3):
-        if b < 6:
-            t[b] = _IN_WORD[b]
-        else:
-            t[b] = np.uint64(0) - ((words >> np.uint64(b - 6)) & np.uint64(1))
-    t = t.reshape(d, d, d, -1)
-    bad = np.zeros(words.shape[0], np.uint64)
-    for i, j, k in _triple_order(d):
+    w0, w1 = start >> 6, (stop + 63) >> 6
+    unassigned = (1 << max(d**3 - 6, 0)) - 1
+    words = np.zeros(1, np.uint64)
+    bad = np.zeros(1, np.uint64)
+
+    # Planes are built where they are read and not kept: keeping the ones
+    # that every coordinate c reads again raised the census's peak RSS by
+    # 1.6 MB for little time.
+    def plane(a: int, b: int, c: int) -> np.ndarray | np.uint64:
+        n = a * d * d + b * d + c
+        return _IN_WORD[n] if n < 6 else np.uint64(0) - ((words >> np.uint64(n - 6)) & np.uint64(1))
+
+    for (i, j, k), new in _stages(d):
+        if new:
+            for b in new:
+                words = np.concatenate((words, words | np.uint64(1 << b)))
+                bad = np.concatenate((bad, bad))
+                unassigned &= ~(1 << b)
+            inside = (words < w1) & ((words | np.uint64(unassigned)) >= w0)
+            words, bad = words[inside], bad[inside]
         for c in range(d):
             r = np.zeros_like(bad)
             for m in range(d):
-                r ^= t[i, j, m] & t[m, k, c]
-                r ^= t[j, k, m] & t[i, m, c]
-                r ^= t[i, k, m] & t[j, m, c]
+                r ^= plane(i, j, m) & plane(m, k, c)
+                r ^= plane(j, k, m) & plane(i, m, c)
+                r ^= plane(i, k, m) & plane(j, m, c)
             bad |= r
         live = np.flatnonzero(~bad)
         if live.shape[0] == 0:
             return []
         if live.shape[0] < words.shape[0]:
-            words, bad, t = words[live], bad[live], t[..., live]
+            words, bad = words[live], bad[live]
+    order = np.argsort(words)
     valid = []
-    for bits, w in zip((~bad).tolist(), words.tolist()):
+    for bits, w in zip((~bad[order]).tolist(), words[order].tolist()):
         base = w << 6
         valid += [base + s for s in range(64) if bits >> s & 1 and start <= base + s < stop]
     return valid
@@ -259,20 +305,28 @@ class CensusResult:
         return len(self.records)
 
 
+def _copy(value):
+    """A copy of a record: its dicts and lists are copied, everything else is shared."""
+    if isinstance(value, dict):
+        return {k: _copy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copy(v) for v in value]
+    return value
+
+
 def census(dim: int, jobs: int = 1) -> CensusResult:
-    """Scan every structure tensor of the given dimension over GF(2)."""
+    """Scan every structure tensor of the given dimension over GF(2).
+
+    The screen runs serially, in windows of _WINDOW tensors.  `jobs` must be
+    an int >= 1 and has no effect; it stays only because benchmark v1 calls
+    census(3, jobs=2), until benchmark v2 drops the argument.
+    """
     if not 1 <= dim <= MAX_CENSUS_DIM:
         raise ValueError(f"the census is limited to dimensions 1..{MAX_CENSUS_DIM}")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError("jobs must be an int >= 1")
     total = 1 << dim**3
-    chunks = [(dim, lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    if jobs == 1 or len(chunks) == 1:
-        batches = [valid_tensor_ints(*c) for c in chunks]
-    else:
-        with multiprocessing.Pool(jobs) as pool:
-            batches = pool.starmap(valid_tensor_ints, chunks)
-    values = [v for batch in batches for v in batch]  # ascending, as the chunks are
+    values = [v for lo in range(0, total, _WINDOW) for v in valid_tensor_ints(dim, lo, min(lo + _WINDOW, total))]
     key_of: dict[int, int] = {}  # every tensor of each orbit met so far -> the orbit minimum
     for v in values:
         if v not in key_of:
@@ -282,6 +336,6 @@ def census(dim: int, jobs: int = 1) -> CensusResult:
     classes = {key: tuple(v for k, v in zip(keys, values) if k == key) for key in sorted(set(keys))}
     shared = {key: census_record(dim, members[0]) for key, members in classes.items()}
     records = tuple(
-        {**deepcopy(shared[k]), "fingerprint": _fingerprint(dim, v), "tensor": v} for k, v in zip(keys, values)
+        {**_copy(shared[k]), "fingerprint": _fingerprint(dim, v), "tensor": v} for k, v in zip(keys, values)
     )
     return CensusResult(dim, total, records, classes)

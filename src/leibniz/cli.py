@@ -1,6 +1,6 @@
 """The `leibniz` command.
 
-    leibniz census --dim N [--jobs J]
+    leibniz census --dim N
 
 writes one JSON object per census record to standard output, in the
 library's fingerprint order.
@@ -22,11 +22,10 @@ def main(argv: list[str] | None = None) -> int:
         "census", help=f"every GF(2) Leibniz structure tensor of dimension 1..{MAX_CENSUS_DIM}"
     )
     census_cmd.add_argument("--dim", type=int, required=True)
-    census_cmd.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
-        result = census(args.dim, jobs=args.jobs)
+        result = census(args.dim)
     except ValueError as exc:
         parser.error(str(exc))
     for record in result.records:

@@ -530,8 +530,8 @@ class Subspace:
     def __init__(self, field: Field, ambient: int, rows: tuple[Vector, ...], *, _canonical: bool = False):
         if not _canonical:
             raise ValueError("use Subspace.from_vectors")
-        if ambient < 0:
-            raise ValueError(f"ambient dimension must be >= 0, got {ambient}")
+        if type(ambient) is not int or ambient < 0:
+            raise ValueError(f"ambient dimension must be an int >= 0, got {ambient!r}")
         self.field = field
         self.ambient = ambient
         self.rows = rows

@@ -1,9 +1,6 @@
 import hashlib
 import itertools
 import json
-import multiprocessing
-import os
-import signal
 from collections import Counter
 
 import numpy as np
@@ -68,19 +65,38 @@ def test_screen_rejects_windows_outside_the_tensors(dim, start, stop):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_screen_triple_order_is_a_permutation_of_the_basis_triples(dim):
-    order = census_mod._triple_order(dim)
-    assert sorted(order) == list(itertools.product(range(dim), repeat=3))
+    triples = list(itertools.product(range(dim), repeat=3))
+    assert sorted(census_mod._triple_order(dim)) == triples
+    stages = census_mod._stages(dim)
+    assert sorted(t for t, _ in stages) == triples
+    # every word bit is assigned once, by the first triple that reads it
+    assert sorted(b for _, new in stages for b in new) == list(range(max(dim**3 - 6, 0)))
 
 
 def test_screen_triple_order_dim3():
     order = census_mod._triple_order(3)
     assert order[:5] == ((2, 2, 2), (2, 1, 2), (1, 2, 2), (1, 1, 2), (2, 2, 1))
     assert order[-1] == (0, 0, 0)
+    stages = census_mod._stages(3)
+    assert stages[:9] == (
+        ((0, 0, 2), (0, 1, 2, 9, 10, 11, 18, 19, 20)),
+        ((2, 2, 2), (12, 13, 14, 15, 16, 17)),
+        ((2, 0, 2), ()),
+        ((0, 2, 2), ()),
+        ((2, 2, 1), (6, 7, 8)),
+        ((2, 0, 1), ()),
+        ((0, 2, 1), ()),
+        ((0, 0, 1), ()),
+        ((2, 1, 2), (3, 4, 5)),
+    )
+    # the other 18 triples read only assigned bits, and run in `_triple_order`
+    rest = [t for t, _ in stages[9:]]
+    assert all(not new for _, new in stages[9:])
+    assert rest == [t for t in order if t in rest]
 
 
-def test_screen_stops_once_every_word_has_died(monkeypatch):
-    # in this window the last of the 64 words dies at the 7th of the 27 triples
-    start, stop = 1 << 23, (1 << 23) + 4096
+def _live_words(monkeypatch, dim, start, stop):
+    """The result of the screen, and the live words each triple evaluated."""
     evaluated = []
     flatnonzero = np.flatnonzero
 
@@ -89,10 +105,52 @@ def test_screen_stops_once_every_word_has_died(monkeypatch):
         return flatnonzero(a)
 
     monkeypatch.setattr(census_mod.np, "flatnonzero", counting_flatnonzero)
-    assert valid_tensor_ints(3, start, stop) == []
+    valid = valid_tensor_ints(dim, start, stop)
     monkeypatch.undo()
-    assert len(evaluated) == 7 and evaluated[0] == 64
-    assert _exact_valid(3, start, stop) == []
+    return valid, evaluated
+
+
+def test_screen_live_words_over_the_whole_range(monkeypatch):
+    valid, evaluated = _live_words(monkeypatch, 3, 0, 1 << 27)
+    assert len(valid) == 806
+    assert evaluated == [
+        512, 32768, 7168, 3616, 12928, 9024, 6796, 5680, 44304, 14300, 9680, 5968, 5352, 2720,
+        1460, 1228, 1120, 852, 804, 792, 716, 692, 673, 658, 658, 657, 657,
+    ]
+
+
+def test_screen_stops_once_every_word_has_died(monkeypatch):
+    for start, evaluated in (
+        # live words each triple evaluated; the last word dies at the 13th of 27 triples, or the 2nd
+        (1 << 23, [64, 8, 8, 4, 2, 2, 2, 1, 8, 8, 8, 8, 8]),
+        (1 << 26, [8, 8]),
+    ):
+        stop = start + 4096
+        assert _live_words(monkeypatch, 3, start, stop) == ([], evaluated)
+        assert _exact_valid(3, start, stop) == []
+
+
+@pytest.fixture(scope="module")
+def screen3():
+    return valid_tensor_ints(3, 0, 1 << 27)
+
+
+@pytest.mark.parametrize("dim, window", [(2, 16), (2, 1 << 20), (3, 1 << 20)])
+def test_screen_of_the_whole_range_is_the_concatenation_of_its_windows(screen3, dim, window):
+    total = 1 << dim**3
+    whole = screen3 if dim == 3 else valid_tensor_ints(dim, 0, total)
+    assert [v for lo in range(0, total, window) for v in valid_tensor_ints(dim, lo, min(lo + window, total))] == whole
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_screen_is_the_concatenation_of_its_screens_at_random_split_points(screen3, data):
+    dim = data.draw(st.sampled_from([2, 3]))
+    total = 1 << dim**3
+    whole = screen3 if dim == 3 else valid_tensor_ints(dim, 0, total)
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=6)))
+    bounds = [0, *cuts, total]
+    assert [v for lo, hi in zip(bounds, bounds[1:]) for v in valid_tensor_ints(dim, lo, hi)] == whole
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,13 +174,6 @@ def test_dim3_screen_finds_the_806_tensors(census3):
     assert digest == "1e6ef7a60f644246aa8da347115d2aef1e4eb4fdb4e15d944c436972fe8044c1"
     # census() runs the exact check only on each class's least member, so check every survivor here
     assert all(not algebra_from_int(3, v).check_left_leibniz() for v in values)
-
-
-def test_census_is_independent_of_worker_count(monkeypatch):
-    monkeypatch.setattr(census_mod, "_CHUNK", 64)  # four chunks, so the pool really runs
-    pooled, serial = census(2, jobs=2), census(2, jobs=1)
-    assert pooled.records == serial.records
-    assert pooled.classes == serial.classes
 
 
 def test_census_builds_one_record_per_class(monkeypatch):
@@ -174,38 +225,16 @@ def test_census_record_rejects_a_tensor_the_screen_would_not_pass(dim, value):
 def test_census_argument_validation():
     with pytest.raises(ValueError):
         census(4)
-    with pytest.raises(ValueError):
-        census(2, jobs=0)
-
-
-def _failing_screen(dim, start, stop):
-    raise RuntimeError(f"screen failed at tensor {start} in process {os.getpid()}")
-
-
-def _timed_out(signum, frame):
-    raise TimeoutError("census pool did not report the worker's failure")
-
-
-def test_census_pool_reraises_a_worker_failure(monkeypatch):
-    monkeypatch.setattr(census_mod, "_CHUNK", 64)
-    # the pool's workers run the screen, so the failure is raised in a forked child
-    monkeypatch.setattr(census_mod, "valid_tensor_ints", _failing_screen)
-    previous = signal.signal(signal.SIGALRM, _timed_out)
-    signal.alarm(60)
-    try:
-        # Pool.starmap reports whichever chunk fails first in time, so only the prefix is fixed
-        with pytest.raises(RuntimeError, match="^screen failed at tensor ") as failure:
-            census(2, jobs=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert not str(failure.value).endswith(f" in process {os.getpid()}")
-    assert multiprocessing.active_children() == []
+    # jobs has no effect, but must be an int >= 1
+    for jobs in (0, -1, 1.5, 2.0, True, "2"):
+        with pytest.raises(ValueError):
+            census(1, jobs=jobs)
+    assert census(1, jobs=2) == census(1)
 
 
 @pytest.fixture(scope="module")
 def census3():
-    return census(3, jobs=2)
+    return census(3)
 
 
 DIM3_CLASS_SIZES = {

@@ -17,3 +17,10 @@ def test_cli_census_rejects_a_dimension_out_of_range(capsys):
         main(["census", "--dim", "4"])
     assert exc.value.code == 2
     assert "dimensions 1..3" in capsys.readouterr().err
+
+
+def test_cli_census_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--dim", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

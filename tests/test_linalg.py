@@ -157,6 +157,10 @@ def test_negative_ambient_dimensions_are_rejected():
         lambda: Subspace.zero(QQ, -1),
         lambda: Subspace.from_vectors(QQ, -2, []),
         lambda: Subspace.full(GF(3), -2),
+        # an ambient dimension that is not an int is refused too
+        lambda: Subspace.zero(QQ, 2.5),
+        lambda: Subspace.zero(QQ, True),
+        lambda: Subspace.from_vectors(QQ, 2.0, []),
     ):
         with pytest.raises(ValueError):
             build()
