@@ -35,8 +35,8 @@ entries of the integer table.  It returns the unreduced accumulators of
 [x, y], which `bracket` unscales and `product_subspace` reduces.  The
 closure test that returns its products is `_closed_products`: it brackets
 each pair of rows of S once and raises unless every product lies in S.
-`restrict_to_subalgebra` and the Leib(S) criterion of `cyclic` read their
-tables off it.
+`restrict_to_subalgebra` and `cyclic.is_cyclic_subalgebra` read their
+tables off it; the GF(p) lattice builds its own in its closure filter.
 """
 
 from __future__ import annotations

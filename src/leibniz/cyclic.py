@@ -8,8 +8,10 @@ subalgebra that is not cyclic costs a few brackets and one small rank,
 never a search.  Only a cyclic S gets a generator chosen, by one search
 on every field: the first generator on a small integer grid of elements
 a0 + i, i in Leib(S), that starts at a0, the last canonical row of S
-outside Leib(S).  `cyclic_generator_by_scan`, the exhaustive search over
-GF(p), is the tests' oracle; the library does not call it.
+outside Leib(S).  The criterion reads the table [x_i, x_j] over the rows
+of S, from `core._closed_products` or from the lattice's closure filter.
+`cyclic_generator_by_scan`, the exhaustive search over GF(p), is the tests'
+oracle; the library does not call it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Sequence
 
 from .core import (
     LeibnizAlgebra,
-    _check_inside,
     _closed_products,
     _squares_span,
     is_subalgebra,
@@ -207,18 +208,17 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
     return None
 
 
-def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace) -> tuple[Vector, Subspace] | None:
-    """(a0, Leib(S)) when the nonzero S passes (a) and (b) of `is_cyclic_subalgebra`, else None.
+def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace, products: list[list[Vector]]) -> tuple[Vector, Subspace] | None:
+    """(a0, Leib(S)) when S passes (a) and (b) of `is_cyclic_subalgebra`, else None.
 
-    a0 is the last canonical row of S outside Leib(S).  T, the matrix of
-    [a0, -] on Leib(S) in the pivot coordinates of its RREF rows, only
-    gives the powers I, T, ..., T^(m-1) whose rank decides (b).  The
-    products [x_i, x_j] come from `core._closed_products`, which raises
-    ValueError when S lives outside the algebra or is not closed under the
-    bracket.
+    products[i][j] = [x_i, x_j] over the rows x_i of S, a subalgebra of the
+    algebra; nothing here checks that.  a0 is the last canonical row of S
+    outside Leib(S).  T, the matrix of [a0, -] on Leib(S) in the pivot
+    coordinates of its RREF rows, only gives the powers I, T, ..., T^(m-1)
+    whose rank decides (b).  S = 0 fails (a).
     """
     field = algebra.field
-    leib = _squares_span(algebra, _closed_products(algebra, s))
+    leib = _squares_span(algebra, products)
     m = leib.dim
     if s.dim - m != 1:  # (a)
         return None
@@ -302,10 +302,12 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     A nilpotent cyclic S is always generated by a0: [S, S] = Leib(S) lies
     in every maximal subalgebra, so every element outside it generates S.
     """
-    _check_inside(algebra, s)
-    if s.dim == 0:
-        return None
-    decided = _leib_criterion(algebra, s)
+    return _cyclic_generator(algebra, s, _closed_products(algebra, s))
+
+
+def _cyclic_generator(algebra: LeibnizAlgebra, s: Subspace, products: list[list[Vector]]) -> Vector | None:
+    """`is_cyclic_subalgebra` for a subalgebra S given with its table products[i][j] = [x_i, x_j]."""
+    decided = _leib_criterion(algebra, s, products)
     if decided is None:
         return None
     a0, leib = decided

@@ -10,13 +10,13 @@ coefficient, which the tests pin down.
 
 The GF(p) lattice filters those row tuples before any `Subspace` exists.
 Per pattern it brackets each row choice with itself once; per candidate it
-tests the squares first, then the brackets of distinct rows, each by the
-RREF residual off the pivot columns, w[c] - sum_a w[p_a] r_a[c] = 0 (mod
-p), stopping at the first column that fails (the residual vanishes on the
-pivot columns by construction).  Only the survivors become subspaces.  The
-inline residual carries about half of the gain: with a `Subspace` per
-candidate tested by `_contains_all`, the filter of the GF(5) lattices of
-A-i(4) and B(4) took 0.93-0.96 s of CPU on a 2-core x86 host, against
+tests the squares, then the other products row by row, each by the RREF
+residual off the pivot columns, w[c] - sum_a w[p_a] r_a[c] = 0 (mod p),
+stopping at the first column that fails.  Only the survivors become
+subspaces, each kept with its table of products, from which its cyclicity
+is decided with no bracket or closure test repeated.  With a `Subspace`
+per candidate tested by `_contains_all`, the filter of the GF(5) lattices
+of A-i(4) and B(4) took 0.93-0.96 s of CPU on a 2-core x86 host, against
 0.32-0.33 s.  Maximality needs no comparison of all pairs: every proper
 subalgebra lies in a maximal one, so, walking by decreasing dimension, a
 proper subalgebra is maximal exactly when none of the maximal subalgebras
@@ -25,10 +25,8 @@ found so far contains it.
 Over the rationals no enumeration is possible; the restricted report walks
 the finitely many coordinate-aligned hyperplanes containing [L, L] (every
 codimension-1 ideal contains [L, L], and any subspace containing it is an
-ideal).  Both paths decide cyclicity with `is_cyclic_subalgebra`, whose
-Leib(S) criterion decides every subalgebra on every field; a cyclic
-subalgebra then gets its generator from the same grid search, which
-starts at a0, on both fields.
+ideal) with `is_cyclic_subalgebra`.  Both paths decide cyclicity by the
+Leib(S) criterion, then choose a generator by the grid search from a0.
 """
 
 from __future__ import annotations
@@ -44,14 +42,21 @@ from .core import (
     product_subspace,
     restrict_to_subalgebra,
 )
-from .cyclic import is_cyclic_subalgebra
+from .cyclic import _cyclic_generator, is_cyclic_subalgebra
 from .linalg import GF, Subspace, Vector, basis_vector
 
 _MAX_PAIRS = 3_541_056  # (subspace, element) pairs of GF(5)^5
 
 
+def _check_space(n: int, p: int) -> None:
+    """Raise ValueError unless n >= 0 and p >= 2 are ints (a bool is not)."""
+    if type(n) is not int or type(p) is not int or n < 0 or p < 2:
+        raise ValueError(f"subspaces are counted in GF(p)^n, ints n >= 0 and p >= 2, not p = {p!r}, n = {n!r}")
+
+
 def gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of GF(p)^n."""
+    """Number of k-dimensional subspaces of GF(p)^n; ValueError unless n >= 0 and p >= 2 are ints."""
+    _check_space(n, p)
     if k < 0 or k > n:
         return 0
     num = den = 1
@@ -64,8 +69,7 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 def _check_enumerable(ambient: int, p: int) -> None:
     """Raise ValueError unless GF(p)^ambient is within the enumeration limit."""
-    if p < 2 or ambient < 0:
-        raise ValueError(f"subspaces are enumerated in GF(p)^n, n >= 0, not p = {p}, n = {ambient}")
+    _check_space(ambient, p)
     pairs = sum(gaussian_binomial(ambient, k, p) * p**k for k in range(ambient + 1))
     if pairs > _MAX_PAIRS:
         raise ValueError(f"GF({p})^{ambient} has {pairs} (subspace, element) pairs, over {_MAX_PAIRS}")
@@ -125,7 +129,7 @@ def _in_span(w: Vector, basis: tuple[Vector, ...], pivots: tuple[int, ...], outs
 
 
 def _closed_bases(algebra: LeibnizAlgebra):
-    """Yield the RREF bases of the subalgebras of a GF(p) algebra, in canonical order."""
+    """Yield (basis, table) for the subalgebras of a GF(p) algebra, in canonical order: table[i][j] = [x_i, x_j]."""
     n = algebra.dim
     p = algebra.field.characteristic
     bracket = algebra.bracket
@@ -134,13 +138,16 @@ def _closed_bases(algebra: LeibnizAlgebra):
         squared = [[(x, bracket(x, x)) for x in rows] for rows in choices]
         for candidate in product(*squared):
             basis = tuple(x for x, _ in candidate)
-            if all(_in_span(sq, basis, pivots, outside, p) for _, sq in candidate) and all(
-                _in_span(bracket(x, y), basis, pivots, outside, p)
-                for x in basis
-                for y in basis
-                if x is not y
-            ):
-                yield basis
+            if not all(_in_span(sq, basis, pivots, outside, p) for _, sq in candidate):
+                continue
+            table = []
+            for x, sq in candidate:
+                line = [sq if y is x else bracket(x, y) for y in basis]
+                if not all(w is sq or _in_span(w, basis, pivots, outside, p) for w in line):
+                    break
+                table.append(line)
+            else:
+                yield basis, table
 
 
 @dataclass(frozen=True)
@@ -167,28 +174,24 @@ class SubalgebraLattice:
 def subalgebra_lattice(algebra: LeibnizAlgebra) -> SubalgebraLattice:
     """All subalgebras with ideal, maximality and cyclicity flags, within `enumerate_subspaces`' limit.
 
-    The closure filter runs on the RREF row tuples of `_patterns` and builds
-    a `Subspace` only for the subalgebras.  A proper subalgebra is maximal
-    iff no maximal subalgebra of larger dimension contains it, so the
-    subalgebras are compared only with the maximal ones, by decreasing
-    dimension.
+    A proper subalgebra is maximal iff no maximal subalgebra of larger
+    dimension contains it, so the subalgebras are compared only with the
+    maximal ones, by decreasing dimension.
     """
     field = algebra.field
     n = algebra.dim
     _check_enumerable(n, field.characteristic)
-    subalgebras = [Subspace(field, n, basis, _canonical=True) for basis in _closed_bases(algebra)]
+    closed = []  # (subalgebra, generator): each table is dropped once read
+    for basis, table in _closed_bases(algebra):
+        s = Subspace(field, n, basis, _canonical=True)
+        closed.append((s, _cyclic_generator(algebra, s, table)))
     maximal = []
-    for s in reversed(subalgebras):  # the enumeration runs by increasing dimension
+    for s, _ in reversed(closed):  # the enumeration runs by increasing dimension
         if s.dim < n and not any(s <= t for t in maximal):
             maximal.append(s)
     entries = [
-        LatticeEntry(
-            subspace=s,
-            is_ideal=is_ideal(algebra, s),
-            is_maximal=s in maximal,
-            generator=is_cyclic_subalgebra(algebra, s),
-        )
-        for s in subalgebras
+        LatticeEntry(subspace=s, is_ideal=is_ideal(algebra, s), is_maximal=s in maximal, generator=generator)
+        for s, generator in closed
     ]
     entries.sort(key=lambda e: (e.subspace.dim, e.subspace.rows))
     return SubalgebraLattice(algebra, tuple(entries))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import build_corpus, random_basis
 from leibniz.core import (
     LeibnizAlgebra,
+    _closed_products,
     algebra_in_basis,
     nilpotency_class,
     product_subspace,
@@ -147,7 +148,9 @@ def test_zero_subspace_is_not_cyclic():
 
 
 @pytest.mark.parametrize(
-    "s", [Subspace.zero(GF(5), 7), Subspace.zero(QQ, 2), Subspace.full(GF(5), 3)], ids=["zero", "short", "GF(5)"]
+    "s",
+    [Subspace.zero(GF(5), 7), Subspace.zero(QQ, 2), Subspace.full(QQ, 2), Subspace.full(GF(5), 3)],
+    ids=["zero", "short", "Q^2", "GF(5)"],
 )
 def test_cyclicity_of_a_subspace_outside_the_algebra_is_an_error(s):
     with pytest.raises(ValueError):
@@ -165,8 +168,10 @@ def test_cyclicity_of_a_subspace_outside_the_algebra_is_an_error(s):
     ids=["GF(5)^7", "short", "GF(5)", "not closed"],
 )
 def test_leib_criterion_rejects_a_subspace_outside_the_algebra_or_not_closed(s):
+    # the criterion reads the product table of S, and building that table checks S
+    algebra = cyclic_nilpotent(3, QQ)
     with pytest.raises(ValueError):
-        _leib_criterion(cyclic_nilpotent(3, QQ), s)
+        _leib_criterion(algebra, s, _closed_products(algebra, s))
 
 
 @pytest.mark.parametrize("field", [GF(2), QQ], ids=str)
@@ -273,7 +278,7 @@ def test_criterion_agrees_with_scan_on_small_cases():
                     if not s.dim:
                         continue
                     expected = cyclic_generator_by_scan(algebra, s)
-                    decided = _leib_criterion(algebra, s)
+                    decided = _leib_criterion(algebra, s, _closed_products(algebra, s))
                     gen = is_cyclic_subalgebra(algebra, s)
                     assert (decided is not None) == (expected is not None), (name, s)
                     assert (gen is not None) == (expected is not None), (name, s)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_corpus, random_basis
+from leibniz import core, cyclic
 from leibniz.core import LeibnizAlgebra, algebra_in_basis, is_ideal, is_subalgebra, nilpotency_class
 from leibniz.cyclic import is_cyclic_subalgebra
 from leibniz.families import abelian, cyclic_nilpotent, dim2_l2, family_a_i
@@ -29,6 +30,13 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2, 3) == 130
     assert gaussian_binomial(3, 0, 5) == 1
     assert gaussian_binomial(3, 4, 5) == 0
+
+
+def test_gaussian_binomial_rejects_a_bad_space():
+    # q below 2, a negative n, and an n or q that is not an int, bools included
+    for n, k, q in [(2, 1, 0), (2, 1, -3), (2, 1, 1), (-1, 0, 2), (2.0, 1, 2), (2, 1, 2.0), (True, 1, 2), (2, 1, True)]:
+        with pytest.raises(ValueError):
+            gaussian_binomial(n, k, q)
 
 
 def test_enumerate_counts_small():
@@ -53,8 +61,8 @@ def test_enumerate_matches_gaussian_binomials(n, p):
 
 
 def test_enumerate_limit():
-    # the limit is the (subspace, element) pair count of GF(5)^5; p must be a prime, n >= 0
-    for n, p in [(8, 2), (4, 11), (6, 11), (2, 0), (2, 1), (-1, 2)]:
+    # the limit is the (subspace, element) pair count of GF(5)^5; p must be a prime, n >= 0, both ints
+    for n, p in [(8, 2), (4, 11), (6, 11), (2, 0), (2, 1), (-1, 2), (2.0, 2), (2, 2.0), (True, 2), (2, True)]:
         with pytest.raises(ValueError):
             next(enumerate_subspaces(n, p))
 
@@ -225,6 +233,29 @@ def test_lattice_matches_brute_force(p):
     for name, alg in build_corpus(field):
         for algebra in (alg, algebra_in_basis(alg, random_basis(field, alg.dim, rng))):
             assert subalgebra_lattice(algebra).entries == _brute_force_entries(algebra), name
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lattice_decides_cyclicity_from_the_filter_table(p, monkeypatch):
+    # no subalgebra is bracketed or tested for closure twice: the lattice
+    # never calls _closed_products, and its generators and ideal flags agree
+    # with is_cyclic_subalgebra and is_ideal, which compute theirs afresh
+    def refuse(*args):
+        raise AssertionError("subalgebra_lattice called _closed_products")
+
+    rng = random.Random(23)
+    field = GF(p)
+    for name, alg in build_corpus(field):
+        if alg.dim > 4:
+            continue
+        for algebra in (alg, algebra_in_basis(alg, random_basis(field, alg.dim, rng))):
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_closed_products", refuse)
+                patch.setattr(cyclic, "_closed_products", refuse)
+                entries = subalgebra_lattice(algebra).entries
+            for e in entries:
+                assert e.generator == is_cyclic_subalgebra(algebra, e.subspace), (name, e.subspace)
+                assert e.is_ideal == is_ideal(algebra, e.subspace), (name, e.subspace)
 
 
 def _sl2(field):
