@@ -36,7 +36,9 @@ entries of the integer table.  It returns the unreduced accumulators of
 closure test that returns its products is `_closed_products`: it brackets
 each pair of rows of S once and raises unless every product lies in S.
 `restrict_to_subalgebra` and `cyclic.is_cyclic_subalgebra` read their
-tables off it; the GF(p) lattice builds its own in its closure filter.
+tables off it, and `lattice.rational_codim1_report` hands one table to both
+`_restriction` and `cyclic._cyclic_generator`; the GF(p) lattice builds its
+own in its closure filter.
 """
 
 from __future__ import annotations
@@ -406,6 +408,11 @@ def restrict_to_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> LeibnizAlgeb
     products = _closed_products(algebra, s)
     if not products:
         raise ValueError("cannot restrict to the zero subspace")
+    return _restriction(algebra, s, products)
+
+
+def _restriction(algebra: LeibnizAlgebra, s: Subspace, products: list[list[Vector]]) -> LeibnizAlgebra:
+    """The algebra on a nonzero subalgebra S read off its table products[i][j] = [x_i, x_j]; nothing is checked."""
     pivots = s.pivot_columns()
     # each product lies in S, whose basis is RREF: its coordinates are the pivot entries
     tensor = [tuple([tuple([w[p] for p in pivots]) for w in line]) for line in products]

@@ -8,12 +8,20 @@ from pathlib import Path
 import pytest
 
 from conftest import build_corpus, random_basis
-from leibniz import core, cyclic
-from leibniz.core import LeibnizAlgebra, algebra_in_basis, is_ideal, is_subalgebra, nilpotency_class
+from leibniz import core, cyclic, lattice
+from leibniz.core import (
+    LeibnizAlgebra,
+    algebra_in_basis,
+    is_ideal,
+    is_subalgebra,
+    nilpotency_class,
+    restrict_to_subalgebra,
+)
 from leibniz.cyclic import is_cyclic_subalgebra
-from leibniz.families import abelian, cyclic_nilpotent, dim2_l2, family_a_i
+from leibniz.families import abelian, cyclic_nilpotent, dim2_l2, family_a_i, family_b
 from leibniz.lattice import (
     LatticeEntry,
+    _closed_bases,
     enumerate_subspaces,
     gaussian_binomial,
     maximal_cyclic_report,
@@ -177,6 +185,29 @@ def test_rational_codim1_report_one_dimensional():
         assert candidate.generator is None
 
 
+def test_rational_codim1_report_builds_each_table_once(monkeypatch):
+    # one _closed_products per hyperplane serves both its nilpotency flag and
+    # its cyclicity, which agree with restrict_to_subalgebra and
+    # is_cyclic_subalgebra, each computing its own table
+    closed_products = core._closed_products
+    calls = []
+
+    def counted(algebra, s):
+        calls.append(s)
+        return closed_products(algebra, s)
+
+    for alg in (family_a_i(4, QQ), family_b(4, [0, 1, 1], 1, QQ)):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            for module in (core, cyclic, lattice):
+                patch.setattr(module, "_closed_products", counted)
+            candidates = rational_codim1_report(alg).candidates
+        assert candidates and sorted(calls, key=lambda s: s.rows) == [c.subspace for c in candidates]
+        for c in candidates:
+            assert c.nilpotent == (nilpotency_class(restrict_to_subalgebra(alg, c.subspace)) is not None)
+            assert c.generator == is_cyclic_subalgebra(alg, c.subspace)
+
+
 def test_rational_codim1_report_requires_q():
     with pytest.raises(ValueError):
         rational_codim1_report(cyclic_nilpotent(2, GF(2)))
@@ -256,6 +287,38 @@ def test_lattice_decides_cyclicity_from_the_filter_table(p, monkeypatch):
             for e in entries:
                 assert e.generator == is_cyclic_subalgebra(algebra, e.subspace), (name, e.subspace)
                 assert e.is_ideal == is_ideal(algebra, e.subspace), (name, e.subspace)
+
+
+def _assert_filter_matches_brute_force(algebra, name):
+    n, p = algebra.dim, algebra.field.characteristic
+    expected = [s.rows for s in enumerate_subspaces(n, p) if is_subalgebra(algebra, s)]
+    assert [basis for basis, _ in _closed_bases(algebra)] == expected, name
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_closed_bases_match_brute_force(p):
+    # the filter solves each head for its tail; every subspace is tested
+    # afresh here, in the same canonical order
+    rng = random.Random(24)
+    field = GF(p)
+    for name, alg in build_corpus(field):
+        if alg.dim > 4:
+            continue
+        for algebra in (alg, algebra_in_basis(alg, random_basis(field, alg.dim, rng))):
+            _assert_filter_matches_brute_force(algebra, name)
+
+
+def test_closed_bases_match_brute_force_on_a_i4_gf5():
+    field = GF(5)
+    alg = family_a_i(4, field)
+    _assert_filter_matches_brute_force(algebra_in_basis(alg, random_basis(field, alg.dim, random.Random(4))), "A-i(4)")
+
+
+def test_closed_bases_try_every_tail_of_an_abelian_algebra():
+    # every square is 0, so no head forces a tail and every subspace is kept
+    algebra = abelian(4, GF(3))
+    _assert_filter_matches_brute_force(algebra, "abelian4")
+    assert sum(1 for _ in _closed_bases(algebra)) == sum(gaussian_binomial(4, k, 3) for k in range(5))
 
 
 def _sl2(field):
