@@ -222,7 +222,7 @@ def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace, products: list[list[Ve
     m = leib.dim
     if s.dim - m != 1:  # (a)
         return None
-    a0 = next(row for row in reversed(s.rows) if any(leib._residual(row)))
+    a0 = next(row for row in reversed(s.rows) if not leib._contains_all((row,)))
     images = [algebra.bracket(a0, b) for b in leib.rows]
     t = Matrix(field, [[w[pc] for w in images] for pc in leib.pivot_columns()], _coerced=True)
     # (b): the minimal polynomial of T has degree m iff I, T, ..., T^(m-1) are independent

@@ -186,10 +186,9 @@ def _coerced_chain(algebra: LeibnizAlgebra, k_rows: Sequence[Vector], b: Vector)
     k_rows = [tuple([field.of(v) for v in row]) for row in k_rows]
     if not is_canonical_cyclic(algebra, k_rows):
         raise ValueError("basis is not a canonical cyclic chain")
-    if len(b) != algebra.dim:
-        raise ValueError("vector length differs from ambient dimension")
-    b = tuple([field.of(v) for v in b])
-    if not any(Subspace._span(field, algebra.dim, k_rows)._residual(b)):
+    k = Subspace._span(field, algebra.dim, k_rows)
+    b = tuple(k._field_values(b))
+    if k._contains_all((b,)):
         raise ValueError("b must lie outside K")
     return k_rows, b
 

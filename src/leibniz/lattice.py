@@ -14,15 +14,13 @@ the last is the head; the last row, with the highest pivot, is the tail.
 Off the pivot columns the square of a head row x leaves the residual
 res - s * tail against the whole candidate, where res is its residual
 against the head and s its entry at the tail's pivot; so s != 0 forces the
-tail's entries to res / s, and s = 0 asks res = 0 of the head alone.  Each head is therefore
-solved for its one tail, looked up by its off-pivot entries, or dropped;
-only when every s is 0 is each tail tried.  A surviving candidate has the
-tail's square, then the other products row by row, tested by the RREF
-residual w[c] - sum_a w[p_a] r_a[c] = 0 (mod p), stopping at the first
-column that fails.  For the GF(5) lattices of A-i(4) and B(4) this visits
-6,158 heads and makes 9,138 such tests, where a screen of every candidate
-visited 84,352 and made 94,811; the filter's CPU time fell from 0.23-0.30 s
-to 0.09-0.11 s on a 2-core x86 host (best of five, three processes each).
+tail's entries to res / s, and s = 0 asks res = 0 of the head alone.
+Each head is therefore solved for its one tail, looked up by its off-pivot
+entries, or dropped; only when every s is 0 is each tail tried.  The tail's
+square, then the other products row by row, are tested by `linalg`'s one
+membership rule, `_in_span`, with the pattern's pivots.  For the GF(5)
+lattices of A-i(4) and B(4) this visits 6,158 heads and makes 9,138 such
+tests, where a screen of every candidate visited 84,352 and made 94,811.
 Only the survivors become subspaces, each kept with its table of products,
 from which its cyclicity is decided with no bracket or closure test
 repeated.  Maximality needs no comparison of all pairs: every proper
@@ -53,7 +51,7 @@ from .core import (
     product_subspace,
 )
 from .cyclic import _cyclic_generator
-from .linalg import GF, Subspace, Vector, basis_vector
+from .linalg import GF, Subspace, Vector, _in_span, basis_vector
 
 _MAX_PAIRS = 3_541_056  # (subspace, element) pairs of GF(5)^5
 
@@ -125,17 +123,6 @@ def enumerate_subspaces(ambient: int, p: int):
     for _pivots, choices in _patterns(ambient, p):
         for rows in product(*choices):
             yield Subspace(field, ambient, rows, _canonical=True)
-
-
-def _in_span(w: Vector, basis: tuple[Vector, ...], pivots: tuple[int, ...], outside: list[int], p: int) -> bool:
-    """Whether w lies in the span of the RREF rows `basis`: its residual is 0 off the pivot columns."""
-    for c in outside:
-        v = w[c]
-        for row, pc in zip(basis, pivots):
-            v -= w[pc] * row[c]
-        if v % p:
-            return False
-    return True
 
 
 def _closed_bases(algebra: LeibnizAlgebra):

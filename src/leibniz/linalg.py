@@ -34,11 +34,10 @@ Scalars are coerced once, where they enter from outside the library:
 `Field.of` runs in the public constructors (`Matrix(...)`,
 `Subspace.from_vectors`, `LeibnizAlgebra`, the family parameters) and in
 public functions that take a caller's vector (`Matrix.apply`,
-`Subspace.reduce`, `Subspace.contains`, `solve`).  Floats are rejected
-there rather than truncated or made binary-exact.  Internal callers pass values straight
-through: `Matrix(..., _coerced=True)`, `LeibnizAlgebra(..., _derived=True)`,
-`Subspace._span` (row reduction only) and `Subspace._residual` skip the
-coercion.
+`Subspace.reduce`, `Subspace.contains`, `solve`).  Floats are rejected there
+rather than truncated or made binary-exact.  Internal callers pass values
+straight through: `Matrix(..., _coerced=True)`, `LeibnizAlgebra(...,
+_derived=True)`, `Subspace._span` and `Subspace._contains_all` skip it.
 
 Every value inside the library is canonical (a `Fraction`, or an int in
 [0, p)), and the arithmetic on it follows one rule:
@@ -63,10 +62,13 @@ A x = 0 with no denominator of A to clear.  The nonzero entries of a row
 given to `Subspace._span` are made field values first, so that no int
 reaches a `Subspace` over Q.
 
-Membership has one test: v lies in S when its residual against S's RREF
-rows is zero.  Closure, ideal and invariance checks and ``S <= T`` call
-`Subspace._contains_all`, which reduces each vector in turn, stops at the
-first outside S, and never spans the vectors first.
+Membership has one rule, `_in_span`: w lies in the span of RREF rows r_a
+with pivots p_a iff w[c] - sum_a w[p_a] r_a[c] = 0 (mod p over GF(p)) at
+each column c that holds no pivot, tested up to the first that fails.  The
+GF(p) lattice filter calls it with each pattern's pivots; all else calls
+`Subspace._contains_all`, which stops at the first vector outside S:
+`contains`, ``S <= T``, `core._closed_products`, the subalgebra, ideal and
+invariance tests, a0 in `cyclic._leib_criterion` and "b outside K" in `families`.
 """
 
 from __future__ import annotations
@@ -198,6 +200,8 @@ def zero_vector(field: Field, n: int) -> Vector:
 
 
 def basis_vector(field: Field, n: int, i: int) -> Vector:
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"basis index must be an int in 0..{n - 1}, got {i!r}")
     return tuple([field.one if j == i else field.zero for j in range(n)])
 
 
@@ -230,6 +234,17 @@ def _integral(row: Sequence[Scalar]) -> list[int]:
     """
     m = lcm(*[v.denominator for v in row])
     return [v.numerator * (m // v.denominator) for v in row]
+
+
+def _in_span(w: Sequence[Scalar], basis: Sequence[Vector], pivots: Sequence[int], outside: Iterable[int], p: int) -> bool:
+    """Whether w lies in the span of RREF rows with these pivots, by the rule of the module docstring."""
+    for c in outside:
+        v = w[c]
+        for row, pc in zip(basis, pivots):
+            v -= w[pc] * row[c]
+        if v % p if p else v:
+            return False
+    return True
 
 
 def render_vector(field: Field, x: Vector) -> str:
@@ -586,28 +601,27 @@ class Subspace:
     def pivot_columns(self) -> tuple[int, ...]:
         return self._pivots
 
-    def reduce(self, v: Sequence[Scalar]) -> Vector:
-        """Residual of v after subtracting its projection onto the basis rows."""
+    def _field_values(self, v: Sequence[Scalar]) -> list[Scalar]:
+        """A caller's vector as field values; ValueError unless its length is the ambient dimension."""
         if len(v) != self.ambient:
             raise ValueError("vector length differs from ambient dimension")
-        return self._residual([self.field.of(x) for x in v])
+        return [self.field.of(x) for x in v]
 
-    def _residual(self, residual: Sequence[Scalar]) -> Vector:
-        """`reduce` of a vector that is already field values."""
-        reduce = self.field.reduce
+    def reduce(self, v: Sequence[Scalar]) -> Vector:
+        """Residual of v after subtracting its projection onto the basis rows."""
+        residual = self._field_values(v)
         for row, pc in zip(self.rows, self._pivots):
-            c = residual[pc]
-            if not c:
-                continue
-            residual = [reduce(a - c * b) for a, b in zip(residual, row)]
+            if c := residual[pc]:
+                residual = [self.field.reduce(a - c * b) for a, b in zip(residual, row)]
         return tuple(residual)
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(v))
+        return self._contains_all((self._field_values(v),))
 
     def _contains_all(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
-        """Whether every vector (field values) lies in S; stops at the first that does not."""
-        return not any(any(self._residual(v)) for v in vectors)
+        """Whether every vector (field values) lies in S, by `_in_span`; stops at the first that does not."""
+        outside = [c for c in range(self.ambient) if c not in self._pivots]
+        return all(_in_span(v, self.rows, self._pivots, outside, self.field.characteristic) for v in vectors)
 
     def __le__(self, other: "Subspace") -> bool:
         self._check_compatible(other)

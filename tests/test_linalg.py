@@ -21,6 +21,7 @@ from leibniz.linalg import (
     _lifted_kernel,
     _P,
     _sparse,
+    basis_vector,
     linear_combination,
     nonzero_elements,
     solve,
@@ -410,6 +411,66 @@ def test_rref_and_kernel_match_sympy(field, data):
         for r, pc in enumerate(aug_pivots):
             x[pc] = augmented[r][ncols]
         assert solve(m, b) == tuple(x)
+
+
+def _rank(field, rows, ncols):
+    return _to_sympy(field, rows, ncols).rank() if rows else 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from([QQ, GF(2), GF(3), GF(5)]), data=st.data())
+def test_membership_matches_sympy_rank(field, data):
+    """v lies in S iff rank(rows + [v]) == rank(rows), for a member of S and
+    for that member changed at each column in turn, pivot or not."""
+    rows, ncols = _rows_for_elimination(data, field)
+    s = Subspace.from_vectors(field, ncols, rows)
+    rank = _rank(field, rows, ncols)
+    p = field.characteristic
+    value = st.integers(0, p - 1) if p else st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeffs = [field.of(c) for c in data.draw(st.lists(value, min_size=s.dim, max_size=s.dim))]
+    member = linear_combination(field, coeffs, s.rows) if s.rows else (field.zero,) * ncols
+    delta = data.draw(value.map(field.of).filter(bool))
+    vectors = [member]
+    for c in range(ncols):
+        changed = list(member)
+        changed[c] = field.reduce(changed[c] + delta)
+        vectors.append(tuple(changed))
+    verdicts = []
+    for v in vectors:
+        inside = _rank(field, [*rows, v], ncols) == rank
+        assert s.contains(v) is inside
+        assert s._contains_all([v]) is inside
+        verdicts.append(inside)
+    assert verdicts[0]
+    # every change off the pivots leaves S; a change at a pivot may not
+    pivots = s.pivot_columns()
+    assert not any(inside for c, inside in enumerate(verdicts[1:]) if c not in pivots)
+
+    # _contains_all takes the vectors in order and stops at the first outside S
+    outside = [v for v, inside in zip(vectors, verdicts) if not inside]
+    assert s._contains_all(iter(vectors[:1] * 2))
+    if outside:
+        assert not s._contains_all([member, outside[0]])
+        stream = iter([outside[0], member])
+        assert not s._contains_all(stream)
+        assert next(stream) == member
+
+    # S <= T iff dim(S + T) == dim(T), for T spanned by some of S's rows and maybe one more
+    t_rows = [row for row in rows if data.draw(st.booleans())]
+    if data.draw(st.booleans()):
+        t_rows.append(data.draw(st.sampled_from(vectors)))
+    t = Subspace.from_vectors(field, ncols, t_rows)
+    t_rank = _rank(field, t_rows, ncols)
+    assert (s <= t) is (_rank(field, [*rows, *t_rows], ncols) == t_rank)
+    assert (t <= s) is (_rank(field, [*rows, *t_rows], ncols) == rank)
+
+
+def test_basis_vector_rejects_an_index_out_of_range():
+    assert basis_vector(GF(3), 3, 2) == (0, 0, 1)
+    assert basis_vector(QQ, 1, 0) == (Fraction(1),)
+    for n, i in [(3, -1), (3, 3), (3, 5), (0, 0), (3, 1.0), (3, True)]:
+        with pytest.raises(ValueError):
+            basis_vector(QQ, n, i)
 
 
 def _sympy_kernel(rows, ncols):
