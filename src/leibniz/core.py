@@ -317,7 +317,8 @@ def _centraliser(
     entries of the integer table against Z.  Row pc of Z, scaled to
     integers, is m_pc z_pc with m_pc at its pivot; with M the lcm of the
     m_pc, the residual of v is M v - sum over pc of v[pc] (M / m_pc) m_pc z_pc,
-    M times the true one, and all in integers.
+    M times the true one, and all in integers.  The zero rows constrain
+    nothing and are dropped; on a sparse table they are most of the rows.
     """
     n = algebra.dim
     field = algebra.field
@@ -342,7 +343,7 @@ def _centraliser(
             rows.extend(zip(*[residual(nz[i][j]) for i in range(n)]))
         if right:
             rows.extend(zip(*[residual(nz[j][i]) for i in range(n)]))
-    return _kernel(field, n, [{c: v for c, v in enumerate(row) if v} for row in rows])
+    return _kernel(field, n, [{c: v for c, v in enumerate(row) if v} for row in rows if any(row)])
 
 
 def left_center(algebra: LeibnizAlgebra) -> Subspace:

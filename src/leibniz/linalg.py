@@ -43,11 +43,13 @@ Every value inside the library is canonical (a `Fraction`, or an int in
 [0, p)), and the arithmetic on it follows one rule:
 
 - arithmetic is Python's ``+ - *`` on field values;
-- each entry the code produces is reduced once with `Field.reduce`, so
-  ``a - f * b`` costs one reduction, not one per operation; `reduce` takes
-  exact raw values only, a `Fraction` or an int over Q and an int over
-  GF(p), so a float, or a Fraction over GF(p), that skipped `Field.of`
-  raises TypeError there instead of leaking into the result;
+- each entry the code produces is reduced once, so ``a - f * b`` costs one
+  reduction, not one per operation: by `Field.reduce`, or, in `_echelon`'s
+  elimination step over a prime field (GF(p) and the residues mod P
+  below), by its ``index(v) % p`` written inline.  Both take exact raw
+  values only, a `Fraction` or an int over Q and an int over GF(p), so a
+  float, or a Fraction over GF(p), that skipped `Field.of` raises
+  TypeError in `index` instead of leaking into the result;
 - a zero test is truthiness: ``if not c``, ``any(vec)``, ``not any(vec)``.
 
 Integer rows.  Every kernel takes integer rows and reduces them itself
@@ -263,11 +265,13 @@ def _echelon(field: Field, rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[
     """
     reduce = field.reduce
     zero = field.zero
+    p = field.characteristic
 
     def subtract(target: dict[int, Scalar], f: Scalar, source: dict[int, Scalar]) -> None:
         """target -= f * source, dropping the entries that become zero."""
         for c, b in source.items():
-            v = reduce(target.get(c, zero) - f * b)
+            v = target.get(c, zero) - f * b
+            v = index(v) % p if p else reduce(v)
             if v:
                 target[c] = v
             else:
@@ -358,7 +362,10 @@ def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | Non
     by `_kernel_echelon`, and each entry is lifted by `_lift`.  The result
     is returned only if every lifted row x passes A x = 0, checked in
     integers after clearing the denominators of x; the module docstring
-    shows why it is then exact.  The rows are not written to.
+    shows why it is then exact.  The check skips the dead columns, where
+    every lifted row is 0: an entry of A there adds exactly 0 to every
+    a . x, so each product, and the check over every row, is unchanged.
+    The rows are not written to.
     """
     residues = _residues(_P, rows)
     lifts = {1: Fraction(1)}
@@ -371,22 +378,24 @@ def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | Non
             if lifts[u] is None:
                 return None
             lifted[c] = lifts[u]
-    # cols[c] holds entry c of each lifted row X_j, denominators cleared, so
-    # that a row a of A gives every a . X_j at once from the columns it
-    # touches.  The `lcm` argument is a list, not a generator: CPython 3.11
-    # builds the argument tuple of f(*generator) at one length and frees it
-    # at another, so the tuple free list of each length fills up to 2,000
-    # tuples (0.8 MB of peak RSS on the `profile-q` benchmark).
+    # cols[c] holds entry c of each lifted row X_j, denominators cleared, for
+    # the columns c that are not dead, so that a row a of A gives every
+    # a . X_j at once from those it touches.  The `lcm` argument is a list,
+    # not a generator: CPython 3.11 builds the argument tuple of
+    # f(*generator) at one length and frees it at another, so the tuple free
+    # list of each length fills up to 2,000 tuples (0.8 MB of peak RSS on
+    # the `profile-q` benchmark).
     zeros = [0] * len(basis)
-    cols = [zeros[:] for _ in range(ncols)]
+    cols: dict[int, list[int]] = {}
     for j, x in enumerate(basis.values()):
         m = lcm(*[v.denominator for v in x.values()])
         for c, v in x.items():
-            cols[c][j] = v.numerator * (m // v.denominator)
+            cols.setdefault(c, zeros[:])[j] = v.numerator * (m // v.denominator)
     for row in rows:
         dots = zeros
         for c, a in row.items():
-            dots = list(map(add, dots, map(a.__mul__, cols[c])))
+            if c in cols:
+                dots = list(map(add, dots, map(a.__mul__, cols[c])))
         if any(dots):
             return None
     return _dense(QQ, ncols, basis)

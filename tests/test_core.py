@@ -1,11 +1,14 @@
 import itertools
 import pickle
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import build_corpus
 
+from leibniz import core
 from leibniz.census import algebra_from_int
 from leibniz.core import (
     IdentityViolation,
@@ -41,6 +44,10 @@ from leibniz.families import (
 )
 from leibniz.lattice import enumerate_subspaces
 from leibniz.linalg import GF, QQ, Subspace, basis_vector
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 
 def span(field, ambient, *vectors):
@@ -490,6 +497,25 @@ def test_centers_and_upper_series_match_brute_force():
         series = upper_central_series(alg)
         assert [_elements(z) for z in series] == (terms or [prev])
         assert series[0] == center(alg)
+
+
+def test_centralisers_hand_the_kernel_no_empty_row(monkeypatch):
+    # the dimension-7 algebras of the profile benchmark: sparse tables, where
+    # most (j, coordinate) constraint rows of a centraliser are zero
+    algebras = [case.algebra for case in workloads.build("profile-q", 1).cases if case.algebra.dim == 7]
+    assert len(algebras) == 6
+    expected = [(left_center(a), right_center(a), upper_central_series(a)) for a in algebras]
+    no_empty_row = []
+    kernel = core._kernel
+
+    def recording(field, ncols, rows):
+        no_empty_row.append(all(rows))
+        return kernel(field, ncols, rows)
+
+    monkeypatch.setattr(core, "_kernel", recording)
+    assert [(left_center(a), right_center(a), upper_central_series(a)) for a in algebras] == expected
+    assert len(no_empty_row) >= 3 * len(algebras)
+    assert all(no_empty_row)
 
 
 def test_membership_predicates_match_brute_force():

@@ -15,6 +15,8 @@ from leibniz.linalg import (
     Field,
     Matrix,
     Subspace,
+    _RESIDUES,
+    _echelon,
     _integral,
     _kernel,
     _lift,
@@ -351,24 +353,37 @@ def _from_sympy(field, dm):
 
 def _rows_for_elimination(data, field):
     """Up to 10 x 8 rows of field values, mostly zero in one draw of two, with
-    zero rows and repeats of the same row object; some rows are tuples."""
+    zero rows and repeats of the same row object; some rows are tuples.
+
+    Hypothesis draws the shape, the row kinds and a seed; the values come
+    from `random` with that seed, since building a strategy per draw took
+    most of the time of the tests that use these rows.  A value is a
+    fraction in [-3, 3] with denominator at most 3 over Q and a residue over
+    GF(p); in the mostly-zero draws two values in three are zero.
+    """
     nrows = data.draw(st.integers(1, 10))
     ncols = data.draw(st.integers(1, 8))
-    if field.characteristic == 0:
-        value = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(field.of)
-    else:
-        value = st.integers(0, field.characteristic - 1)
-    if data.draw(st.booleans()):
-        value = st.one_of(st.just(field.zero), st.just(field.zero), value)
+    kinds = data.draw(st.lists(st.sampled_from(["list", "tuple", "zero", "repeat"]), min_size=nrows, max_size=nrows))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    p = field.characteristic
+    sparse = rng.random() < 0.5
+
+    def value():
+        if sparse and rng.randrange(3):
+            return field.zero
+        if p:
+            return rng.randrange(p)
+        d = rng.randint(1, 3)
+        return field.of(Fraction(rng.randint(-3 * d, 3 * d), d))
+
     rows = []
-    for _ in range(nrows):
-        kind = data.draw(st.sampled_from(["list", "tuple", "zero", "repeat"]))
+    for kind in kinds:
         if kind == "repeat" and rows:
-            rows.append(data.draw(st.sampled_from(rows)))
+            rows.append(rng.choice(rows))
         elif kind == "zero":
             rows.append((field.zero,) * ncols)
         else:
-            row = data.draw(st.lists(value, min_size=ncols, max_size=ncols))
+            row = [value() for _ in range(ncols)]
             rows.append(tuple(row) if kind == "tuple" else row)
     return rows, ncols
 
@@ -509,6 +524,33 @@ def test_rational_kernel_falls_back_to_exact_elimination(rows):
     rows = [[Fraction(v) for v in row] for row in rows]
     assert _lifted_kernel(len(rows[0]), _sparse(map(_integral, rows))) is None
     assert list(Matrix(QQ, rows).kernel().rows) == _sympy_kernel(rows, len(rows[0]))
+
+
+@pytest.mark.parametrize("field", [GF(5), _RESIDUES], ids=["GF(5)", "residues"])
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2)], ids=["float", "fraction"])
+def test_elimination_rejects_a_value_that_skipped_the_boundary(field, value):
+    # the elimination step reduces inline over a prime field; the first row
+    # clears column 0 of the second, and then 1 * 1 - value must raise
+    rows = [{0: 1, 1: 1}, {0: 1, 1: value}]
+    with pytest.raises(TypeError) as excinfo:
+        _echelon(field, rows)
+    assert "subtract" in [entry.name for entry in excinfo.traceback]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: 2**40, 1: 1}, {2: 1}],  # the second row touches only a dead column
+        [{0: 2**40, 1: 1, 2: 1}, {2: 1}],  # the first row touches live and dead columns
+    ],
+    ids=["dead-row", "mixed-row"],
+)
+def test_lifted_kernel_check_skips_only_the_dead_columns(rows):
+    # the kernel mod P is spanned by (1, -2^40, 0), whose lift (1, -1/2^21, 0)
+    # is wrong; column 2 is dead, and the check must still reject the lift
+    assert _lifted_kernel(3, rows) is None
+    dense = [[row.get(c, 0) for c in range(3)] for row in rows]
+    assert list(Matrix(QQ, dense).kernel().rows) == _sympy_kernel(dense, 3)
 
 
 def test_lift_is_the_smallest_fraction_of_a_residue():
