@@ -32,9 +32,10 @@ stays exact:
 
 Two vectors are multiplied by one loop, `_product`, over the nonzero
 entries of the integer table.  It returns the unreduced accumulators of
-[x, y], which `bracket` unscales and `product_subspace` reduces.  The
-closure test that returns its products is `_closed_products`: it brackets
-each pair of rows of S once and raises unless every product lies in S.
+[x, y], which `bracket` unscales and `product_subspace` hands to the span
+as they are.  The closure test that returns its products is
+`_closed_products`: it brackets each pair of rows of S once and raises
+unless every product lies in S.
 `restrict_to_subalgebra` and `cyclic.is_cyclic_subalgebra` read their
 tables off it, and `lattice.rational_codim1_report` hands one table to both
 `_restriction` and `cyclic._cyclic_generator`; the GF(p) lattice builds its
@@ -236,15 +237,15 @@ def product_subspace(algebra: LeibnizAlgebra, s: Subspace, t: Subspace) -> Subsp
     """span{[x, y] : x in basis(S), y in basis(T)}; bilinearity makes this the full product span.
 
     The rows are scaled to integers and bracketed on the integer table,
-    which changes no span; only the nonzero entries of the products are
-    made field values.  Raises ValueError when S or T lives outside the
-    algebra.
+    which changes no span, and the integer products go to the span as they
+    are: it reduces them modulo p over GF(p) and modulo 2^61 - 1 over Q
+    (`linalg.Subspace._span`).  Raises ValueError when S or T lives outside
+    the algebra.
     """
     _check_inside(algebra, s, t)
     table = algebra._table
-    reduce = algebra.field.reduce
     ys = [_integral(y) for y in t.rows]
-    products = [[v and reduce(v) for v in _product(table, x, y)] for x in map(_integral, s.rows) for y in ys]
+    products = [_product(table, x, y) for x in map(_integral, s.rows) for y in ys]
     return Subspace._span(algebra.field, algebra.dim, products)
 
 
@@ -337,7 +338,7 @@ def _centraliser(
         return v
 
     rows = []
-    # list, not generator, arguments to zip: see `linalg._lifted_kernel`
+    # list, not generator, arguments to zip: see `linalg._lifted`
     for j in range(n):
         if left:
             rows.extend(zip(*[residual(nz[i][j]) for i in range(n)]))

@@ -60,6 +60,11 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scala
     n = algebra.dim
     nz = algebra._table
     neg = [[[(l, -c) for l, c in cell] for cell in plane] for plane in nz]
+    # the nonzero cells (m, entries) of each table row and column, found once
+    # per call: row i of nz holds [e_i, e_m], column j of neg holds -[e_m, e_j]
+    pos_row = [[(m, cell) for m, cell in enumerate(plane) if cell] for plane in nz]
+    neg_row = [[(m, cell) for m, cell in enumerate(plane) if cell] for plane in neg]
+    neg_col = [[(m, neg[m][j]) for m in range(n) if neg[m][j]] for j in range(n)]
     rows = []
     for i in range(n):
         for j in range(n):
@@ -68,18 +73,19 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scala
             for m, c in nz[i][j]:
                 for l in range(n):
                     acc[l][l * n + m] = c
-            for m in range(n):
-                if kind == "left-derivation":
-                    terms = ((neg[m][j], i), (neg[i][m], j))
-                else:
-                    terms = ((neg[i][m], j), (nz[j][m], i))
-                for entries, col in terms:
+            if kind == "left-derivation":
+                terms = ((neg_col[j], i), (neg_row[i], j))
+            else:
+                terms = ((neg_row[i], j), (pos_row[j], i))
+            for cells, col in terms:
+                for m, entries in cells:
                     k = m * n + col
                     for l, c in entries:
                         row = acc[l]
                         row[k] = row[k] + c if k in row else c
-            for entries in acc:
-                row = {k: v for k, v in entries.items() if v}
+            for row in acc:
+                if not all(row.values()):
+                    row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)
     return rows

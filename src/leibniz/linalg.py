@@ -15,20 +15,28 @@ RREF rows keyed by pivot column.  `rank`, `Subspace._span`,
 (behind `Matrix.kernel` and the derivation spaces) reads the null vectors
 off it.
 
-Kernels over Q are computed from integer rows modulo the prime
-P = 2^61 - 1, by the same `_echelon` on their residues, and lifted back
-by rational reconstruction (`_lifted_kernel`).  The lift is kept only
-after an exact check that A x = 0 for every lifted row x, and then it is
-exactly the canonical basis:
+Kernels and spans over Q are computed from integer rows A modulo the
+prime P = 2^61 - 1, by the same `_echelon` on their residues, and the RREF
+rows found there are lifted back by rational reconstruction (`_lifted`).
+A size bound proves the lift exact.  With d the lcm of the lifted
+denominators, h the largest lifted |entry|, k the number of lifted rows
+and B the largest ||a||_1 over the rows a of A, the lift is kept when
+B d (1 + k h) < P:
 
-- rank_P(A) <= rank_Q(A), so dim ker_Q(A) <= k, the dimension mod P;
-- the k lifted rows keep the RREF shape (each pivot entry lifts to 1 and
-  the other pivot columns to 0), so they are independent;
-- having passed the check they lie in ker_Q(A), so they span it, and
-  being in RREF they are its canonical basis.
+- for a kernel, each lifted row x has A (d x) = 0 mod P by construction,
+  and |a . d x| <= ||a||_1 ||d x||_inf <= B d h < P, so A x = 0;
+- for a span, with R_pc the lifted row of pivot pc, each entry of
+  d a - sum_pc a[pc] (d R_pc) is 0 mod P (a is a combination of the residue
+  rows) and at most ||a||_inf (d + sum_pc ||d R_pc||_inf) <= B d (1 + k h)
+  < P in size, so it is 0, and a lies in span(R).
 
-Where an entry has no lift or the check fails (the rank drops mod P, or
-a lift is wrong), the exact elimination over Q runs instead.
+The lifted rows keep the RREF shape (each pivot entry lifts to 1 and the
+other pivot columns to 0), so they are independent, and
+rank_P(A) <= rank_Q(A): the k lifted rows lie in ker_Q(A), of dimension at
+most k, or span(A) lies in their span and has dimension at least k.  So
+they span the kernel or span, and being in RREF are its canonical basis.
+Where an entry has no lift or the bound refuses it (the rank drops mod P,
+or a lift is wrong), the exact elimination over Q runs instead.
 
 Scalars are coerced once, where they enter from outside the library:
 `Field.of` runs in the public constructors (`Matrix(...)`,
@@ -52,17 +60,16 @@ Every value inside the library is canonical (a `Fraction`, or an int in
   TypeError in `index` instead of leaking into the result;
 - a zero test is truthiness: ``if not c``, ``any(vec)``, ``not any(vec)``.
 
-Integer rows.  Every kernel takes integer rows and reduces them itself
-(`_residues`): modulo p over GF(p), and modulo P over Q.  The rows come
+Integer rows.  Every kernel and span takes integer rows and reduces them
+itself (`_residues`): modulo p over GF(p), and modulo P over Q.  The rows come
 from the integer structure table c·T, with c the lcm of the tensor's
 denominators (c = 1 over GF(p)), or from vectors scaled by the lcm of
-their own denominators (`_integral`, which `Matrix.kernel` applies too).
+their own denominators (`_integral`, which `Matrix.kernel` and
+`Subspace._span` apply too).
 That is exact: c[x, y] is the bracket of an isomorphic algebra, under
 x -> x/c, and scaling a row, or a whole constraint system, by a nonzero
-constant changes no span and no kernel.  So `_lifted_kernel` checks
-A x = 0 with no denominator of A to clear.  The nonzero entries of a row
-given to `Subspace._span` are made field values first, so that no int
-reaches a `Subspace` over Q.
+constant changes no span and no kernel.  So the size bound reads A with
+no denominator to clear.
 
 Membership has one rule, `_in_span`: w lies in the span of RREF rows r_a
 with pivots p_a iff w[c] - sum_a w[p_a] r_a[c] = 0 (mod p over GF(p)) at
@@ -79,8 +86,8 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 from numbers import Rational
-from operator import add, index
-from typing import Iterable, Iterator, Sequence, Union
+from operator import index
+from typing import Collection, Iterable, Iterator, Sequence, Union
 
 Scalar = Union[Fraction, int]
 Vector = tuple[Scalar, ...]
@@ -229,7 +236,7 @@ def linear_combination(field: Field, coeffs: Sequence[Scalar], rows: Sequence[Ve
     return tuple([reduce(sum(c * x for c, x in zip(coeffs, col))) for col in zip(*rows)])
 
 
-def _integral(row: Sequence[Scalar]) -> list[int]:
+def _integral(row: Collection[Scalar]) -> list[int]:
     """The row scaled by the lcm of its denominators: integers with the same span.
 
     Over GF(p) the row is already ints, and comes back unchanged.
@@ -355,22 +362,15 @@ def _residues(p: int, rows: list[dict[int, int]]) -> list[dict[int, int]]:
     return [{c: r for c, v in row.items() if (r := v % p)} for row in rows]
 
 
-def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | None:
-    """The canonical kernel basis over Q of integer rows, computed modulo P; None where that fails.
+def _lifted(rows: list[dict[int, int]], echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]] | None:
+    """RREF rows computed modulo P from integer rows, lifted by `_lift`; None where that fails.
 
-    The rows are reduced mod P, the kernel's RREF rows are computed there
-    by `_kernel_echelon`, and each entry is lifted by `_lift`.  The result
-    is returned only if every lifted row x passes A x = 0, checked in
-    integers after clearing the denominators of x; the module docstring
-    shows why it is then exact.  The check skips the dead columns, where
-    every lifted row is 0: an entry of A there adds exactly 0 to every
-    a . x, so each product, and the check over every row, is unchanged.
-    The rows are not written to.
+    The lift is returned only if every entry has one and the size bound of
+    the module docstring holds for these rows.  The rows are not written to.
     """
-    residues = _residues(_P, rows)
     lifts = {1: Fraction(1)}
     basis = {}
-    for pc, row in _kernel_echelon(_RESIDUES, ncols, residues).items():
+    for pc, row in echelon.items():
         lifted = basis[pc] = {}
         for c, u in row.items():
             if u not in lifts:
@@ -378,27 +378,19 @@ def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | Non
             if lifts[u] is None:
                 return None
             lifted[c] = lifts[u]
-    # cols[c] holds entry c of each lifted row X_j, denominators cleared, for
-    # the columns c that are not dead, so that a row a of A gives every
-    # a . X_j at once from those it touches.  The `lcm` argument is a list,
-    # not a generator: CPython 3.11 builds the argument tuple of
-    # f(*generator) at one length and frees it at another, so the tuple free
-    # list of each length fills up to 2,000 tuples (0.8 MB of peak RSS on
-    # the `profile-q` benchmark).
-    zeros = [0] * len(basis)
-    cols: dict[int, list[int]] = {}
-    for j, x in enumerate(basis.values()):
-        m = lcm(*[v.denominator for v in x.values()])
-        for c, v in x.items():
-            cols.setdefault(c, zeros[:])[j] = v.numerator * (m // v.denominator)
-    for row in rows:
-        dots = zeros
-        for c, a in row.items():
-            if c in cols:
-                dots = list(map(add, dots, map(a.__mul__, cols[c])))
-        if any(dots):
-            return None
-    return _dense(QQ, ncols, basis)
+    # list, not generator, arguments: CPython 3.11 builds the argument tuple
+    # of f(*generator) at one length and frees it at another, so the tuple
+    # free list of each length fills up to 2,000 tuples (0.8 MB of peak RSS
+    # on the `profile-q` benchmark)
+    d = lcm(*[v.denominator for v in lifts.values()])
+    weight = max([sum(map(abs, row.values())) for row in rows], default=0)
+    return basis if weight * d * (1 + len(basis) * max(map(abs, lifts.values()))) < _P else None
+
+
+def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | None:
+    """The canonical kernel basis over Q of integer rows, computed modulo P and lifted by `_lifted`; None where that fails."""
+    basis = _lifted(rows, _kernel_echelon(_RESIDUES, ncols, _residues(_P, rows)))
+    return None if basis is None else _dense(QQ, ncols, basis)
 
 
 def _kernel(field: Field, ncols: int, rows: list[dict[int, int]]) -> Subspace:
@@ -559,7 +551,7 @@ class Subspace:
         self.field = field
         self.ambient = ambient
         self.rows = rows
-        # from a list: tuple(generator) is sized 10, then cut down (see `_lifted_kernel`)
+        # from a list: tuple(generator) is sized 10, then cut down (see `_lifted`)
         self._pivots = tuple([next(c for c, v in enumerate(row) if v) for row in rows])
 
     @classmethod
@@ -572,8 +564,16 @@ class Subspace:
 
     @classmethod
     def _span(cls, field: Field, ambient: int, rows: list[Sequence[Scalar]]) -> "Subspace":
-        """The span of rows that are already field values of length ambient."""
-        return cls(field, ambient, tuple(_dense(field, ambient, _echelon(field, _sparse(rows)))), _canonical=True)
+        """The span of rows of length ambient, of field values or ints; over Q it is lifted (`_lifted`) where it can be."""
+        p = field.characteristic
+        if p:
+            echelon = _echelon(field, [{c: r for c, v in enumerate(row) if (r := v % p)} for row in rows])
+        else:
+            ints = [dict(zip(row, _integral(row.values()))) for row in _sparse(rows) if row]
+            echelon = _lifted(ints, _echelon(_RESIDUES, _residues(_P, ints)))
+            if echelon is None:
+                echelon = _echelon(field, [{c: Fraction(v) for c, v in row.items()} for row in ints])
+        return cls(field, ambient, tuple(_dense(field, ambient, echelon)), _canonical=True)
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":

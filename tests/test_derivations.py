@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from conftest import build_corpus
-from leibniz.core import leibniz_kernel
+from leibniz import linalg
+from leibniz.core import invariant_profile, leibniz_kernel
 from leibniz.cyclic import is_canonical_cyclic
 from leibniz.derivations import (
     _constraint_rows,
@@ -244,7 +245,7 @@ def test_right_derivations_annihilate_leib_everywhere():
                 assert not any(m.apply(row)), name
 
 
-def test_lifted_derivation_kernels_equal_the_exact_ones():
+def test_lifted_derivation_kernels_equal_the_exact_ones(monkeypatch):
     # the 48 derivation systems of the profile benchmark (seed 1) and those
     # of the rational corpus: the kernel computed mod P and lifted must be
     # the exact elimination's, value for value and type for type, and none
@@ -258,3 +259,25 @@ def test_lifted_derivation_kernels_equal_the_exact_ones():
             assert lifted is not None
             exact = _dense(QQ, n2, _kernel_echelon(QQ, n2, _constraint_rows(algebra, kind)))
             assert repr(lifted) == repr(exact)
+
+    # the same for every kernel and span of their profiles (centres, central
+    # series, Leibniz kernel, derivation spaces): each lift passes the size
+    # bound, and the exact elimination over Q never runs
+    fields, refused = [], []
+    echelon, lift = linalg._echelon, linalg._lifted
+
+    def counted_echelon(field, rows):
+        fields.append(field)
+        return echelon(field, rows)
+
+    def counted_lift(rows, residue_echelon):
+        basis = lift(rows, residue_echelon)
+        refused.append(basis is None)
+        return basis
+
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(linalg, "_lifted", counted_lift)
+    for algebra in algebras:
+        invariant_profile(algebra)
+    assert len(refused) > 2 * len(algebras) and not any(refused)
+    assert QQ not in fields

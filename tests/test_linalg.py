@@ -20,8 +20,10 @@ from leibniz.linalg import (
     _integral,
     _kernel,
     _lift,
+    _lifted,
     _lifted_kernel,
     _P,
+    _residues,
     _sparse,
     basis_vector,
     linear_combination,
@@ -499,16 +501,27 @@ def _sympy_kernel(rows, ncols):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rational_kernel_matches_sympy(data):
-    # entries from small to large, so that both the lifted kernel and the
-    # exact fallback (a kernel entry past the lift bound) are reached
+    # entries from small to large, so that both the lifted kernel and span
+    # and the exact fallback (a lift past the lift or the size bound) are
+    # reached; hypothesis draws the shape, the magnitude and a seed, and the
+    # values come from `random`, as in `_rows_for_elimination`
     nrows, ncols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
     size = data.draw(st.sampled_from([3, 1000, 10**9]))
-    value = st.fractions(min_value=-size, max_value=size, max_denominator=size)
-    value = st.one_of(st.just(Fraction(0)), value)
-    rows = [data.draw(st.lists(value, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+
+    def value():
+        if rng.randrange(2):
+            return Fraction(0)
+        d = rng.randint(1, size)
+        return Fraction(rng.randint(-size * d, size * d), d)
+
+    rows = [[value() for _ in range(ncols)] for _ in range(nrows)]
     kernel = Matrix(QQ, rows).kernel()
     assert list(kernel.rows) == _sympy_kernel(rows, ncols)
     assert all(type(v) is Fraction for row in kernel.rows for v in row)
+    span = Subspace.from_vectors(QQ, ncols, rows)
+    assert [row for row in _from_sympy(QQ, _to_sympy(QQ, rows, ncols).rref()[0]) if any(row)] == list(span.rows)
+    assert all(type(v) is Fraction for row in span.rows for v in row)
 
 
 @pytest.mark.parametrize(
@@ -547,7 +560,7 @@ def test_elimination_rejects_a_value_that_skipped_the_boundary(field, value):
 )
 def test_lifted_kernel_check_skips_only_the_dead_columns(rows):
     # the kernel mod P is spanned by (1, -2^40, 0), whose lift (1, -1/2^21, 0)
-    # is wrong; column 2 is dead, and the check must still reject the lift
+    # is wrong; column 2 is dead, and the size bound must still refuse the lift
     assert _lifted_kernel(3, rows) is None
     dense = [[row.get(c, 0) for c in range(3)] for row in rows]
     assert list(Matrix(QQ, dense).kernel().rows) == _sympy_kernel(dense, 3)
@@ -557,8 +570,21 @@ def test_lift_is_the_smallest_fraction_of_a_residue():
     assert _lift(5 * pow(7, -1, _P) % _P) == Fraction(5, 7)
     assert _lift(_P - 3) == -3
     # -2^40 = -1/2^21 mod P, since 2^61 = 1: a wrong lift that only the
-    # exact check catches
+    # size bound catches
     assert _lift(-(2**40) % _P) == Fraction(-1, 2**21)
+
+
+def test_span_bound_refuses_a_wrong_lift():
+    # (1, 2^40) is (1, 1/2^21) mod P, and that lift has every entry within the
+    # lift bound; only the size bound refuses it: B d (1 + k h) is
+    # (2^40 + 1) 2^21 (1 + 1) >= P
+    rows = [{0: 1, 1: 2**40}]
+    echelon = _echelon(_RESIDUES, _residues(_P, rows))
+    assert {c: _lift(u) for c, u in echelon[0].items()} == {0: 1, 1: Fraction(1, 2**21)}
+    assert _lifted(rows, echelon) is None
+    span = Subspace.from_vectors(QQ, 2, [[1, 2**40]])
+    assert span.rows == ((1, 2**40),)
+    assert all(type(v) is Fraction for v in span.rows[0])
 
 
 def test_linear_combination_of_zero_coefficients():
