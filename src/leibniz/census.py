@@ -19,8 +19,10 @@ all failed.  At d = 3 the first two triples, (0,0,2) and (2,2,2), assign 15
 of the 21 word bits, (2,2,1) and (2,1,2) the other six, and the screen
 stops once no word is left.  Over all 2^27 tensors the live words go
 512 -> 32,768 -> 7,168 -> ... -> 44,304 at the peak -> ... -> 657, where
-the whole range has 2,097,152 words.  The census screens windows of 2^24
-tensors, each with at most 24,048 live words.
+the whole range has 2,097,152 words.  The census screens the whole range in
+one call.  A triple extends and evaluates the live words in slices, so no
+array holds more than 2^14 words (`_MAX_LIVE`); the 32,768 words of
+(2,2,2) are evaluated in two slices and the 44,304 of (2,1,2) in three.
 
 Isomorphism is decided exactly.  A tensor's class key is the least tensor
 integer in its GL(d, 2) orbit, found by applying all invertible changes of
@@ -54,10 +56,10 @@ from .linalg import GF, Matrix
 
 CENSUS_P = 2
 MAX_CENSUS_DIM = 3
-# the census screens this many tensors at a time, to bound the live words (24,048 at most at d = 3)
-# a single 2^27 window (all of d = 3) cut census(3) from 0.141-0.158 s to 0.102-0.106 s of wall time,
-# but raised its peak RSS from 37.0-37.2 MB to 39.1-39.2 MB (+5.6%), so the window stays at 2^24
-_WINDOW = 1 << 24
+# the most words the screen extends and evaluates at once (`valid_tensor_ints` slices the live words);
+# at 2^14 census(3) peaked at 36.6-36.9 MB of RSS, against 37.0-37.2 MB with the 2^24-tensor windows
+# this replaced, and 39.1-39.2 MB in one unsliced pass over all 2^27 tensors (44,304 live words)
+_MAX_LIVE = 1 << 14
 # bit b < 6 of the tensor integer 64*w + s, as a mask over the 64 slots s of a word
 _IN_WORD = tuple(np.uint64(sum(1 << s for s in range(64) if s >> b & 1)) for b in range(6))
 
@@ -122,6 +124,36 @@ def _stages(dim: int) -> tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...
     return tuple(stages)
 
 
+def _surviving(
+    d: int, triple: tuple[int, int, int], words: np.ndarray, bad: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one triple's residuals on the words; keep the words with a tensor that has not failed.
+
+    Returns the kept words and their `bad`.  The triple's failures are ORed
+    into `bad` in place.
+    """
+    i, j, k = triple
+
+    # Planes are built where they are read and not kept: keeping the ones
+    # that every coordinate c reads again raised the census's peak RSS by
+    # 1.6 MB for little time.
+    def plane(a: int, b: int, c: int) -> np.ndarray | np.uint64:
+        n = a * d * d + b * d + c
+        return _IN_WORD[n] if n < 6 else np.uint64(0) - ((words >> np.uint64(n - 6)) & np.uint64(1))
+
+    for c in range(d):
+        r = np.zeros_like(bad)
+        for m in range(d):
+            r ^= plane(i, j, m) & plane(m, k, c)
+            r ^= plane(j, k, m) & plane(i, m, c)
+            r ^= plane(i, k, m) & plane(j, m, c)
+        bad |= r
+    live = np.flatnonzero(~bad)
+    if live.shape[0] < words.shape[0]:
+        return words[live], bad[live]
+    return words, bad
+
+
 def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     """Tensor integers in [start, stop) whose algebra satisfies the identity, ascending.
 
@@ -141,6 +173,14 @@ def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     peak at 44,304, against the 2,097,152 words of the whole range; the 806
     survivors lie in 657 words.
 
+    A triple that assigns n new bits takes the live words in slices of
+    max(_MAX_LIVE >> n, 1) words, so that an extended slice holds at most
+    max(_MAX_LIVE, 2^n) words; a triple that assigns none takes slices of
+    _MAX_LIVE.  Each slice is extended, filtered to the window and
+    evaluated on its own, and the survivors of all the slices are
+    concatenated, in slice order, before the next triple.  Every word is
+    evaluated exactly as without slices, so the survivors are the same.
+
     A window [start, stop) covers the words w0 = start >> 6 to w1 - 1,
     w1 = ceil(stop / 64).  After each extension a partial word w is dropped
     if w >= w1, or if w with every unassigned bit set is still below w0.
@@ -157,33 +197,25 @@ def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     words = np.zeros(1, np.uint64)
     bad = np.zeros(1, np.uint64)
 
-    # Planes are built where they are read and not kept: keeping the ones
-    # that every coordinate c reads again raised the census's peak RSS by
-    # 1.6 MB for little time.
-    def plane(a: int, b: int, c: int) -> np.ndarray | np.uint64:
-        n = a * d * d + b * d + c
-        return _IN_WORD[n] if n < 6 else np.uint64(0) - ((words >> np.uint64(n - 6)) & np.uint64(1))
-
-    for (i, j, k), new in _stages(d):
-        if new:
-            for b in new:
-                words = np.concatenate((words, words | np.uint64(1 << b)))
-                bad = np.concatenate((bad, bad))
-                unassigned &= ~(1 << b)
-            inside = (words < w1) & ((words | np.uint64(unassigned)) >= w0)
-            words, bad = words[inside], bad[inside]
-        for c in range(d):
-            r = np.zeros_like(bad)
-            for m in range(d):
-                r ^= plane(i, j, m) & plane(m, k, c)
-                r ^= plane(j, k, m) & plane(i, m, c)
-                r ^= plane(i, k, m) & plane(j, m, c)
-            bad |= r
-        live = np.flatnonzero(~bad)
-        if live.shape[0] == 0:
+    for triple, new in _stages(d):
+        unassigned &= ~sum(1 << b for b in new)
+        step = max(_MAX_LIVE >> len(new), 1)
+        kept = []
+        for lo in range(0, words.shape[0], step):
+            part, part_bad = words[lo:lo + step], bad[lo:lo + step]
+            if new:
+                for b in new:
+                    part = np.concatenate((part, part | np.uint64(1 << b)))
+                    part_bad = np.concatenate((part_bad, part_bad))
+                inside = (part < w1) & ((part | np.uint64(unassigned)) >= w0)
+                part, part_bad = part[inside], part_bad[inside]
+            part, part_bad = _surviving(d, triple, part, part_bad)
+            if part.shape[0]:
+                kept.append((part, part_bad))
+        if not kept:
             return []
-        if live.shape[0] < words.shape[0]:
-            words, bad = words[live], bad[live]
+        words = np.concatenate([part for part, _ in kept])
+        bad = np.concatenate([part_bad for _, part_bad in kept])
     order = np.argsort(words)
     valid = []
     for bits, w in zip((~bad[order]).tolist(), words[order].tolist()):
@@ -319,16 +351,16 @@ def _copy(value):
 def census(dim: int, jobs: int = 1) -> CensusResult:
     """Scan every structure tensor of the given dimension over GF(2).
 
-    The screen runs serially, in windows of _WINDOW tensors.  `jobs` must be
-    an int >= 1 and has no effect; it stays only because benchmark v1 calls
-    census(3, jobs=2), until benchmark v2 drops the argument.
+    The screen runs serially, over all 2^(dim^3) tensors in one call.  `jobs`
+    must be an int >= 1 and has no effect; it stays only because benchmark
+    v1 calls census(3, jobs=2), until benchmark v2 drops the argument.
     """
     if not 1 <= dim <= MAX_CENSUS_DIM:
         raise ValueError(f"the census is limited to dimensions 1..{MAX_CENSUS_DIM}")
     if type(jobs) is not int or jobs < 1:
         raise ValueError("jobs must be an int >= 1")
     total = 1 << dim**3
-    values = [v for lo in range(0, total, _WINDOW) for v in valid_tensor_ints(dim, lo, min(lo + _WINDOW, total))]
+    values = valid_tensor_ints(dim, 0, total)
     key_of: dict[int, int] = {}  # every tensor of each orbit met so far -> the orbit minimum
     for v in values:
         if v not in key_of:

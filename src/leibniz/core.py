@@ -337,13 +337,14 @@ def _centraliser(
                 v = [a - f * b for a, b in zip(v, row)]
         return v
 
+    res = [[residual(nz[i][j]) for j in range(n)] for i in range(n)]
     rows = []
     # list, not generator, arguments to zip: see `linalg._lifted`
     for j in range(n):
         if left:
-            rows.extend(zip(*[residual(nz[i][j]) for i in range(n)]))
+            rows.extend(zip(*[res[i][j] for i in range(n)]))
         if right:
-            rows.extend(zip(*[residual(nz[j][i]) for i in range(n)]))
+            rows.extend(zip(*[res[j][i] for i in range(n)]))
     return _kernel(field, n, [{c: v for c, v in enumerate(row) if v} for row in rows if any(row)])
 
 

@@ -83,6 +83,7 @@ invariance tests, a0 in `cyclic._leib_criterion` and "b outside K" in `families`
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import isqrt, lcm
 from numbers import Rational
@@ -538,6 +539,11 @@ def solve(a: Matrix, b: Sequence[Scalar]) -> Vector | None:
     return tuple(x)
 
 
+def _check_ambient(ambient: int) -> None:
+    if type(ambient) is not int or ambient < 0:
+        raise ValueError(f"ambient dimension must be an int >= 0, got {ambient!r}")
+
+
 class Subspace:
     """Subspace of F^n in canonical form: RREF basis with zero rows removed."""
 
@@ -546,8 +552,7 @@ class Subspace:
     def __init__(self, field: Field, ambient: int, rows: tuple[Vector, ...], *, _canonical: bool = False):
         if not _canonical:
             raise ValueError("use Subspace.from_vectors")
-        if type(ambient) is not int or ambient < 0:
-            raise ValueError(f"ambient dimension must be an int >= 0, got {ambient!r}")
+        _check_ambient(ambient)
         self.field = field
         self.ambient = ambient
         self.rows = rows
@@ -581,8 +586,9 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        rows = tuple([basis_vector(field, ambient, i) for i in range(ambient)])
-        return cls(field, ambient, rows, _canonical=True)
+        """F^ambient, built once per (field, ambient) and then shared: subspaces are immutable values."""
+        _check_ambient(ambient)
+        return _full(field, ambient)
 
     @property
     def dim(self) -> int:
@@ -652,6 +658,12 @@ class Subspace:
 
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.rows, _coerced=True)
+
+
+@lru_cache(maxsize=None)
+def _full(field: Field, ambient: int) -> Subspace:
+    rows = tuple([basis_vector(field, ambient, i) for i in range(ambient)])
+    return Subspace(field, ambient, rows, _canonical=True)
 
 
 def nonzero_elements(s: Subspace) -> Iterator[Vector]:

@@ -113,10 +113,38 @@ def _live_words(monkeypatch, dim, start, stop):
 def test_screen_live_words_over_the_whole_range(monkeypatch):
     valid, evaluated = _live_words(monkeypatch, 3, 0, 1 << 27)
     assert len(valid) == 806
+    assert census_mod._MAX_LIVE == 1 << 14
+    # one entry per slice: (2,2,2) evaluates its words in two slices, (2,1,2) in three
     assert evaluated == [
+        512, 16384, 16384, 7168, 3616, 12928, 9024, 6796, 5680, 16384, 16384, 11536, 14300, 9680,
+        5968, 5352, 2720, 1460, 1228, 1120, 852, 804, 792, 716, 692, 673, 658, 658, 657, 657,
+    ]
+    assert max(evaluated) <= census_mod._MAX_LIVE
+    assert sum(evaluated) == 171783
+    # the slices of each triple add up to the words the triple evaluated
+    slices = [1, 2, 1, 1, 1, 1, 1, 1, 3] + [1] * 18
+    ends = list(itertools.accumulate(slices))
+    assert [sum(evaluated[end - n:end]) for n, end in zip(slices, ends)] == [
         512, 32768, 7168, 3616, 12928, 9024, 6796, 5680, 44304, 14300, 9680, 5968, 5352, 2720,
         1460, 1228, 1120, 852, 804, 792, 716, 692, 673, 658, 658, 657, 657,
     ]
+
+
+# slices of at most 1 to 4 words, so that most triples run in several slices
+@pytest.mark.parametrize("dim, start, stop, cap", [(2, 0, 256, 1), (2, 3, 200, 1), (3, 7, 1000, 2), (3, 1000, 3000, 4)])
+def test_screen_in_small_slices_matches_exact_check(monkeypatch, dim, start, stop, cap):
+    monkeypatch.setattr(census_mod, "_MAX_LIVE", cap)
+    valid, evaluated = _live_words(monkeypatch, dim, start, stop)
+    assert len(evaluated) > len(census_mod._stages(dim))
+    assert valid == _exact_valid(dim, start, stop)
+
+
+def test_screen_of_the_whole_range_in_small_slices(monkeypatch, screen3):
+    monkeypatch.setattr(census_mod, "_MAX_LIVE", 1 << 10)
+    valid, evaluated = _live_words(monkeypatch, 3, 0, 1 << 27)
+    assert max(evaluated) == 1 << 10
+    assert sum(evaluated) == 171783
+    assert valid == screen3
 
 
 def test_screen_stops_once_every_word_has_died(monkeypatch):

@@ -174,6 +174,17 @@ def test_negative_ambient_dimensions_are_rejected():
     assert Matrix(QQ, []).kernel() == Subspace.zero(QQ, 0)
 
 
+def test_full_space_is_built_once_and_checks_its_ambient():
+    assert Subspace.full(GF(5), 3) is Subspace.full(GF(5), 3)
+    assert Subspace.full(GF(5), 3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert Subspace.full(QQ, 2) != Subspace.full(GF(5), 2)
+    # True hashes as 1, and [2] cannot be hashed: both are refused before the shared copy is looked up
+    Subspace.full(QQ, 1)
+    for ambient in (True, [2], 2.0, "2", None, -1):
+        with pytest.raises(ValueError):
+            Subspace.full(QQ, ambient)
+
+
 def test_subspace_ambient_mismatch_rejected():
     s = Subspace.from_vectors(QQ, 2, [(1, 0)])
     t = Subspace.from_vectors(QQ, 3, [(1, 0, 0)])
