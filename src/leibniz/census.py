@@ -327,6 +327,19 @@ def census_record(dim: int, value: int) -> dict:
     }
 
 
+def _copy_record(record: dict) -> dict:
+    """A copy of a `census_record` record that shares no dict or list with it: its other values are immutable."""
+    profile = record["profile"]
+    return {
+        **record,
+        "profile": {
+            **profile,
+            "lower_central_series_dims": profile["lower_central_series_dims"].copy(),
+            "upper_central_series_dims": profile["upper_central_series_dims"].copy(),
+        },
+    }
+
+
 @dataclass(frozen=True)
 class CensusResult:
     dim: int
@@ -337,15 +350,6 @@ class CensusResult:
     @property
     def valid(self) -> int:
         return len(self.records)
-
-
-def _copy(value):
-    """A copy of a record: its dicts and lists are copied, everything else is shared."""
-    if isinstance(value, dict):
-        return {k: _copy(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_copy(v) for v in value]
-    return value
 
 
 def census(dim: int, jobs: int = 1) -> CensusResult:
@@ -370,6 +374,6 @@ def census(dim: int, jobs: int = 1) -> CensusResult:
     classes = {key: tuple(v for k, v in zip(keys, values) if k == key) for key in sorted(set(keys))}
     shared = {key: census_record(dim, members[0]) for key, members in classes.items()}
     records = tuple(
-        {**_copy(shared[k]), "fingerprint": _fingerprint(dim, v), "tensor": v} for k, v in zip(keys, values)
+        {**_copy_record(shared[k]), "fingerprint": _fingerprint(dim, v), "tensor": v} for k, v in zip(keys, values)
     )
     return CensusResult(dim, total, records, classes)

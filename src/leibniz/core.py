@@ -304,8 +304,16 @@ def _squares_span(algebra: LeibnizAlgebra, products: Sequence[Sequence[Vector]])
 
 
 def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:
-    """Span of all squares [x, x]."""
-    return _squares_span(algebra, algebra.tensor)
+    """Span of all squares [x, x]: by polarization (`_squares_span`), of the integer table's cells (i, i) and (i, j) + (j, i), j > i."""
+    table, n = algebra._table, algebra.dim
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            row = [0] * n
+            for k, w in table[i][j] + (table[j][i] if j > i else ()):
+                row[k] += w
+            rows.append(row)
+    return Subspace._span(algebra.field, n, rows)
 
 
 def _centraliser(

@@ -301,6 +301,13 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
       point where it does not vanish.
     A nilpotent cyclic S is always generated by a0: [S, S] = Leib(S) lies
     in every maximal subalgebra, so every element outside it generates S.
+
+    Each grid point a is tested on the first dim S terms of its chain
+    alone, dim S - 1 brackets: a generates S iff they are independent.
+    Every term lies in S, since a does and S is closed, so independent
+    terms span S; and once a term lies in the span of the earlier ones the
+    chain spans no more (`generated_subalgebra`), so <a> is smaller than S.
+    The rule uses no property of the field.
     """
     return _cyclic_generator(algebra, s, _closed_products(algebra, s))
 
@@ -311,10 +318,11 @@ def _cyclic_generator(algebra: LeibnizAlgebra, s: Subspace, products: list[list[
     if decided is None:
         return None
     a0, leib = decided
-    field, m = algebra.field, leib.dim
+    field, m, k = algebra.field, leib.dim, s.dim
     top = min(m, field.characteristic - 1) if field.characteristic else m
     candidates = (linear_combination(field, (1, *c), (a0, *leib.rows)) for c in _grid(m, top))
-    generator = next((a for a in candidates if generated_subalgebra(algebra, a).span == s), None)
+    # a generates S iff its first dim S chain terms are independent (see `is_cyclic_subalgebra`)
+    generator = next((a for a in candidates if Subspace._span(field, algebra.dim, _ln_chain(algebra, a, k)).dim == k), None)
     if generator is None:
         raise AssertionError("S passed the Leib(S) criterion, but no element generates it")
     return generator

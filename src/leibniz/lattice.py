@@ -9,24 +9,35 @@ canonical order.  The count per dimension is the Gaussian binomial
 coefficient, which the tests pin down.
 
 The GF(p) lattice filters those row tuples before any `Subspace` exists.
-Per pattern it brackets each row choice with itself once.  Every row but
-the last is the head; the last row, with the highest pivot, is the tail.
-Off the pivot columns the square of a head row x leaves the residual
-res - s * tail against the whole candidate, where res is its residual
-against the head and s its entry at the tail's pivot; so s != 0 forces the
-tail's entries to res / s, and s = 0 asks res = 0 of the head alone.
-Each head is therefore solved for its one tail, looked up by its off-pivot
-entries, or dropped; only when every s is 0 is each tail tried.  The tail's
-square, then the other products row by row, are tested by `linalg`'s one
-membership rule, `_in_span`, with the pattern's pivots.  For the GF(5)
-lattices of A-i(4) and B(4) this visits 6,158 heads and makes 9,138 such
-tests, where a screen of every candidate visited 84,352 and made 94,811.
-Only the survivors become subspaces, each kept with its table of products,
-from which its cyclicity is decided with no bracket or closure test
-repeated.  Maximality needs no comparison of all pairs: every proper
-subalgebra lies in a maximal one, so, walking by decreasing dimension, a
-proper subalgebra is maximal exactly when none of the maximal subalgebras
-found so far contains it.
+Every row vector is bracketed with itself once per lattice, however many
+patterns list it.  Every row but the last is the head; the last row, with
+the highest pivot, is the tail.  Off the pivot columns, the square sq of a
+row x has the residual sq[c] - sum_r sq[p_r] y_r[c] at column c against a
+candidate with rows y_r and pivots p_r, and sq lies in the span iff every
+such residual is 0.  Heads are built depth first: once rows 0..b are fixed,
+every later row, the tail included, is 0 at the outside columns left of
+pivot b + 1, so there the residuals of the fixed rows' squares are already
+decided, and a nonzero one drops the partial head with every head below it.
+Right of the tail's pivot, the square of a head row leaves res - s * tail,
+with res its residual against the full head and s its entry at that pivot;
+so s != 0 forces the tail's entries to res / s, and s = 0 asks res = 0 of
+the head alone.  Each full head is therefore solved for its one tail,
+looked up by its free entries, or dropped; only when every s is 0 is each
+tail tried.  The tail's square, then the other products row by row, are
+tested by `linalg`'s one membership rule, `_in_span`, with the pattern's
+pivots.  For the GF(5) lattices of A-i(4) and B(4), both 5-dimensional,
+this squares each of the 781 RREF rows of GF(5)^5 once per lattice and
+visits 6,100 partial and 2,327 full heads; the two lattices, generators
+included, take 9,439 brackets.  Solving every full head for its tail, with
+the squares taken per pattern and each generator checked by its n-term
+chain, visited 6,158 full heads and took 12,652.  Only the survivors
+become subspaces, each kept with its table of products, from which its
+cyclicity is decided with no bracket or closure test repeated.  Maximality needs no flag and no comparison of all pairs:
+every proper subalgebra lies in a maximal one, so, walking by decreasing
+dimension, a proper subalgebra is maximal exactly when none of the maximal
+subalgebras found so far contains it.  `maximal_cyclic_report` walks the
+subspaces alone and decides ideality and cyclicity for the maximal ones
+only.
 
 Over the rationals no enumeration is possible; the restricted report walks
 the finitely many coordinate-aligned hyperplanes containing [L, L] (every
@@ -39,7 +50,7 @@ the Leib(S) criterion, then choose a generator by the grid search from a0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .core import (
     LeibnizAlgebra,
@@ -50,7 +61,7 @@ from .core import (
     nilpotency_class,
     product_subspace,
 )
-from .cyclic import _cyclic_generator
+from .cyclic import _cyclic_generator, is_cyclic_subalgebra
 from .linalg import GF, Subspace, Vector, _in_span, basis_vector
 
 _MAX_PAIRS = 3_541_056  # (subspace, element) pairs of GF(5)^5
@@ -125,32 +136,61 @@ def enumerate_subspaces(ambient: int, p: int):
             yield Subspace(field, ambient, rows, _canonical=True)
 
 
+def _heads(head: tuple, choices, pivots, decided, squares, p: int):
+    """Yield the heads that extend `head` and pass every decided column, depth first, in `product` order.
+
+    decided[b] lists the outside columns left of pivots[b + 1]; a head is
+    every row of a pattern but the last.  A module-level function, since a
+    nested one that recursed would sit in a reference cycle and keep each
+    pattern's rows alive until the garbage collector ran.
+    """
+    b = len(head)
+    if b == len(decided):
+        yield head
+        return
+    for x in choices[b]:
+        fixed = (*head, x)
+        if not any(
+            (sq[c] - sum(sq[pc] * y[c] for y, pc in zip(fixed, pivots))) % p
+            for sq in map(squares.__getitem__, fixed)
+            for c in decided[b]
+        ):
+            yield from _heads(fixed, choices, pivots, decided, squares, p)
+
+
 def _closed_bases(algebra: LeibnizAlgebra):
     """Yield (basis, table) for the subalgebras of a GF(p) algebra, in canonical order: table[i][j] = [x_i, x_j].
 
-    Each head (every row but the last) is solved for the tail (the last row)
-    its squares force, as the module docstring shows, so candidates come
-    head-major and tail-minor, as `product(*choices)` lists them.
+    Heads (every row but the last) are built row by row and dropped as soon
+    as a fixed row's square fails at a decided column; each full head is
+    solved for the tail (the last row) its squares force, as the module
+    docstring shows, so candidates come in `product(*choices)` order.
     """
     n = algebra.dim
     p = algebra.field.characteristic
     bracket = algebra.bracket
+    squares: dict[Vector, Vector] = {}  # each row vector is squared once per lattice
     for pivots, choices in _patterns(n, p):
         if not pivots:
             yield (), []
             continue
+        for x in chain.from_iterable(choices):
+            if x not in squares:
+                squares[x] = bracket(x, x)
         outside = [c for c in range(n) if c not in pivots]
-        squared = [[(x, bracket(x, x)) for x in rows] for rows in choices]
-        *head_pivots, top = pivots
-        tails = squared.pop()
-        # a tail is named by its entries off the pivots: 0 left of `top`, free right of it
-        named = {tuple(x[c] for c in outside): (x, sq) for x, sq in tails}
-        for head in product(*squared):
-            # off the pivots, [x, x] of a head row x leaves res - s * tail, with res its residual
+        # with rows 0..b fixed, every later row is 0 at the outside columns left of pivot b + 1
+        decided = [[c for c in outside if c < pc] for pc in pivots[1:]]
+        top = pivots[-1]
+        right = [c for c in outside if c > top]
+        # a tail is named by its free entries, right of `top`
+        named = {tuple(x[c] for c in right): x for x in choices[-1]}
+        for head in _heads((), choices, pivots, decided, squares, p):
+            # right of `top`, [x, x] of a head row x leaves res - s * tail, with res its residual
             # against the head and s its entry at `top`: s != 0 forces the tail to res / s
             forced = set()
-            for _, sq in head:
-                res = [(sq[c] - sum(sq[pc] * y[c] for (y, _), pc in zip(head, head_pivots))) % p for c in outside]
+            for x in head:
+                sq = squares[x]
+                res = [(sq[c] - sum(sq[pc] * y[c] for y, pc in zip(head, pivots))) % p for c in right]
                 if sq[top]:
                     inverse = pow(sq[top], -1, p)
                     forced.add(tuple(v * inverse % p for v in res))
@@ -158,18 +198,18 @@ def _closed_bases(algebra: LeibnizAlgebra):
                     forced.add(None)  # no tail brings this square into the span
                     break
             if not forced:
-                tried = tails
+                tried = choices[-1]
             elif len(forced) == 1 and (key := forced.pop()) in named:
                 tried = [named[key]]
             else:
                 continue
             for tail in tried:
-                candidate = (*head, tail)
-                basis = tuple(x for x, _ in candidate)
-                if not _in_span(tail[1], basis, pivots, outside, p):
+                basis = (*head, tail)
+                if not _in_span(squares[tail], basis, pivots, outside, p):
                     continue
                 table = []
-                for x, sq in candidate:
+                for x in basis:
+                    sq = squares[x]
                     line = [sq if y is x else bracket(x, y) for y in basis]
                     if not all(w is sq or _in_span(w, basis, pivots, outside, p) for w in line):
                         break
@@ -199,6 +239,15 @@ class SubalgebraLattice:
         return tuple(e for e in self.entries if e.is_maximal)
 
 
+def _maximal(subalgebras: list[Subspace], n: int) -> list[Subspace]:
+    """The maximal proper subalgebras of an n-dimensional algebra, given all its subalgebras by increasing dimension."""
+    maximal: list[Subspace] = []
+    for s in reversed(subalgebras):
+        if s.dim < n and not any(s <= t for t in maximal):
+            maximal.append(s)
+    return maximal
+
+
 def subalgebra_lattice(algebra: LeibnizAlgebra) -> SubalgebraLattice:
     """All subalgebras with ideal, maximality and cyclicity flags, within `enumerate_subspaces`' limit.
 
@@ -213,10 +262,7 @@ def subalgebra_lattice(algebra: LeibnizAlgebra) -> SubalgebraLattice:
     for basis, table in _closed_bases(algebra):
         s = Subspace(field, n, basis, _canonical=True)
         closed.append((s, _cyclic_generator(algebra, s, table)))
-    maximal = []
-    for s, _ in reversed(closed):  # the enumeration runs by increasing dimension
-        if s.dim < n and not any(s <= t for t in maximal):
-            maximal.append(s)
+    maximal = _maximal([s for s, _ in closed], n)
     entries = [
         LatticeEntry(subspace=s, is_ideal=is_ideal(algebra, s), is_maximal=s in maximal, generator=generator)
         for s, generator in closed
@@ -239,8 +285,21 @@ class MaximalCyclicReport:
 
 
 def maximal_cyclic_report(algebra: LeibnizAlgebra) -> MaximalCyclicReport:
-    lattice = subalgebra_lattice(algebra)
-    maximal = lattice.maximal()
+    """The entries of `subalgebra_lattice(algebra).maximal()`, with flags decided for those alone.
+
+    Maximality is read off the subspaces: the walk of `subalgebra_lattice`
+    compares them by inclusion and needs no flag.  Only the maximal
+    subalgebras are then tested for ideality and cyclicity.  The same limit
+    as `enumerate_subspaces` applies.
+    """
+    field = algebra.field
+    n = algebra.dim
+    _check_enumerable(n, field.characteristic)
+    subalgebras = [Subspace(field, n, basis, _canonical=True) for basis, _ in _closed_bases(algebra)]
+    maximal = tuple(
+        LatticeEntry(subspace=s, is_ideal=is_ideal(algebra, s), is_maximal=True, generator=is_cyclic_subalgebra(algebra, s))
+        for s in sorted(_maximal(subalgebras, n), key=lambda s: (s.dim, s.rows))
+    )
     nilpotent = nilpotency_class(algebra) is not None
     all_ideals = all(e.is_ideal for e in maximal) if nilpotent else None
     return MaximalCyclicReport(nilpotent, maximal, all_ideals)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import build_corpus, random_basis
 from leibniz import core, cyclic, lattice
+from leibniz.census import algebra_from_int, census
 from leibniz.core import (
     LeibnizAlgebra,
     algebra_in_basis,
@@ -319,6 +320,61 @@ def test_closed_bases_try_every_tail_of_an_abelian_algebra():
     algebra = abelian(4, GF(3))
     _assert_filter_matches_brute_force(algebra, "abelian4")
     assert sum(1 for _ in _closed_bases(algebra)) == sum(gaussian_binomial(4, k, 3) for k in range(5))
+
+
+def test_closed_bases_square_each_row_vector_once(monkeypatch):
+    # A-i(4) is 5-dimensional: each of the (5^5 - 1) / 4 RREF rows of
+    # GF(5)^5 is squared once, whichever patterns list it
+    squares = 0
+    bracket = LeibnizAlgebra.bracket
+
+    def counted(self, x, y):
+        nonlocal squares
+        squares += x == y
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(LeibnizAlgebra, "bracket", counted)
+    list(_closed_bases(family_a_i(4, GF(5))))
+    assert squares == (5**5 - 1) // 4 == 781
+
+
+def _assert_report_reads_the_lattice(algebra, name):
+    report = maximal_cyclic_report(algebra)
+    maximal = subalgebra_lattice(algebra).maximal()
+    nilpotent = nilpotency_class(algebra) is not None
+    assert report.entries == maximal, name
+    assert report.nilpotent == nilpotent, name
+    assert report.all_maximal_are_ideals == (all(e.is_ideal for e in maximal) if nilpotent else None), name
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_maximal_cyclic_report_reads_the_lattice(p):
+    # the report decides flags for the maximal subalgebras alone
+    rng = random.Random(29)
+    field = GF(p)
+    for name, alg in build_corpus(field):
+        for algebra in (alg, algebra_in_basis(alg, random_basis(field, alg.dim, rng))):
+            _assert_report_reads_the_lattice(algebra, name)
+
+
+def test_maximal_cyclic_report_reads_the_lattice_of_every_census_class():
+    result = census(3)
+    assert len(result.classes) == 20
+    for key in result.classes:  # the orbit minimum, the first member
+        _assert_report_reads_the_lattice(algebra_from_int(3, key), key)
+
+
+def test_a_i4_gf7_lattice_past_the_enumeration_limit(monkeypatch):
+    # GF(7)^5 is over the limit; opened, the report still reads the lattice
+    monkeypatch.setattr(lattice, "_MAX_PAIRS", 10**9)
+    algebra = family_a_i(4, GF(7))
+    entries = subalgebra_lattice(algebra).entries
+    assert len(entries) == 3660
+    assert sum(e.is_ideal for e in entries) == 34
+    assert sum(e.is_cyclic for e in entries) == 407
+    maximal = tuple(e for e in entries if e.is_maximal)
+    assert len(maximal) == 8
+    assert maximal_cyclic_report(algebra).entries == maximal
 
 
 def _sl2(field):
