@@ -32,12 +32,13 @@ included, take 9,439 brackets.  Solving every full head for its tail, with
 the squares taken per pattern and each generator checked by its n-term
 chain, visited 6,158 full heads and took 12,652.  Only the survivors
 become subspaces, each kept with its table of products, from which its
-cyclicity is decided with no bracket or closure test repeated.  Maximality needs no flag and no comparison of all pairs:
-every proper subalgebra lies in a maximal one, so, walking by decreasing
-dimension, a proper subalgebra is maximal exactly when none of the maximal
-subalgebras found so far contains it.  `maximal_cyclic_report` walks the
-subspaces alone and decides ideality and cyclicity for the maximal ones
-only.
+cyclicity is decided with no bracket or closure test repeated.
+
+Maximality needs no flag and no comparison of all pairs: every proper
+subalgebra lies in a maximal one, so, walking by decreasing dimension, a
+proper subalgebra is maximal exactly when none of the maximal subalgebras
+found so far contains it.  `maximal_cyclic_report` walks the subspaces
+alone and decides ideality and cyclicity for the maximal ones only.
 
 Over the rationals no enumeration is possible; the restricted report walks
 the finitely many coordinate-aligned hyperplanes containing [L, L] (every

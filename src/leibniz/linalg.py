@@ -10,10 +10,10 @@ equal entry-wise.
 Elimination runs on sparse rows.  `_echelon` is the one Gauss-Jordan
 routine: it takes ``{column: nonzero value}`` rows, so the zero entries of
 the large, mostly-zero derivation systems cost nothing, and returns the
-RREF rows keyed by pivot column.  `rank`, `Subspace._span`,
-`Matrix.rref`, `inverse` and `solve` read that directly, and `_kernel`
-(behind `Matrix.kernel` and the derivation spaces) reads the null vectors
-off it.
+RREF rows keyed by pivot column.  `rank`, `Subspace._span`, `inverse`
+and `solve` read that directly, and `_kernel` (behind `Matrix.kernel` and
+the derivation spaces) reads the null vectors off it.
+`Matrix.kernel`, which no module calls, stays as `bench/tracer.py`'s hook.
 
 Kernels and spans over Q are computed from integer rows A modulo the
 prime P = 2^61 - 1, by the same `_echelon` on their residues, and the RREF
@@ -41,8 +41,8 @@ or a lift is wrong), the exact elimination over Q runs instead.
 Scalars are coerced once, where they enter from outside the library:
 `Field.of` runs in the public constructors (`Matrix(...)`,
 `Subspace.from_vectors`, `LeibnizAlgebra`, the family parameters) and in
-public functions that take a caller's vector (`Matrix.apply`,
-`Subspace.reduce`, `Subspace.contains`, `solve`).  Floats are rejected there
+public functions that take a caller's vector (`Subspace.reduce`,
+`Subspace.contains`, `solve`).  Floats are rejected there
 rather than truncated or made binary-exact.  Internal callers pass values
 straight through: `Matrix(..., _coerced=True)`, `LeibnizAlgebra(...,
 _derived=True)`, `Subspace._span` and `Subspace._contains_all` skip it.
@@ -429,10 +429,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [basis_vector(field, n, i) for i in range(n)], _coerced=True)
 
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [zero_vector(field, ncols)] * nrows, _coerced=True)
-
     @property
     def nrows(self) -> int:
         return len(self.data)
@@ -455,22 +451,13 @@ class Matrix:
         body = "; ".join(", ".join(self.field.render(v) for v in row) for row in self.data)
         return f"Matrix({self.field}, [{body}])"
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.data[i][j]
-
     def column(self, j: int) -> Vector:
+        if type(j) is not int or not 0 <= j < self.ncols:
+            raise ValueError(f"column index must be an int in 0..{self.ncols - 1}, got {j!r}")
         return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, zip(*self.data), _coerced=True)
-
-    def apply(self, v: Sequence[Scalar]) -> Vector:
-        """Matrix times column vector."""
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        v = [self.field.of(x) for x in v]
-        reduce = self.field.reduce
-        return tuple([reduce(sum(a * b for a, b in zip(row, v))) for row in self.data])
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.ncols != other.nrows:
@@ -485,24 +472,6 @@ class Matrix:
             ],
             _coerced=True,
         )
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch in matrix sum")
-        rows = [vec_add(self.field, r, s) for r, s in zip(self.data, other.data)]
-        return Matrix(self.field, rows, _coerced=True)
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch in matrix difference")
-        rows = [vec_sub(self.field, r, s) for r, s in zip(self.data, other.data)]
-        return Matrix(self.field, rows, _coerced=True)
-
-    def rref(self) -> "Matrix":
-        """The RREF rows in pivot order, then zero rows up to the row count."""
-        rows = _dense(self.field, self.ncols, _echelon(self.field, _sparse(self.data)))
-        rows += [zero_vector(self.field, self.ncols)] * (self.nrows - len(rows))
-        return Matrix(self.field, rows, _coerced=True)
 
     def rank(self) -> int:
         return len(_echelon(self.field, _sparse(self.data)))
@@ -645,19 +614,6 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace._span(self.field, self.ambient, list(self.rows + other.rows))
-
-    def annihilator(self) -> "Subspace":
-        """{x : <b, x> = 0 for all basis rows b}, under the standard pairing."""
-        if not self.rows:
-            return Subspace.full(self.field, self.ambient)
-        return Matrix(self.field, self.rows, _coerced=True).kernel()
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return self.annihilator().sum(other.annihilator()).annihilator()
-
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.rows, _coerced=True)
 
 
 @lru_cache(maxsize=None)

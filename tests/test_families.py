@@ -105,7 +105,10 @@ def test_quaternion_analog_two_cyclic_ideals():
         assert is_ideal(a, s)
         assert s.dim == 2
         assert is_cyclic_subalgebra(a, s) is not None
-    assert k.intersect(d_part) == center(a)
+    # K and D meet in the centre: dim(K + D) = dim K + dim D - dim Z(A)
+    z = center(a)
+    assert z <= k and z <= d_part
+    assert k.sum(d_part).dim == k.dim + d_part.dim - z.dim
 
 
 def test_family_a_iii_tau_zero_passes_both_conventions():
@@ -189,7 +192,7 @@ def test_family_c_eigenvalues():
     n = 5
     a = family_c(n, QQ)
     m = left_mult_matrix(a, basis_vector(QQ, n + 1, n))
-    assert [m.entry(j, j) for j in range(n)] == [Fraction(j) for j in range(1, n + 1)]
+    assert [m.data[j][j] for j in range(n)] == [Fraction(j) for j in range(1, n + 1)]
 
 
 def test_family_c_k_is_maximal_cyclic_ideal():

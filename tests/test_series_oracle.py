@@ -43,12 +43,19 @@ def _null(rows, n):
 class Reference:
     def __init__(self, tensor):
         self.n = n = len(tensor)
-        self.t = [[[sympy.Rational(v.numerator, v.denominator) for v in vec] for vec in plane] for plane in tensor]
+        self.t = tensor
         self.basis = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def bracket(self, x, y):
-        n, t = self.n, self.t
-        return [sum(x[i] * y[j] * t[i][j][k] for i in range(n) for j in range(n)) for k in range(n)]
+        """sum over i, j of x[i] y[j] t[i][j], in Fractions, over the nonzero x[i] and y[j] only."""
+        out = [Fraction(0)] * self.n
+        for i, a in enumerate(x):
+            if not a:
+                continue
+            for j, b in enumerate(y):
+                if b:
+                    out = [u + a * b * v for u, v in zip(out, self.t[i][j])]
+        return out
 
     def lower(self):
         terms = [_canonical(self.basis)]
@@ -63,11 +70,12 @@ class Reference:
         n, t = self.n, self.t
         rows = []
         for a in _null([list(r) for r in z], n):
+            support = [k for k in range(n) if a[k]]
             for j in range(n):
                 if left:
-                    rows.append([sum(a[k] * t[i][j][k] for k in range(n)) for i in range(n)])
+                    rows.append([sum(a[k] * t[i][j][k] for k in support if t[i][j][k]) for i in range(n)])
                 if right:
-                    rows.append([sum(a[k] * t[j][i][k] for k in range(n)) for i in range(n)])
+                    rows.append([sum(a[k] * t[j][i][k] for k in support if t[j][i][k]) for i in range(n)])
         return _null(rows, n)
 
     def upper(self):
