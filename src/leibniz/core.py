@@ -40,6 +40,42 @@ unless every product lies in S.
 tables off it, and `lattice.rational_codim1_report` hands one table to both
 `_restriction` and `cyclic._cyclic_generator`; the GF(p) lattice builds its
 own in its closure filter.
+
+The identities are imposed on a generating set.  In a left Leibniz algebra
+every left multiplication [a, .] is a derivation.  By that identity the
+vectors on which each condition below holds form a subalgebra, which is
+all of L once it contains a generating set G.
+
+- The derivation defect δ(x,y) = D[x,y] − [Dx,y] − [x,Dy] satisfies
+  δ([u,v],y) = δ(u,[v,y]) − δ(v,[u,y]) + [u,δ(v,y)] − [v,δ(u,y)] − [δ(u,v),y],
+  so {x : δ(x,·) = 0} is a subalgebra.
+- The right-derivation defect ρ(x,y) = g([x,y]) − [x,g(y)] + [y,g(x)]
+  satisfies
+  ρ([u,v],y) = ρ(u,[v,y]) − ρ(v,[u,y]) + [u,ρ(v,y)] − [v,ρ(u,y)] + [y,ρ(u,v)],
+  so {x : ρ(x,·) = 0} is a subalgebra.
+- For an ideal Z and any x, {y : [x,y] ∈ Z} and {y : [y,x] ∈ Z} are
+  subalgebras, by [x,[u,v]] = [[x,u],v] + [u,[x,v]] and
+  [[u,v],x] = [u,[v,x]] − [v,[u,x]].  The centres take Z = 0 and the upper
+  series a previous term, both ideals, so a centraliser reads only the
+  table cells (i, g) and (g, i), g ∈ G.
+- [L, g_k] = Σ_{g∈G} [g, g_k] for the lower series, by induction on the
+  right-normed words w = [g,w'] that span L: for y ∈ g_k,
+  [[g,w'],y] = [g,[w',y]] − [w',[g,y]], where [w',y] and [g,y] lie in
+  g_{k+1} ⊆ g_k, so the first term lies in [g, g_k] and the second, by
+  induction, in the sum.
+
+So `derivations._constraint_rows` builds the rows of the pairs (e_g, e_j),
+g ∈ G, and the kernels, centralisers and series are the same canonical
+subspaces as on all n^2 pairs.  `_generators` finds G: the basis indices,
+taken greedily in order, whose unit vectors generate L.  The subalgebra
+generated by G is the span of the right-normed words [g_1,[g_2,[…]]], the
+smallest subspace that contains G and is closed under [g, .], g ∈ G
+(expand [[g,w],v] = [g,[w,v]] − [w,[g,v]] by induction on the length of
+w).  Its rank is decided modulo p over GF(p), and modulo P = 2^61 − 1 on
+the integer table over Q.  There the words are the residues of integer
+words, whose rank mod P is at most their rank over Q: a unit vector inside
+⟨G⟩ may look outside and add a needless generator, but the search ends
+with every unit vector in the span mod P, rank n, and so rank n over Q.
 """
 
 from __future__ import annotations
@@ -50,7 +86,7 @@ from functools import partial
 from math import lcm
 from typing import Sequence
 
-from .linalg import Field, Matrix, Scalar, Subspace, Vector, _integral, _kernel, linear_combination, vec_add
+from .linalg import _P, Field, Matrix, Scalar, Subspace, Vector, _integral, _kernel, linear_combination, vec_add
 
 
 @dataclass(frozen=True)
@@ -316,14 +352,51 @@ def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:
     return Subspace._span(algebra.field, n, rows)
 
 
-def _centraliser(
-    algebra: LeibnizAlgebra, z: Subspace | None = None, *, left: bool = True, right: bool = True
-) -> Subspace:
-    """{x : [x, e_j] in Z (left) and [e_j, x] in Z (right) for all j}; Z defaults to 0.
+def _generators(algebra: LeibnizAlgebra) -> list[int]:
+    """The basis indices g, taken greedily in order, whose unit vectors e_g generate the algebra.
 
-    x -> [x, e_j] mod Z is linear, so each side contributes one constraint
-    row per (j, output coordinate), with coefficients the residuals of the
-    entries of the integer table against Z.  Row pc of Z, scaled to
+    The right-normed words of the module docstring are kept modulo p, or
+    modulo P over Q, in echelon form, each only if it is independent of
+    those kept.  A new generator g brings e_g and [e_g, w] for the words w
+    kept, and each new word w brings [e_h, w] for every generator h.
+    """
+    n, table = algebra.dim, algebra._table
+    p = algebra.field.characteristic or _P
+    units = [[int(c == g) for c in range(n)] for g in range(n)]
+    words: dict[int, list[int]] = {}  # leading column -> word, 1 there and 0 before
+
+    def residual(w):
+        for pc in sorted(words):
+            if f := w[pc]:
+                w = [(a - f * b) % p for a, b in zip(w, words[pc])]
+        return w
+
+    gens = []
+    for g in range(n):
+        if not any(residual(units[g])):
+            continue
+        gens.append(g)
+        todo = [units[g], *[_product(table, units[g], w) for w in words.values()]]
+        while todo:
+            w = residual([v % p for v in todo.pop()])
+            if any(w):
+                pc = next(c for c, v in enumerate(w) if v)
+                inv = pow(w[pc], -1, p)
+                words[pc] = w = [v * inv % p for v in w]
+                todo += [_product(table, units[h], w) for h in gens]
+    return gens
+
+
+def _centraliser(
+    algebra: LeibnizAlgebra, gens: Sequence[int], z: Subspace | None = None, *, left: bool = True, right: bool = True
+) -> Subspace:
+    """{x : [x, e_g] in Z (left) and [e_g, x] in Z (right) for all g in gens}; Z defaults to 0.
+
+    For generators gens and Z = 0 or an upper-series term this is the
+    centraliser of L (module docstring).  x -> [x, e_g] mod Z is linear, so
+    each side contributes one constraint row per (g, output coordinate),
+    with coefficients the residuals of the entries of the integer table
+    cells (i, g) or (g, i) against Z.  Row pc of Z, scaled to
     integers, is m_pc z_pc with m_pc at its pivot; with M the lcm of the
     m_pc, the residual of v is M v - sum over pc of v[pc] (M / m_pc) m_pc z_pc,
     M times the true one, and all in integers.  The zero rows constrain
@@ -345,27 +418,26 @@ def _centraliser(
                 v = [a - f * b for a, b in zip(v, row)]
         return v
 
-    res = [[residual(nz[i][j]) for j in range(n)] for i in range(n)]
     rows = []
     # list, not generator, arguments to zip: see `linalg._lifted`
-    for j in range(n):
+    for g in gens:
         if left:
-            rows.extend(zip(*[res[i][j] for i in range(n)]))
+            rows.extend(zip(*[residual(nz[i][g]) for i in range(n)]))
         if right:
-            rows.extend(zip(*[res[j][i] for i in range(n)]))
+            rows.extend(zip(*[residual(nz[g][i]) for i in range(n)]))
     return _kernel(field, n, [{c: v for c, v in enumerate(row) if v} for row in rows if any(row)])
 
 
 def left_center(algebra: LeibnizAlgebra) -> Subspace:
-    return _centraliser(algebra, right=False)
+    return _centraliser(algebra, _generators(algebra), right=False)
 
 
 def right_center(algebra: LeibnizAlgebra) -> Subspace:
-    return _centraliser(algebra, left=False)
+    return _centraliser(algebra, _generators(algebra), left=False)
 
 
 def center(algebra: LeibnizAlgebra) -> Subspace:
-    return _centraliser(algebra)
+    return _centraliser(algebra, _generators(algebra))
 
 
 def lower_central_series(algebra: LeibnizAlgebra) -> tuple[Subspace, ...]:
@@ -374,10 +446,17 @@ def lower_central_series(algebra: LeibnizAlgebra) -> tuple[Subspace, ...]:
     The stabilized value appears once as the final term; for a nilpotent
     algebra the final term is the zero subspace.
     """
+    return _lower_series(algebra, _generators(algebra))
+
+
+def _lower_series(algebra: LeibnizAlgebra, gens: Sequence[int]) -> tuple[Subspace, ...]:
+    """The lower central series, with [L, g_k] taken as [span{e_g : g in gens}, g_k] (module docstring)."""
     full = full_space(algebra)
+    # increasing unit vectors: the canonical basis of their span
+    span = Subspace(algebra.field, algebra.dim, tuple([full.rows[g] for g in gens]), _canonical=True)
     terms = [full]
     while True:
-        nxt = product_subspace(algebra, full, terms[-1])
+        nxt = product_subspace(algebra, span, terms[-1])
         if nxt == terms[-1]:
             break
         terms.append(nxt)
@@ -395,10 +474,15 @@ def _class_of(series: tuple[Subspace, ...]) -> int | None:
 
 def upper_central_series(algebra: LeibnizAlgebra) -> tuple[Subspace, ...]:
     """Terms z_1 <= z_2 <= ... up to stabilization; the last term is the hypercenter."""
+    return _upper_series(algebra, _generators(algebra))
+
+
+def _upper_series(algebra: LeibnizAlgebra, gens: Sequence[int]) -> tuple[Subspace, ...]:
+    """The upper central series, each term the centraliser of the last on generators gens."""
     prev = Subspace.zero(algebra.field, algebra.dim)
     terms: list[Subspace] = []
     while True:
-        nxt = _centraliser(algebra, prev)
+        nxt = _centraliser(algebra, gens, prev)
         if nxt == prev:
             break
         terms.append(nxt)
@@ -482,23 +566,29 @@ class AlgebraReport:
 
 
 def invariant_profile(algebra: LeibnizAlgebra) -> AlgebraReport:
-    """Deterministically fill every report field."""
+    """Deterministically fill every report field.
+
+    The generating set G of the module docstring is found once per call
+    and imposes the identities of the centres, both series and both
+    derivation spaces.
+    """
     from . import derivations  # local import; derivations depends on this module
 
+    gens = _generators(algebra)
     leib = leibniz_kernel(algebra)
-    lower = lower_central_series(algebra)
-    upper = upper_central_series(algebra)
+    lower = _lower_series(algebra, gens)
+    upper = _upper_series(algebra, gens)
     return AlgebraReport(
         field_label=algebra.field.label,
         dim=algebra.dim,
         leibniz_kernel_dim=leib.dim,
-        left_center_dim=left_center(algebra).dim,
-        right_center_dim=right_center(algebra).dim,
+        left_center_dim=_centraliser(algebra, gens, right=False).dim,
+        right_center_dim=_centraliser(algebra, gens, left=False).dim,
         center_dim=upper[0].dim,  # z_1, the first term, is the centre
         lower_central_series_dims=tuple([s.dim for s in lower]),
         upper_central_series_dims=tuple([s.dim for s in upper]),
         nilpotency_class=_class_of(lower),
         is_lie=leib.dim == 0,
-        derivation_dim=derivations.derivation_space(algebra).dim,
-        right_derivation_dim=derivations.right_derivation_space(algebra).dim,
+        derivation_dim=derivations._kernel_basis(algebra, "left-derivation", gens).dim,
+        right_derivation_dim=derivations._kernel_basis(algebra, "right-derivation", gens).dim,
     )

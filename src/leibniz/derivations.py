@@ -2,11 +2,14 @@
 
 A linear map f is a derivation when f([a,b]) = [f(a), b] + [a, f(b)], and a
 right derivation when g([x,y]) = [x, g(y)] - [y, g(x)].  Both identities are
-bilinear in (a, b), so imposing them on basis pairs gives an n^3 x n^2
-linear system in the matrix entries; its kernel is the derivation space.
-Constraint rows are ordered by (i, j) basis pair then output coordinate,
-and unknowns by matrix entry in row-major order, which fixes the canonical
-kernel basis.
+bilinear in (a, b), so they hold everywhere once they hold on basis pairs,
+and the vectors a on which they hold for every b form a subalgebra
+(`core` module docstring).  So they are imposed on the pairs (e_g, e_j)
+with g in a generating set G (`core._generators`) and every j: a
+|G|·n^2 x n^2 linear system in the matrix entries, in place of n^3 x n^2,
+whose kernel is the derivation space.  The unknowns are the matrix entries
+in row-major order, and the kernel basis is the canonical (RREF) one, so
+it is the same for any generating set and any order of the rows.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Sequence
 
 from .core import (
     LeibnizAlgebra,
+    _generators,
     center,
     leibniz_kernel,
     left_center,
@@ -51,11 +55,14 @@ class DerivationBasis:
     dim: int
 
 
-def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scalar]]:
-    """The nonzero constraint rows, as ``{unknown: nonzero value}``, filled from the nonzero table entries.
+def _constraint_rows(algebra: LeibnizAlgebra, kind: str, firsts: Sequence[int]) -> list[dict[int, Scalar]]:
+    """The nonzero constraint rows of the pairs (e_i, e_j), i in firsts, as ``{unknown: nonzero value}``.
 
-    Every row is linear in the tensor, so the rows are taken from the integer
-    table c·T: c times the true rows, in integers, with the same kernel.
+    They are filled from the nonzero table entries.  Every row is linear in
+    the tensor, so the rows are taken from the integer table c·T: c times
+    the true rows, in integers, with the same kernel.  With firsts a
+    generating set the kernel is the whole derivation space; with
+    ``range(n)`` it is the full system.
     """
     n = algebra.dim
     nz = algebra._table
@@ -66,7 +73,7 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scala
     neg_row = [[(m, cell) for m, cell in enumerate(plane) if cell] for plane in neg]
     neg_col = [[(m, neg[m][j]) for m in range(n) if neg[m][j]] for j in range(n)]
     rows = []
-    for i in range(n):
+    for i in firsts:
         for j in range(n):
             # the rows (i, j, l) for every l
             acc: list[dict[int, Scalar]] = [{} for _ in range(n)]
@@ -91,10 +98,11 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str) -> list[dict[int, Scala
     return rows
 
 
-def _kernel_basis(algebra: LeibnizAlgebra, kind: str) -> DerivationBasis:
+def _kernel_basis(algebra: LeibnizAlgebra, kind: str, gens: Sequence[int]) -> DerivationBasis:
+    """The derivations of the given kind, from the rows of the generators gens."""
     n = algebra.dim
     field = algebra.field
-    kern = _kernel(field, n * n, _constraint_rows(algebra, kind))
+    kern = _kernel(field, n * n, _constraint_rows(algebra, kind, gens))
     mats = tuple([
         Matrix(field, [row[r * n : (r + 1) * n] for r in range(n)], _coerced=True)
         for row in kern.rows
@@ -103,11 +111,11 @@ def _kernel_basis(algebra: LeibnizAlgebra, kind: str) -> DerivationBasis:
 
 
 def derivation_space(algebra: LeibnizAlgebra) -> DerivationBasis:
-    return _kernel_basis(algebra, "left-derivation")
+    return _kernel_basis(algebra, "left-derivation", _generators(algebra))
 
 
 def right_derivation_space(algebra: LeibnizAlgebra) -> DerivationBasis:
-    return _kernel_basis(algebra, "right-derivation")
+    return _kernel_basis(algebra, "right-derivation", _generators(algebra))
 
 
 def is_derivation(algebra: LeibnizAlgebra, m: Matrix) -> bool:

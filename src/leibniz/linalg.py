@@ -41,11 +41,11 @@ or a lift is wrong), the exact elimination over Q runs instead.
 Scalars are coerced once, where they enter from outside the library:
 `Field.of` runs in the public constructors (`Matrix(...)`,
 `Subspace.from_vectors`, `LeibnizAlgebra`, the family parameters) and in
-public functions that take a caller's vector (`Subspace.reduce`,
-`Subspace.contains`, `solve`).  Floats are rejected there
-rather than truncated or made binary-exact.  Internal callers pass values
-straight through: `Matrix(..., _coerced=True)`, `LeibnizAlgebra(...,
-_derived=True)`, `Subspace._span` and `Subspace._contains_all` skip it.
+public functions that take a caller's vector (`Subspace.reduce`, `solve`).
+Floats are rejected there rather than truncated or made binary-exact.
+Internal callers pass values straight through: `Matrix(..., _coerced=True)`,
+`LeibnizAlgebra(..., _derived=True)`, `Subspace._span` and
+`Subspace._contains_all` skip it.
 
 Every value inside the library is canonical (a `Fraction`, or an int in
 [0, p)), and the arithmetic on it follows one rule:
@@ -76,8 +76,8 @@ with pivots p_a iff w[c] - sum_a w[p_a] r_a[c] = 0 (mod p over GF(p)) at
 each column c that holds no pivot, tested up to the first that fails.  The
 GF(p) lattice filter calls it with each pattern's pivots; all else calls
 `Subspace._contains_all`, which stops at the first vector outside S:
-`contains`, ``S <= T``, `core._closed_products`, the subalgebra, ideal and
-invariance tests, a0 in `cyclic._leib_criterion` and "b outside K" in `families`.
+``S <= T``, `core._closed_products`, the subalgebra, ideal and invariance
+tests, a0 in `cyclic._leib_criterion` and "b outside K" in `families`.
 """
 
 from __future__ import annotations
@@ -598,9 +598,6 @@ class Subspace:
             if c := residual[pc]:
                 residual = [self.field.reduce(a - c * b) for a, b in zip(residual, row)]
         return tuple(residual)
-
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return self._contains_all((self._field_values(v),))
 
     def _contains_all(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
         """Whether every vector (field values) lies in S, by `_in_span`; stops at the first that does not."""

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import build_corpus
 from leibniz import linalg
-from leibniz.core import invariant_profile, leibniz_kernel
+from leibniz.core import _generators, invariant_profile, leibniz_kernel
 from leibniz.cyclic import is_canonical_cyclic
 from leibniz.derivations import (
     _constraint_rows,
@@ -259,11 +259,12 @@ def test_lifted_derivation_kernels_equal_the_exact_ones(monkeypatch):
     algebras = [case.algebra for case in workloads.build("profile-q", 1).cases]
     algebras += [alg for _, alg in build_corpus(QQ)]
     for algebra in algebras:
+        gens = _generators(algebra)
         for kind in ("left-derivation", "right-derivation"):
             n2 = algebra.dim**2
-            lifted = _lifted_kernel(n2, _constraint_rows(algebra, kind))
+            lifted = _lifted_kernel(n2, _constraint_rows(algebra, kind, gens))
             assert lifted is not None
-            exact = _dense(QQ, n2, _kernel_echelon(QQ, n2, _constraint_rows(algebra, kind)))
+            exact = _dense(QQ, n2, _kernel_echelon(QQ, n2, _constraint_rows(algebra, kind, gens)))
             assert repr(lifted) == repr(exact)
 
     # the same for every kernel and span of their profiles (centres, central
