@@ -3,13 +3,16 @@
     leibniz census --dim N
 
 writes one JSON object per census record to standard output, in the
-library's fingerprint order.
+library's fingerprint order.  If the reader closes the pipe first
+(``leibniz census --dim 3 | head -1``), it stops there with status 1 and
+writes nothing to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .census import MAX_CENSUS_DIM, census
@@ -28,8 +31,16 @@ def main(argv: list[str] | None = None) -> int:
         result = census(args.dim)
     except ValueError as exc:
         parser.error(str(exc))
-    for record in result.records:
-        sys.stdout.write(json.dumps(record) + "\n")
+    try:
+        for record in result.records:
+            sys.stdout.write(json.dumps(record) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would fail again on the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

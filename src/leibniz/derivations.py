@@ -66,12 +66,15 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str, firsts: Sequence[int]) 
     """
     n = algebra.dim
     nz = algebra._table
-    neg = [[[(l, -c) for l, c in cell] for cell in plane] for plane in nz]
-    # the nonzero cells (m, entries) of each table row and column, found once
-    # per call: row i of nz holds [e_i, e_m], column j of neg holds -[e_m, e_j]
-    pos_row = [[(m, cell) for m, cell in enumerate(plane) if cell] for plane in nz]
-    neg_row = [[(m, cell) for m, cell in enumerate(plane) if cell] for plane in neg]
-    neg_col = [[(m, neg[m][j]) for m in range(n) if neg[m][j]] for j in range(n)]
+    left = kind == "left-derivation"
+    # only the nonzero cells (m, entries) that the rows read, found once per
+    # call: -[e_i, e_m] for i in firsts, and for every j -[e_m, e_j] (left
+    # kind) or [e_j, e_m] (right kind)
+    neg_row = {i: [(m, [(l, -c) for l, c in cell]) for m, cell in enumerate(nz[i]) if cell] for i in firsts}
+    if left:
+        jcells = [[(m, [(l, -c) for l, c in nz[m][j]]) for m in range(n) if nz[m][j]] for j in range(n)]
+    else:
+        jcells = [[(m, cell) for m, cell in enumerate(plane) if cell] for plane in nz]
     rows = []
     for i in firsts:
         for j in range(n):
@@ -80,10 +83,7 @@ def _constraint_rows(algebra: LeibnizAlgebra, kind: str, firsts: Sequence[int]) 
             for m, c in nz[i][j]:
                 for l in range(n):
                     acc[l][l * n + m] = c
-            if kind == "left-derivation":
-                terms = ((neg_col[j], i), (neg_row[i], j))
-            else:
-                terms = ((neg_row[i], j), (pos_row[j], i))
+            terms = ((jcells[j], i), (neg_row[i], j)) if left else ((neg_row[i], j), (jcells[j], i))
             for cells, col in terms:
                 for m, entries in cells:
                     k = m * n + col

@@ -11,9 +11,10 @@ Elimination runs on sparse rows.  `_echelon` is the one Gauss-Jordan
 routine: it takes ``{column: nonzero value}`` rows, so the zero entries of
 the large, mostly-zero derivation systems cost nothing, and returns the
 RREF rows keyed by pivot column.  `rank`, `Subspace._span`, `inverse`
-and `solve` read that directly, and `_kernel` (behind `Matrix.kernel` and
-the derivation spaces) reads the null vectors off it.
-`Matrix.kernel`, which no module calls, stays as `bench/tracer.py`'s hook.
+and `solve` read that directly.  `_kernel` (the centralisers, the
+derivation spaces, and `Matrix.kernel`, which no module calls but
+`bench/tracer.py` hooks) runs it once, each row pivoted at its last
+column, and reads the kernel's RREF off it (`_kernel_echelon`).
 
 Kernels and spans over Q are computed from integer rows A modulo the
 prime P = 2^61 - 1, by the same `_echelon` on their residues, and the RREF
@@ -21,7 +22,7 @@ rows found there are lifted back by rational reconstruction (`_lifted`).
 A size bound proves the lift exact.  With d the lcm of the lifted
 denominators, h the largest lifted |entry|, k the number of lifted rows
 and B the largest ||a||_1 over the rows a of A, the lift is kept when
-B d (1 + k h) < P:
+B d (1 + k h) < P, tested in ints as B (d + k m) < P, m = max |r| (d/s):
 
 - for a kernel, each lifted row x has A (d x) = 0 mod P by construction,
   and |a . d x| <= ||a||_1 ||d x||_inf <= B d h < P, so A x = 0;
@@ -61,7 +62,7 @@ Every value inside the library is canonical (a `Fraction`, or an int in
 - a zero test is truthiness: ``if not c``, ``any(vec)``, ``not any(vec)``.
 
 Integer rows.  Every kernel and span takes integer rows and reduces them
-itself (`_residues`): modulo p over GF(p), and modulo P over Q.  The rows come
+itself: modulo p over GF(p), and modulo P over Q.  The rows come
 from the integer structure table c·T, with c the lcm of the tensor's
 denominators (c = 1 over GF(p)), or from vectors scaled by the lcm of
 their own denominators (`_integral`, which `Matrix.kernel` and
@@ -318,20 +319,22 @@ def _dense(field: Field, ncols: int, echelon: dict[int, dict[int, Scalar]]) -> l
     return dense
 
 
-def _kernel_echelon(field: Field, ncols: int, rows: list[dict[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
-    """The RREF rows of {x : r . x = 0 for every row r}; the rows are consumed.
+def _kernel_echelon(field: Field, ncols: int, rows: list[dict[int, int]]) -> dict[int, dict[int, Scalar]]:
+    """The RREF rows of {x : r . x = 0 for every integer row r}; the rows are not written to.
 
-    The null vector of free column f is e_f - sum over pivots pc of
-    R[pc][f] e_pc, read off the echelon rows R; those vectors are then
-    brought to RREF themselves.
+    Column c enters `_echelon` as ncols - 1 - c (mod p over GF(p)), so echelon
+    row R_pc has entries only left of its pivot pc and none at other pivots.
+    The null vector e_f - sum_pc R_pc[f] e_pc of free column f then leads with
+    1 at f and is 0 at the other free columns: it is already an RREF row.
     """
-    echelon = _echelon(field, rows)
-    null = {c: {c: field.one} for c in range(ncols) if c not in echelon}
+    last, p = ncols - 1, field.characteristic
+    echelon = _echelon(field, [{last - c: r for c, v in row.items() if (r := v % p if p else v)} for row in rows])
+    null = {c: {c: field.one} for c in range(ncols) if last - c not in echelon}
     for pc, row in echelon.items():
         for c, v in row.items():
             if c != pc:
-                null[c][pc] = field.reduce(-v)
-    return _echelon(field, null.values())
+                null[last - c][last - pc] = field.reduce(-v)
+    return null
 
 
 # The prime 2^61 - 1 of the residue route, as a `Field` value that the
@@ -358,11 +361,6 @@ def _lift(u: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _residues(p: int, rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Integer rows modulo p, without the entries that vanish there; the rows are not written to."""
-    return [{c: r for c, v in row.items() if (r := v % p)} for row in rows]
-
-
 def _lifted(rows: list[dict[int, int]], echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, Fraction]] | None:
     """RREF rows computed modulo P from integer rows, lifted by `_lift`; None where that fails.
 
@@ -384,28 +382,28 @@ def _lifted(rows: list[dict[int, int]], echelon: dict[int, dict[int, int]]) -> d
     # free list of each length fills up to 2,000 tuples (0.8 MB of peak RSS
     # on the `profile-q` benchmark)
     d = lcm(*[v.denominator for v in lifts.values()])
+    m = max([abs(v.numerator) * (d // v.denominator) for v in lifts.values()])
     weight = max([sum(map(abs, row.values())) for row in rows], default=0)
-    return basis if weight * d * (1 + len(basis) * max(map(abs, lifts.values()))) < _P else None
+    return basis if weight * (d + len(basis) * m) < _P else None
 
 
 def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | None:
     """The canonical kernel basis over Q of integer rows, computed modulo P and lifted by `_lifted`; None where that fails."""
-    basis = _lifted(rows, _kernel_echelon(_RESIDUES, ncols, _residues(_P, rows)))
+    basis = _lifted(rows, _kernel_echelon(_RESIDUES, ncols, rows))
     return None if basis is None else _dense(QQ, ncols, basis)
 
 
 def _kernel(field: Field, ncols: int, rows: list[dict[int, int]]) -> Subspace:
-    """{x : r . x = 0 for every row r} as a canonical subspace; rows are ``{column: nonzero int}``, consumed.
+    """{x : r . x = 0 for every row r} as a canonical subspace; rows are ``{column: nonzero int}``, not written to.
 
     The ints are scaled by `_integral` or taken from the integer table, and
-    need not be reduced: over GF(p) they are reduced modulo p here; over Q
-    the kernel is computed modulo P and lifted (`_lifted_kernel`), and the
-    exact elimination runs only where that fails.
+    need not be reduced: over GF(p) `_kernel_echelon` reduces them modulo p;
+    over Q the kernel is computed modulo P and lifted (`_lifted_kernel`),
+    and the exact elimination runs only where that fails.
     """
-    p = field.characteristic
-    basis = None if p else _lifted_kernel(ncols, rows)
+    basis = None if field.characteristic else _lifted_kernel(ncols, rows)
     if basis is None:
-        basis = _dense(field, ncols, _kernel_echelon(field, ncols, _residues(p, rows) if p else rows))
+        basis = _dense(field, ncols, _kernel_echelon(field, ncols, rows))
     return Subspace(field, ncols, tuple(basis), _canonical=True)
 
 
@@ -544,7 +542,7 @@ class Subspace:
             echelon = _echelon(field, [{c: r for c, v in enumerate(row) if (r := v % p)} for row in rows])
         else:
             ints = [dict(zip(row, _integral(row.values()))) for row in _sparse(rows) if row]
-            echelon = _lifted(ints, _echelon(_RESIDUES, _residues(_P, ints)))
+            echelon = _lifted(ints, _echelon(_RESIDUES, [{c: r for c, v in row.items() if (r := v % _P)} for row in ints]))
             if echelon is None:
                 echelon = _echelon(field, [{c: Fraction(v) for c, v in row.items()} for row in ints])
         return cls(field, ambient, tuple(_dense(field, ambient, echelon)), _canonical=True)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +28,18 @@ def test_cli_census_has_no_jobs_option(capsys):
         main(["census", "--dim", "2", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_census_stops_quietly_when_the_reader_closes_the_pipe():
+    # `leibniz census --dim 3 | head -1`: the 806 records (356,680 bytes)
+    # overflow the pipe, so the writes after the first line fail
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "leibniz.cli", "census", "--dim", "3"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+    assert first == census(3).records[0]

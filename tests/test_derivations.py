@@ -4,6 +4,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from conftest import build_corpus
 from leibniz import linalg
@@ -288,3 +290,48 @@ def test_lifted_derivation_kernels_equal_the_exact_ones(monkeypatch):
         invariant_profile(algebra)
     assert len(refused) > 2 * len(algebras) and not any(refused)
     assert QQ not in fields
+
+
+def _sympy_derivations(brackets, kind):
+    """The RREF basis, as row-major matrix entries, of the (right) derivations
+    of the structure constants brackets[i][j] = [e_i, e_j], by sympy alone:
+    the full n^3 x n^2 system, its null space, and that null space's RREF."""
+    n = len(brackets)
+    rows = []
+    for i, j, l in product(range(n), repeat=3):
+        # D[l][k] is unknown l n + k, and column k of D is D e_k
+        row = [sympy.QQ(0)] * (n * n)
+        for k in range(n):
+            row[l * n + k] += brackets[i][j][k]
+        for m in range(n):
+            if kind == "left-derivation":  # D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]
+                row[m * n + i] -= brackets[m][j][l]
+                row[m * n + j] -= brackets[i][m][l]
+            else:  # g[e_i, e_j] - [e_i, g e_j] + [e_j, g e_i]
+                row[m * n + j] -= brackets[i][m][l]
+                row[m * n + i] += brackets[j][m][l]
+        rows.append(row)
+    nullspace = DomainMatrix(rows, (n**3, n * n), sympy.QQ).nullspace()
+    if nullspace.shape[0] == 0:
+        return []
+    return [[Fraction(int(v.numerator), int(v.denominator)) for v in row] for row in nullspace.rref()[0].to_list()]
+
+
+def test_derivation_bases_match_a_sympy_nullspace():
+    # the six dense dimension-5 inputs and the six dimension-7 inputs of the
+    # profile benchmark (seed 1): the canonical bases, entry for entry,
+    # against an oracle that reads only the structure constants
+    cases = [case for case in workloads.build("profile-q", 1).cases if case.algebra.dim in (5, 7)]
+    assert len(cases) == 12
+    for case in cases:
+        algebra = case.algebra
+        n = algebra.dim
+        brackets = [
+            [[sympy.QQ(v.numerator, v.denominator) for v in algebra.basis_bracket(i, j)] for j in range(n)]
+            for i in range(n)
+        ]
+        for kind, space in (("left-derivation", derivation_space), ("right-derivation", right_derivation_space)):
+            basis = space(algebra)
+            found = [[v for row in m.data for v in row] for m in basis.basis]
+            assert found == _sympy_derivations(brackets, kind), (case.label, kind)
+            assert basis.dim == len(found)

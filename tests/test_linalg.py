@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from leibniz import linalg
 from leibniz.families import cyclic_nilpotent
 from leibniz.linalg import (
     GF,
@@ -15,6 +18,7 @@ from leibniz.linalg import (
     Field,
     Matrix,
     Subspace,
+    _LIFT_BOUND,
     _RESIDUES,
     _echelon,
     _integral,
@@ -23,7 +27,6 @@ from leibniz.linalg import (
     _lifted,
     _lifted_kernel,
     _P,
-    _residues,
     _sparse,
     basis_vector,
     linear_combination,
@@ -596,7 +599,7 @@ def test_span_bound_refuses_a_wrong_lift():
     # lift bound; only the size bound refuses it: B d (1 + k h) is
     # (2^40 + 1) 2^21 (1 + 1) >= P
     rows = [{0: 1, 1: 2**40}]
-    echelon = _echelon(_RESIDUES, _residues(_P, rows))
+    echelon = _echelon(_RESIDUES, [dict(row) for row in rows])  # already residues
     assert {c: _lift(u) for c, u in echelon[0].items()} == {0: 1, 1: Fraction(1, 2**21)}
     assert _lifted(rows, echelon) is None
     span = Subspace.from_vectors(QQ, 2, [[1, 2**40]])
@@ -607,3 +610,73 @@ def test_span_bound_refuses_a_wrong_lift():
 def test_linear_combination_of_zero_coefficients():
     assert linear_combination(QQ, [0, 0], [(1, 2, 3), (4, 5, 6)]) == (Fraction(0),) * 3
     assert linear_combination(GF(5), [0, 2], [(1, 2), (4, 3)]) == (3, 1)
+
+
+def _is_rref(rows):
+    """Whether dense rows are in reduced row echelon form, with no zero row."""
+    leads = [next((c for c, v in enumerate(row) if v), None) for row in rows]
+    return (
+        None not in leads
+        and leads == sorted(set(leads))
+        and all(row[c] == (1 if a == b else 0) for b, c in enumerate(leads) for a, row in enumerate(rows))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from([GF(2), GF(5), QQ]), exact=st.booleans(), data=st.data())
+def test_kernel_is_one_elimination_per_route_and_rref(field, exact, data):
+    # one elimination modulo p over GF(p), one modulo P over Q, and where the
+    # lift is refused (forced here by `exact`) one more over Q; none runs on
+    # the null vectors, which must already be the kernel's RREF
+    rows, ncols = _rows_for_elimination(data, field)
+    fields = []
+    echelon, lifted = linalg._echelon, linalg._lifted
+
+    def counted(f, echelon_rows):
+        fields.append(f)
+        return echelon(f, echelon_rows)
+
+    with mock.patch.object(linalg, "_echelon", counted), mock.patch.object(
+        linalg, "_lifted", lambda r, e: None if exact else lifted(r, e)
+    ):
+        kernel = Matrix(field, rows).kernel()
+    if field != QQ:
+        assert fields == [field]
+    else:
+        assert fields == ([_RESIDUES, QQ] if exact else [_RESIDUES])
+    assert _is_rref(kernel.rows)
+    assert kernel.dim == ncols - _rank(field, rows, ncols)
+    assert not any(field.reduce(sum(a * b for a, b in zip(row, x))) for row in rows for x in kernel.rows)
+
+
+def test_size_bound_at_its_edge():
+    # the residue echelon rows (1, 0, -5/3) and (0, 1, 1/3) lift with d = 3,
+    # k = 2 and h = 5/3, so B d (1 + k h) = 13 B, read in ints as
+    # B (d + k m) with m = 5
+    echelon = _echelon(_RESIDUES, [{0: 3, 2: _P - 5}, {1: 3, 2: 1}])
+    b = (_P - 1) // 13
+    assert b * 3 * (1 + 2 * Fraction(5, 3)) == _P - 1
+    # B is the largest ||a||_1 over the rows
+    assert _lifted([{0: 1}, {0: b - 2, 5: -2}], echelon) == {0: {0: 1, 2: Fraction(-5, 3)}, 1: {1: 1, 2: Fraction(1, 3)}}
+    assert _lifted([{0: 1}, {0: b - 1, 5: -2}], echelon) is None
+    # with no lifted row the bound is B < P, strictly
+    assert _lifted([{0: _P - 1}], {}) == {}
+    assert _lifted([{0: _P}], {}) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_size_bound_in_ints_agrees_with_the_fraction_form(data):
+    # random lifts r/s within the lift bound, as the non-pivot entries of a
+    # residue echelon of k rows, and a weight B at the edge of the bound
+    k = data.draw(st.integers(0, 4))
+    entry = st.builds(Fraction, st.integers(-_LIFT_BOUND, _LIFT_BOUND), st.integers(1, _LIFT_BOUND)).filter(bool)
+    echelon, lifts = {}, []
+    for pc in range(k):
+        values = data.draw(st.lists(entry, max_size=3))
+        lifts += values
+        echelon[pc] = {pc: 1, **{k + c: v.numerator * pow(v.denominator, -1, _P) % _P for c, v in enumerate(values)}}
+    d = lcm(1, *[v.denominator for v in lifts])
+    h = max([Fraction(1), *map(abs, lifts)])
+    b = max(1, (_P - 1) // (d * (1 + k * h)) + data.draw(st.integers(-1, 2)))
+    assert (_lifted([{0: b}], echelon) is not None) == (b * d * (1 + k * h) < _P)
