@@ -17,9 +17,9 @@ GF(p), where the table is T).  A caller's table is coerced with `Field.of`
 and checked; a table the library derives by exact arithmetic from a valid
 algebra (`restrict_to_subalgebra`, `algebra_in_basis`) is canonical
 already, and is taken as it is.  The bracket, the identity check, the
-product spaces, the centralisers and the derivation rows all read the
-integer table.  Everything but the bracket itself uses it as it is, and
-stays exact:
+product spaces, the centralisers, the derivation rows and the change of
+basis all read the integer table.  Everything but the bracket and the
+change of basis, which divide by c, uses it as it is, and stays exact:
 
 - c[x, y] is the bracket of an isomorphic algebra, under x -> x/c, so every
   subspace an invariant is built from (product spaces, centres, both
@@ -33,9 +33,12 @@ stays exact:
 Two vectors are multiplied by one loop, `_product`, over the nonzero
 entries of the integer table.  It returns the unreduced accumulators of
 [x, y], which `bracket` unscales and `product_subspace` hands to the span
-as they are.  The closure test that returns its products is
-`_closed_products`: it brackets each pair of rows of S once and raises
-unless every product lies in S.
+as they are.  `algebra_in_basis` takes them on the integer rows
+q_a = s_a p_a of the new basis and divides once per entry: with
+P^-1 = A/δ and w_ab = `_product`(q_a, q_b), entry m of [p_a, p_b] is
+(w_ab · A[:, m]) / (δ c s_a s_b).  The closure test that returns its
+products is `_closed_products`: it brackets each pair of rows of S once and
+raises unless every product lies in S.
 `restrict_to_subalgebra` and `cyclic.is_cyclic_subalgebra` read their
 tables off it, and `lattice.rational_codim1_report` hands one table to both
 `_restriction` and `cyclic._cyclic_generator`; the GF(p) lattice builds its
@@ -84,9 +87,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .linalg import _P, Field, Matrix, Scalar, Subspace, Vector, _integral, _kernel, linear_combination, vec_add
+from .linalg import _P, Field, Matrix, Scalar, Subspace, Vector, _integral, _kernel, vec_add
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ class LeibnizAlgebra:
     exact arithmetic derived from an algebra that passed the check.
     """
 
-    __slots__ = ("field", "dim", "tensor", "_table", "_unscale", "_violations")
+    __slots__ = ("field", "dim", "tensor", "_table", "_scale", "_unscale", "_violations")
 
     def __init__(
         self,
@@ -163,6 +167,7 @@ class LeibnizAlgebra:
             tuple([tuple([(k, v.numerator * (scale // v.denominator)) for k, v in enumerate(vec) if v]) for vec in plane])
             for plane in self.tensor
         ])
+        self._scale = scale
         self._unscale = field.reduce if scale == 1 else partial(Fraction, denominator=scale)
         self._violations: tuple[IdentityViolation, ...] | None = () if _derived else None
         if not _derived and self.check_left_leibniz():
@@ -515,18 +520,36 @@ def _restriction(algebra: LeibnizAlgebra, s: Subspace, products: list[list[Vecto
 
 
 def algebra_in_basis(algebra: LeibnizAlgebra, rows: Sequence[Vector]) -> LeibnizAlgebra:
-    """The same algebra expressed in a new basis (rows = new basis in old coordinates)."""
+    """The same algebra expressed in a new basis (rows = new basis in old coordinates).
+
+    It runs on the integer table c·T.  Each row p_a is scaled to integers,
+    q_a = s_a p_a (`_integral`), and the inverse of P is written as A/δ, with
+    A an integer matrix and δ the lcm of its denominators.  Then
+    w_ab = `_product`(table, q_a, q_b) = c s_a s_b [p_a, p_b], and entry m of
+    [p_a, p_b] in the new basis is (w_ab · A[:, m]) / (δ c s_a s_b): one
+    division per nonzero entry.  Over GF(p), δ, c and s_a are 1, and the
+    division is the reduction mod p.
+    """
     n = algebra.dim
     if len(rows) != n:
         raise ValueError("need exactly dim basis vectors")
-    p = Matrix(algebra.field, rows)
-    inverse = p.inverse().data
+    field, table = algebra.field, algebra._table
+    p, zero = field.characteristic, field.zero
+    matrix = Matrix(field, rows)
+    inverse = matrix.inverse().data
+    delta = lcm(*[v.denominator for row in inverse for v in row])
     # new coordinates of w are (P^T)^-1 w = sum_i w_i * (row i of P^-1)
-    tensor = [
-        tuple([linear_combination(algebra.field, algebra.bracket(x, y), inverse) for y in p.data])
-        for x in p.data
-    ]
-    return LeibnizAlgebra(algebra.field, tensor, _derived=True)
+    columns = list(zip(*[[v.numerator * (delta // v.denominator) for v in row] for row in inverse]))
+    scaled = [(_integral(row), lcm(*[v.denominator for v in row])) for row in matrix.data]
+    tensor = []
+    for qa, sa in scaled:
+        plane = []
+        for qb, sb in scaled:
+            w, d = _product(table, qa, qb), delta * algebra._scale * sa * sb
+            entries = [sum(map(mul, w, col)) for col in columns]
+            plane.append(tuple([(v % p if p else Fraction(v, d)) if v else zero for v in entries]))
+        tensor.append(tuple(plane))
+    return LeibnizAlgebra(field, tensor, _derived=True)
 
 
 # -- the aggregated invariant profile --------------------------------------

@@ -44,6 +44,9 @@ Scalars are coerced once, where they enter from outside the library:
 `Subspace.from_vectors`, `LeibnizAlgebra`, the family parameters) and in
 public functions that take a caller's vector (`Subspace.reduce`, `solve`).
 Floats are rejected there rather than truncated or made binary-exact.
+Exact values pass by a type check: an `int` is reduced (mod p, or made a
+`Fraction` over Q), and over Q a `Fraction` is returned as it is; every
+other type, `bool` and subclasses included, takes the generic path.
 Internal callers pass values straight through: `Matrix(..., _coerced=True)`,
 `LeibnizAlgebra(..., _derived=True)`, `Subspace._span` and
 `Subspace._contains_all` skip it.
@@ -148,6 +151,11 @@ class Field:
 
     def of(self, value) -> Scalar:
         """Coerce an int, Fraction or scalar string into this field; anything else is a TypeError."""
+        kind, p = type(value), self.characteristic
+        if kind is int:
+            return value % p if p else Fraction(value)
+        if kind is Fraction and not p:
+            return value
         if isinstance(value, str):
             return self.parse(value)
         if not isinstance(value, Rational):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -314,6 +315,40 @@ def test_floats_rejected_at_the_boundary(field, value):
         field.reduce(value)
     with pytest.raises(TypeError):
         cyclic_nilpotent(2, field).bracket((value, 0), (1, 0))
+
+
+class _SubFraction(Fraction):
+    pass
+
+
+# each value with its image in Q, GF(3) and GF(5), or the exception raised
+_OF_PARITY = [
+    (0, Fraction(0), 0, 0),
+    (-7, Fraction(-7), 2, 3),
+    (12, Fraction(12), 0, 2),
+    (True, Fraction(1), 1, 1),
+    (Fraction(3, 4), Fraction(3, 4), 0, 2),
+    (_SubFraction(1, 2), Fraction(1, 2), 2, 3),
+    ("3/4", Fraction(3, 4), ValueError, ValueError),
+    (" 2 ", Fraction(2), 2, 2),
+    (0.5, TypeError, TypeError, TypeError),
+    (Decimal("1"), TypeError, TypeError, TypeError),
+    (np.int64(3), Fraction(3), 0, 3),
+]
+
+
+@pytest.mark.parametrize("value, q, gf3, gf5", _OF_PARITY, ids=[repr(row[0]) for row in _OF_PARITY])
+def test_field_of_values_and_types(value, q, gf3, gf5):
+    for field, image in zip((QQ, GF(3), GF(5)), (q, gf3, gf5)):
+        if isinstance(image, type):
+            with pytest.raises(image):
+                field.of(value)
+        else:
+            got = field.of(value)
+            assert got == image and type(got) is type(image), (field, value, got)
+    for p in (3, 5):
+        with pytest.raises(ZeroDivisionError):
+            GF(p).of(Fraction(1, p))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
