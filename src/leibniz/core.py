@@ -32,8 +32,9 @@ change of basis, which divide by c, uses it as it is, and stays exact:
 
 Two vectors are multiplied by one loop, `_product`, over the nonzero
 entries of the integer table.  It returns the unreduced accumulators of
-[x, y], which `bracket` unscales and `product_subspace` hands to the span
-as they are.  `algebra_in_basis` takes them on the integer rows
+[x, y], and each reader reduces them once: `bracket`, the spans of
+`product_subspace` and `_squares_span`, and the GF(p) lattice filter.
+`algebra_in_basis` takes them on the integer rows
 q_a = s_a p_a of the new basis and divides once per entry: with
 P^-1 = A/δ and w_ab = `_product`(q_a, q_b), entry m of [p_a, p_b] is
 (w_ab · A[:, m]) / (δ c s_a s_b).  The closure test that returns its
@@ -85,12 +86,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import lcm
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
-from .linalg import _P, Field, Matrix, Scalar, Subspace, Vector, _integral, _kernel, vec_add
+from .linalg import _P, Field, Matrix, Scalar, Subspace, Vector, _integral, _kernel
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class LeibnizAlgebra:
     exact arithmetic derived from an algebra that passed the check.
     """
 
-    __slots__ = ("field", "dim", "tensor", "_table", "_scale", "_unscale", "_violations")
+    __slots__ = ("field", "dim", "tensor", "_table", "_scale", "_violations")
 
     def __init__(
         self,
@@ -160,15 +160,13 @@ class LeibnizAlgebra:
         self.dim = n
         self.tensor: tuple[tuple[Vector, ...], ...] = tuple(tensor)
         # the integer table as its nonzero entries: _table[i][j] holds
-        # (k, c·T[i][j][k]); `_unscale` maps an entry of a bracket taken on it
-        # to the true bracket, takes exact values only, and pickles
+        # (k, c·T[i][j][k]), with c = _scale
         scale = lcm(*[v.denominator for plane in self.tensor for vec in plane for v in vec])
         self._table = tuple([
             tuple([tuple([(k, v.numerator * (scale // v.denominator)) for k, v in enumerate(vec) if v]) for vec in plane])
             for plane in self.tensor
         ])
         self._scale = scale
-        self._unscale = field.reduce if scale == 1 else partial(Fraction, denominator=scale)
         self._violations: tuple[IdentityViolation, ...] | None = () if _derived else None
         if not _derived and self.check_left_leibniz():
             raise LeibnizIdentityError(self._violations)
@@ -215,14 +213,16 @@ class LeibnizAlgebra:
         """Bilinear extension of the structure tensor.
 
         x and y are field values (see `linalg`) and are not coerced.  Ints
-        work over either field, since only the result is reduced; an inexact
-        entry, a float say, is a TypeError from `_unscale`.
+        work over either field, since only the result is reduced, by
+        index(v) % p or Fraction(v, c); an inexact entry, a float say, is a
+        TypeError from either.
         """
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ValueError("vector length differs from the algebra dimension")
-        unscale = self._unscale
-        return tuple([unscale(v) for v in _product(self._table, x, y)])
+        p, scale = self.field.characteristic, self._scale
+        acc = _product(self._table, x, y)
+        return tuple([index(v) % p for v in acc] if p else [Fraction(v, scale) for v in acc])
 
     # -- identity check ----------------------------------------------------
 
@@ -238,7 +238,7 @@ class LeibnizAlgebra:
             return self._violations
         n = self.dim
         nz = self._table
-        unscale = self._unscale
+        p, square = self.field.characteristic, self._scale**2
         violations = []
         for i in range(n):
             for j in range(n):
@@ -254,9 +254,8 @@ class LeibnizAlgebra:
                     for m, c in nz[i][k]:
                         for l, w in nz[j][m]:
                             acc[l] += c * w
-                    if any(acc) and any(map(unscale, acc)):  # exact over Q; mod p over GF(p)
-                        # quadratic in the table: unscaled twice, by c^2
-                        residual = tuple([unscale(unscale(v)) for v in acc])
+                    # quadratic in the table: c^2 times the true residual (c = 1 over GF(p))
+                    if any(acc) and any(residual := tuple([v % p for v in acc] if p else [Fraction(v, square) for v in acc])):
                         violations.append(IdentityViolation((i + 1, j + 1, k + 1), residual))
         self._violations = tuple(violations)
         return self._violations
@@ -333,15 +332,13 @@ def _squares_span(algebra: LeibnizAlgebra, products: Sequence[Sequence[Vector]])
     Polarization [x+y, x+y] = [x,x] + [y,y] + [x,y] + [y,x] shows the span
     is generated by {[x_i, x_i]} together with {[x_i, x_j] + [x_j, x_i]},
     i < j, in every characteristic.  Each pair is taken once: with i = j
-    the sum would be 2[x_i, x_i], which vanishes in characteristic 2.
+    the sum would be 2[x_i, x_i], which vanishes in characteristic 2.  The
+    span reduces the raw sums, so products congruent mod p will do.
     """
-    field = algebra.field
     k = len(products)
     gens = [products[i][i] for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            gens.append(vec_add(field, products[i][j], products[j][i]))
-    return Subspace._span(field, algebra.dim, gens)
+    gens += [[a + b for a, b in zip(products[i][j], products[j][i])] for i in range(k) for j in range(i + 1, k)]
+    return Subspace._span(algebra.field, algebra.dim, gens)
 
 
 def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:

@@ -211,7 +211,8 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
 def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace, products: list[list[Vector]]) -> tuple[Vector, Subspace] | None:
     """(a0, Leib(S)) when S passes (a) and (b) of `is_cyclic_subalgebra`, else None.
 
-    products[i][j] = [x_i, x_j] over the rows x_i of S, a subalgebra of the
+    products[i][j] = [x_i, x_j], or accumulators congruent to it mod p that
+    only `_squares_span` reads, over the rows x_i of S, a subalgebra of the
     algebra; nothing here checks that.  a0 is the last canonical row of S
     outside Leib(S).  T, the matrix of [a0, -] on Leib(S) in the pivot
     coordinates of its RREF rows, only gives the powers I, T, ..., T^(m-1)
@@ -313,7 +314,7 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
 
 
 def _cyclic_generator(algebra: LeibnizAlgebra, s: Subspace, products: list[list[Vector]]) -> Vector | None:
-    """`is_cyclic_subalgebra` for a subalgebra S given with its table products[i][j] = [x_i, x_j]."""
+    """`is_cyclic_subalgebra` for a subalgebra S with its table, congruent mod p to [x_i, x_j] (`_leib_criterion`)."""
     decided = _leib_criterion(algebra, s, products)
     if decided is None:
         return None

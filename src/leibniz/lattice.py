@@ -8,8 +8,9 @@ each pivot; the product of those lists is the pattern's subspaces in
 canonical order.  The count per dimension is the Gaussian binomial
 coefficient, which the tests pin down.
 
-The GF(p) lattice filters those row tuples before any `Subspace` exists.
-Every row vector is bracketed with itself once per lattice, however many
+The GF(p) lattice filters those row tuples before any `Subspace` exists,
+multiplying rows with `core._product`, whose accumulators each test below
+reduces mod p.  Every row is squared once per lattice, however many
 patterns list it.  Every row but the last is the head; the last row, with
 the highest pivot, is the tail.  Off the pivot columns, the square sq of a
 row x has the residual sq[c] - sum_r sq[p_r] y_r[c] at column c against a
@@ -28,9 +29,10 @@ tested by `linalg`'s one membership rule, `_in_span`, with the pattern's
 pivots.  For the GF(5) lattices of A-i(4) and B(4), both 5-dimensional,
 this squares each of the 781 RREF rows of GF(5)^5 once per lattice and
 visits 6,100 partial and 2,327 full heads; the two lattices, generators
-included, take 9,439 brackets.  Solving every full head for its tail, with
-the squares taken per pattern and each generator checked by its n-term
-chain, visited 6,158 full heads and took 12,652.  Only the survivors
+and ideal tests included, take 9,439 `_product` calls, 2,269 of them in
+`bracket`.  Solving every full head for its tail, with the squares taken
+per pattern and each generator checked by its n-term chain, visited 6,158
+full heads and took 12,652.  Only the survivors
 become subspaces, each kept with its table of products, from which its
 cyclicity is decided with no bracket or closure test repeated.
 
@@ -56,6 +58,7 @@ from itertools import chain, combinations, product
 from .core import (
     LeibnizAlgebra,
     _closed_products,
+    _product,
     _restriction,
     full_space,
     is_ideal,
@@ -160,8 +163,9 @@ def _heads(head: tuple, choices, pivots, decided, squares, p: int):
 
 
 def _closed_bases(algebra: LeibnizAlgebra):
-    """Yield (basis, table) for the subalgebras of a GF(p) algebra, in canonical order: table[i][j] = [x_i, x_j].
+    """Yield (basis, table) for the subalgebras of a GF(p) algebra, in canonical order.
 
+    table[i][j] = `core._product`(x_i, x_j), congruent to [x_i, x_j] mod p.
     Heads (every row but the last) are built row by row and dropped as soon
     as a fixed row's square fails at a decided column; each full head is
     solved for the tail (the last row) its squares force, as the module
@@ -169,15 +173,15 @@ def _closed_bases(algebra: LeibnizAlgebra):
     """
     n = algebra.dim
     p = algebra.field.characteristic
-    bracket = algebra.bracket
-    squares: dict[Vector, Vector] = {}  # each row vector is squared once per lattice
+    table = algebra._table
+    squares: dict[Vector, list[int]] = {}  # each row vector is squared once per lattice
     for pivots, choices in _patterns(n, p):
         if not pivots:
             yield (), []
             continue
         for x in chain.from_iterable(choices):
             if x not in squares:
-                squares[x] = bracket(x, x)
+                squares[x] = _product(table, x, x)
         outside = [c for c in range(n) if c not in pivots]
         # with rows 0..b fixed, every later row is 0 at the outside columns left of pivot b + 1
         decided = [[c for c in outside if c < pc] for pc in pivots[1:]]
@@ -192,8 +196,8 @@ def _closed_bases(algebra: LeibnizAlgebra):
             for x in head:
                 sq = squares[x]
                 res = [(sq[c] - sum(sq[pc] * y[c] for y, pc in zip(head, pivots))) % p for c in right]
-                if sq[top]:
-                    inverse = pow(sq[top], -1, p)
+                if s := sq[top] % p:
+                    inverse = pow(s, -1, p)
                     forced.add(tuple(v * inverse % p for v in res))
                 elif any(res):
                     forced.add(None)  # no tail brings this square into the span
@@ -208,15 +212,15 @@ def _closed_bases(algebra: LeibnizAlgebra):
                 basis = (*head, tail)
                 if not _in_span(squares[tail], basis, pivots, outside, p):
                     continue
-                table = []
+                products = []
                 for x in basis:
                     sq = squares[x]
-                    line = [sq if y is x else bracket(x, y) for y in basis]
+                    line = [sq if y is x else _product(table, x, y) for y in basis]
                     if not all(w is sq or _in_span(w, basis, pivots, outside, p) for w in line):
                         break
-                    table.append(line)
+                    products.append(line)
                 else:
-                    yield basis, table
+                    yield basis, products
 
 
 @dataclass(frozen=True)

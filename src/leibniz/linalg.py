@@ -46,7 +46,8 @@ public functions that take a caller's vector (`Subspace.reduce`, `solve`).
 Floats are rejected there rather than truncated or made binary-exact.
 Exact values pass by a type check: an `int` is reduced (mod p, or made a
 `Fraction` over Q), and over Q a `Fraction` is returned as it is; every
-other type, `bool` and subclasses included, takes the generic path.
+other type takes the generic path, which reads a rational's numerator and
+denominator as `int`s, so a numpy int keeps no fixed width.
 Internal callers pass values straight through: `Matrix(..., _coerced=True)`,
 `LeibnizAlgebra(..., _derived=True)`, `Subspace._span` and
 `Subspace._contains_all` skip it.
@@ -64,8 +65,10 @@ Every value inside the library is canonical (a `Fraction`, or an int in
   TypeError in `index` instead of leaking into the result;
 - a zero test is truthiness: ``if not c``, ``any(vec)``, ``not any(vec)``.
 
-Integer rows.  Every kernel and span takes integer rows and reduces them
-itself: modulo p over GF(p), and modulo P over Q.  The rows come
+Integer rows.  The readers reduce, not the writers: every span and kernel
+takes raw integer rows and reduces them itself, modulo p over GF(p) and
+modulo P over Q, `_in_span` reduces each residual it tests, and the public
+results are canonical.  The rows come
 from the integer structure table c·T, with c the lcm of the tensor's
 denominators (c = 1 over GF(p)), or from vectors scaled by the lcm of
 their own denominators (`_integral`, which `Matrix.kernel` and
@@ -162,13 +165,13 @@ class Field:
             raise TypeError(
                 f"{self.label} scalars must be int, Fraction or str, not {type(value).__name__} {value!r}"
             )
-        if self.characteristic == 0:
-            return Fraction(value)
-        if isinstance(value, Fraction):
-            if value.denominator % self.characteristic == 0:
-                raise ZeroDivisionError(f"{value} has no image in {self.label}")
-            return (value.numerator * pow(value.denominator, -1, self.characteristic)) % self.characteristic
-        return int(value) % self.characteristic
+        # as ints: a numpy int, say, would keep its fixed width
+        numerator, denominator = index(value.numerator), index(value.denominator)
+        if not p:
+            return Fraction(numerator, denominator)
+        if denominator % p == 0:
+            raise ZeroDivisionError(f"{value} has no image in {self.label}")
+        return numerator * pow(denominator, -1, p) % p
 
     def reduce(self, raw) -> Scalar:
         """Normalize the result of raw +/* arithmetic on field scalars; an inexact raw value is a TypeError."""
@@ -395,24 +398,18 @@ def _lifted(rows: list[dict[int, int]], echelon: dict[int, dict[int, int]]) -> d
     return basis if weight * (d + len(basis) * m) < _P else None
 
 
-def _lifted_kernel(ncols: int, rows: list[dict[int, int]]) -> list[Vector] | None:
-    """The canonical kernel basis over Q of integer rows, computed modulo P and lifted by `_lifted`; None where that fails."""
-    basis = _lifted(rows, _kernel_echelon(_RESIDUES, ncols, rows))
-    return None if basis is None else _dense(QQ, ncols, basis)
-
-
 def _kernel(field: Field, ncols: int, rows: list[dict[int, int]]) -> Subspace:
     """{x : r . x = 0 for every row r} as a canonical subspace; rows are ``{column: nonzero int}``, not written to.
 
     The ints are scaled by `_integral` or taken from the integer table, and
     need not be reduced: over GF(p) `_kernel_echelon` reduces them modulo p;
-    over Q the kernel is computed modulo P and lifted (`_lifted_kernel`),
-    and the exact elimination runs only where that fails.
+    over Q the kernel is computed modulo P and lifted (`_lifted`), and the
+    exact elimination runs only where that fails.
     """
-    basis = None if field.characteristic else _lifted_kernel(ncols, rows)
+    basis = None if field.characteristic else _lifted(rows, _kernel_echelon(_RESIDUES, ncols, rows))
     if basis is None:
-        basis = _dense(field, ncols, _kernel_echelon(field, ncols, rows))
-    return Subspace(field, ncols, tuple(basis), _canonical=True)
+        basis = _kernel_echelon(field, ncols, rows)
+    return Subspace(field, ncols, tuple(_dense(field, ncols, basis)), _canonical=True)
 
 
 class Matrix:

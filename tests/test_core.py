@@ -132,6 +132,31 @@ def test_a_fractional_table_brackets_and_pickles_exactly():
             algebra.bracket((0.1, 0), (1, 0))
 
 
+@pytest.mark.parametrize(
+    "field, brackets",
+    [
+        (GF(5), {(0, 0): {1: 3}}),
+        (QQ, {(0, 0): {1: 3}}),
+        (QQ, {(0, 0): {1: Fraction(3, 2)}}),
+    ],
+    ids=["GF(5)", "Q, c = 1", "Q, c = 2"],
+)
+def test_bracket_is_canonical_and_takes_exact_entries_only(field, brackets):
+    # the bracket turns the integer table's accumulators into field values
+    # itself: index(v) % p over GF(p), Fraction(v, c) over Q
+    algebra = LeibnizAlgebra.from_brackets(field, 2, brackets)
+    for x in [(0, 0), (1, 0), (2, 0), (7, 1), (-3, 4)]:
+        got = algebra.bracket(x, x)
+        assert got == (field.zero, field.reduce(x[0] ** 2 * brackets[(0, 0)][1]))
+        if field.characteristic:
+            assert all(type(v) is int and 0 <= v < field.characteristic for v in got)
+        else:
+            assert all(type(v) is Fraction for v in got)
+    for x in [(0.5, 0), (1.0, 0)]:
+        with pytest.raises(TypeError):
+            algebra.bracket(x, (1, 0))
+
+
 def _violation(indices, *residual):
     return IdentityViolation(indices, tuple(residual))
 

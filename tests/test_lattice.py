@@ -326,16 +326,29 @@ def test_closed_bases_square_each_row_vector_once(monkeypatch):
     # A-i(4) is 5-dimensional: each of the (5^5 - 1) / 4 RREF rows of
     # GF(5)^5 is squared once, whichever patterns list it
     squares = 0
-    bracket = LeibnizAlgebra.bracket
+    product = lattice._product
 
-    def counted(self, x, y):
+    def counted(table, x, y):
         nonlocal squares
         squares += x == y
-        return bracket(self, x, y)
+        return product(table, x, y)
 
-    monkeypatch.setattr(LeibnizAlgebra, "bracket", counted)
+    monkeypatch.setattr(lattice, "_product", counted)
     list(_closed_bases(family_a_i(4, GF(5))))
     assert squares == (5**5 - 1) // 4 == 781
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_closed_bases_tables_are_congruent_to_the_brackets(p):
+    # the filter keeps the unreduced accumulators of the integer table; each
+    # entry must be the bracket modulo p
+    field = GF(p)
+    for name, algebra in build_corpus(field):
+        for basis, table in _closed_bases(algebra):
+            brackets = [[algebra.bracket(x, y) for y in basis] for x in basis]
+            assert [[[v % p for v in w] for w in line] for line in table] == [
+                [list(w) for w in line] for line in brackets
+            ], (name, basis)
 
 
 def _assert_report_reads_the_lattice(algebra, name):

@@ -24,9 +24,9 @@ from leibniz.linalg import (
     _echelon,
     _integral,
     _kernel,
+    _kernel_echelon,
     _lift,
     _lifted,
-    _lifted_kernel,
     _P,
     _sparse,
     basis_vector,
@@ -351,6 +351,17 @@ def test_field_of_values_and_types(value, q, gf3, gf5):
             GF(p).of(Fraction(1, p))
 
 
+def test_field_of_makes_every_integer_a_python_int():
+    # a numpy int64 kept as a numerator would wrap around at 2^63
+    big = QQ.of(np.int64(2**62))
+    assert type(big.numerator) is int and big * 4 == 2**64
+    product = Matrix(QQ, [[np.int64(2**62), 0], [0, 1]]).mul(Matrix(QQ, [[4, 0], [0, 1]]))
+    assert product.data[0][0] == 2**64
+    assert type(GF(5).of(np.int64(2**62))) is int
+    # a rational that is neither an int nor a Fraction is not truncated
+    assert GF(3).of(sympy.Rational(1, 2)) == 2 and QQ.of(sympy.Rational(1, 2)) == Fraction(1, 2)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
 def test_reduce_takes_exact_raw_values(field):
     assert field.reduce(7) == field.of(7)
@@ -590,7 +601,8 @@ def test_rational_kernel_matches_sympy(data):
 )
 def test_rational_kernel_falls_back_to_exact_elimination(rows):
     rows = [[Fraction(v) for v in row] for row in rows]
-    assert _lifted_kernel(len(rows[0]), _sparse(map(_integral, rows))) is None
+    ints = _sparse(map(_integral, rows))
+    assert _lifted(ints, _kernel_echelon(_RESIDUES, len(rows[0]), ints)) is None
     assert list(Matrix(QQ, rows).kernel().rows) == _sympy_kernel(rows, len(rows[0]))
 
 
@@ -616,7 +628,7 @@ def test_elimination_rejects_a_value_that_skipped_the_boundary(field, value):
 def test_lifted_kernel_check_skips_only_the_dead_columns(rows):
     # the kernel mod P is spanned by (1, -2^40, 0), whose lift (1, -1/2^21, 0)
     # is wrong; column 2 is dead, and the size bound must still refuse the lift
-    assert _lifted_kernel(3, rows) is None
+    assert _lifted(rows, _kernel_echelon(_RESIDUES, 3, rows)) is None
     dense = [[row.get(c, 0) for c in range(3)] for row in rows]
     assert list(Matrix(QQ, dense).kernel().rows) == _sympy_kernel(dense, 3)
 
