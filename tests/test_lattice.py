@@ -346,9 +346,7 @@ def test_closed_bases_tables_are_congruent_to_the_brackets(p):
     for name, algebra in build_corpus(field):
         for basis, table in _closed_bases(algebra):
             brackets = [[algebra.bracket(x, y) for y in basis] for x in basis]
-            assert [[[v % p for v in w] for w in line] for line in table] == [
-                [list(w) for w in line] for line in brackets
-            ], (name, basis)
+            assert [[tuple(v % p for v in w) for w in line] for line in table] == brackets, (name, basis)
 
 
 def _assert_report_reads_the_lattice(algebra, name):
