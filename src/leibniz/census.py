@@ -64,6 +64,15 @@ _MAX_LIVE = 1 << 14
 _IN_WORD = tuple(np.uint64(sum(1 << s for s in range(64) if s >> b & 1)) for b in range(6))
 
 
+def _check_dim(dim: int, **ints: int) -> None:
+    """Raise ValueError unless dim and every named argument are ints (a bool is not) and 1 <= dim <= MAX_CENSUS_DIM."""
+    for name, v in {"dim": dim, **ints}.items():
+        if type(v) is not int:
+            raise ValueError(f"{name} must be an int, not {v!r}")
+    if not 1 <= dim <= MAX_CENSUS_DIM:
+        raise ValueError(f"the census is limited to dimensions 1..{MAX_CENSUS_DIM}")
+
+
 def algebra_from_int(dim: int, value: int) -> LeibnizAlgebra:
     _check_tensor_int(dim, value)
     field = GF(CENSUS_P)
@@ -186,11 +195,12 @@ def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     if w >= w1, or if w with every unassigned bit set is still below w0.
     The tensors of the end words outside the window are filtered last.
 
-    Raises ValueError unless 1 <= dim <= MAX_CENSUS_DIM and
-    0 <= start <= stop <= 2^(dim^3).
+    Raises ValueError unless dim, start and stop are ints (not bools),
+    1 <= dim <= MAX_CENSUS_DIM and 0 <= start <= stop <= 2^(dim^3).
     """
-    if not 1 <= dim <= MAX_CENSUS_DIM or not 0 <= start <= stop <= 1 << dim**3:
-        raise ValueError(f"need 1 <= dim <= {MAX_CENSUS_DIM} and 0 <= start <= stop <= 2^(dim^3)")
+    _check_dim(dim, start=start, stop=stop)
+    if not 0 <= start <= stop <= 1 << dim**3:
+        raise ValueError("need 0 <= start <= stop <= 2^(dim^3)")
     d = dim
     w0, w1 = start >> 6, (stop + 63) >> 6
     unassigned = (1 << max(d**3 - 6, 0)) - 1
@@ -260,8 +270,9 @@ def _basis_change_tables(dim: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_tensor_int(dim: int, value: int) -> None:
-    if not 1 <= dim <= MAX_CENSUS_DIM or not 0 <= value < 1 << dim**3:
-        raise ValueError(f"need 1 <= dim <= {MAX_CENSUS_DIM} and 0 <= value < 2^(dim^3)")
+    _check_dim(dim, value=value)
+    if not 0 <= value < 1 << dim**3:
+        raise ValueError("need 0 <= value < 2^(dim^3)")
 
 
 def _orbit(dim: int, value: int) -> list[int]:
@@ -359,8 +370,7 @@ def census(dim: int, jobs: int = 1) -> CensusResult:
     must be an int >= 1 and has no effect; it stays only because benchmark
     v1 calls census(3, jobs=2), until benchmark v2 drops the argument.
     """
-    if not 1 <= dim <= MAX_CENSUS_DIM:
-        raise ValueError(f"the census is limited to dimensions 1..{MAX_CENSUS_DIM}")
+    _check_dim(dim)
     if type(jobs) is not int or jobs < 1:
         raise ValueError("jobs must be an int >= 1")
     total = 1 << dim**3

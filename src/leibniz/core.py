@@ -17,9 +17,10 @@ GF(p), where the table is T).  A caller's table is coerced with `Field.of`
 and checked; a table the library derives by exact arithmetic from a valid
 algebra (`restrict_to_subalgebra`, `algebra_in_basis`) is canonical
 already, and is taken as it is.  The bracket, the identity check, the
-product spaces, the centralisers, the derivation rows and the change of
-basis all read the integer table.  Everything but the bracket and the
-change of basis, which divide by c, uses it as it is, and stays exact:
+product spaces, the closure and ideal tests, the centralisers, the
+derivation rows, the restriction and the change of basis all read the
+integer table.  Everything but the bracket, the restriction and the change
+of basis, which divide by c, uses it as it is, and stays exact:
 
 - c[x, y] is the bracket of an isomorphic algebra, under x -> x/c, so every
   subspace an invariant is built from (product spaces, centres, both
@@ -33,17 +34,24 @@ change of basis, which divide by c, uses it as it is, and stays exact:
 Two vectors are multiplied by one loop, `_product`, over the nonzero
 entries of the integer table.  It returns the unreduced accumulators of
 [x, y], and each reader reduces them once: `bracket`, the spans of
-`product_subspace` and `_squares_span`, and the GF(p) lattice filter.
+`product_subspace` and `_squares_span`, the membership test behind the
+closure and ideal tests, and the GF(p) lattice filter.
 `algebra_in_basis` takes them on the integer rows
 q_a = s_a p_a of the new basis and divides once per entry: with
 P^-1 = A/δ and w_ab = `_product`(q_a, q_b), entry m of [p_a, p_b] is
-(w_ab · A[:, m]) / (δ c s_a s_b).  The closure test that returns its
-products is `_closed_products`: it brackets each pair of rows of S once and
-raises unless every product lies in S.
+(w_ab · A[:, m]) / (δ c s_a s_b).
+
+A table of products over the rows x_i of S has one format, the library's:
+products[i][j] = `_product`(x_i, x_j), congruent to [x_i, x_j] mod p over
+GF(p), and c·[x_i, x_j] over Q, where the rows are `Fraction`s.  Whether a
+product lies in S does not depend on that scale.  The closure test that
+returns its table is `_closed_products`: it multiplies each pair of rows of
+S once and raises unless every product lies in S.
 `restrict_to_subalgebra` and `cyclic.is_cyclic_subalgebra` read their
 tables off it, and `lattice.rational_codim1_report` hands one table to both
 `_restriction` and `cyclic._cyclic_generator`; the GF(p) lattice builds its
-own in its closure filter.
+own in its closure filter.  `_restriction` is the one reader that turns a
+table into field values, w mod p or w / c, as `bracket` does.
 
 The identities are imposed on a generating set.  In a left Leibniz algebra
 every left multiplication [a, .] is a derivation.  By that identity the
@@ -289,23 +297,27 @@ def product_subspace(algebra: LeibnizAlgebra, s: Subspace, t: Subspace) -> Subsp
     return Subspace._span(algebra.field, algebra.dim, products)
 
 
-def _closed_products(algebra: LeibnizAlgebra, s: Subspace) -> list[list[Vector]]:
-    """The table [x, y] over the rows x, y of S, each pair bracketed once.
+def _closed_products(algebra: LeibnizAlgebra, s: Subspace) -> list[list]:
+    """The table `_product`(x, y) over the rows x, y of S, each pair multiplied once.
 
-    Raises ValueError when S lives outside the algebra or is not closed under the bracket.
+    An entry is congruent to [x, y] mod p over GF(p), and is c·[x, y] over
+    Q; the membership test reduces it, and `_restriction` reads it.  Raises
+    ValueError when S lives outside the algebra or is not closed under the
+    bracket.
     """
     _check_inside(algebra, s)
-    bracket = algebra.bracket
-    products = [[bracket(x, y) for y in s.rows] for x in s.rows]
+    table = algebra._table
+    products = [[_product(table, x, y) for y in s.rows] for x in s.rows]
     if not s._contains_all(w for line in products for w in line):
         raise ValueError("subspace is not closed under the bracket")
     return products
 
 
 def _brackets_in(algebra: LeibnizAlgebra, s: Subspace, xs: Sequence[Vector], ys: Sequence[Vector]) -> bool:
-    """Whether [x, y] lies in S for every x in xs and y in ys; by bilinearity basis rows suffice."""
+    """Whether the `_product` of x and y lies in S for every x in xs and y in ys; by bilinearity basis rows suffice."""
     _check_inside(algebra, s)
-    return s._contains_all(algebra.bracket(x, y) for x in xs for y in ys)
+    table = algebra._table
+    return s._contains_all(_product(table, x, y) for x in xs for y in ys)
 
 
 def is_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> bool:
@@ -333,7 +345,8 @@ def _squares_span(algebra: LeibnizAlgebra, products: Sequence[Sequence[Vector]])
     is generated by {[x_i, x_i]} together with {[x_i, x_j] + [x_j, x_i]},
     i < j, in every characteristic.  Each pair is taken once: with i = j
     the sum would be 2[x_i, x_i], which vanishes in characteristic 2.  The
-    span reduces the raw sums, so products congruent mod p will do.
+    span reduces the raw sums and does not depend on scale, so a `_product`
+    table (module docstring) will do.
     """
     k = len(products)
     gens = [products[i][i] for i in range(k)]
@@ -508,11 +521,19 @@ def restrict_to_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> LeibnizAlgeb
     return _restriction(algebra, s, products)
 
 
-def _restriction(algebra: LeibnizAlgebra, s: Subspace, products: list[list[Vector]]) -> LeibnizAlgebra:
-    """The algebra on a nonzero subalgebra S read off its table products[i][j] = [x_i, x_j]; nothing is checked."""
+def _restriction(algebra: LeibnizAlgebra, s: Subspace, products: list[list]) -> LeibnizAlgebra:
+    """The algebra on a nonzero subalgebra S read off its table products[i][j] = `_product`(x_i, x_j); nothing is checked.
+
+    Each product lies in S, whose basis is RREF, so its coordinates are its
+    pivot entries: w[pc] % p over GF(p), and w[pc] / c over Q.  An entry no
+    term touched is the int 0, so it is made a `Fraction` before the division.
+    """
+    p, scale = algebra.field.characteristic, algebra._scale
     pivots = s.pivot_columns()
-    # each product lies in S, whose basis is RREF: its coordinates are the pivot entries
-    tensor = [tuple([tuple([w[p] for p in pivots]) for w in line]) for line in products]
+    tensor = [
+        tuple([tuple([w[pc] % p for pc in pivots] if p else [Fraction(w[pc]) / scale for pc in pivots]) for w in line])
+        for line in products
+    ]
     return LeibnizAlgebra(algebra.field, tensor, _derived=True)
 
 

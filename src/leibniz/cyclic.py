@@ -8,8 +8,10 @@ subalgebra that is not cyclic costs a few brackets and one small rank,
 never a search.  Only a cyclic S gets a generator chosen, by one search
 on every field: the first generator on a small integer grid of elements
 a0 + i, i in Leib(S), that starts at a0, the last canonical row of S
-outside Leib(S).  The criterion reads the table [x_i, x_j] over the rows
-of S, from `core._closed_products` or from the lattice's closure filter.
+outside Leib(S).  The criterion reads one table format, the
+`core._product` accumulators over the rows x_i of S (congruent to
+[x_i, x_j] mod p over GF(p), and c·[x_i, x_j] over Q), from
+`core._closed_products` or from the lattice's closure filter.
 `cyclic_generator_by_scan`, the exhaustive search over GF(p), is the tests'
 oracle; the library does not call it.
 """
@@ -208,15 +210,17 @@ def cyclic_generator_by_scan(algebra: LeibnizAlgebra, s: Subspace) -> Vector | N
     return None
 
 
-def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace, products: list[list[Vector]]) -> tuple[Vector, Subspace] | None:
+def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace, products: list[list]) -> tuple[Vector, Subspace] | None:
     """(a0, Leib(S)) when S passes (a) and (b) of `is_cyclic_subalgebra`, else None.
 
-    products[i][j] = [x_i, x_j], or accumulators congruent to it mod p that
-    only `_squares_span` reads, over the rows x_i of S, a subalgebra of the
-    algebra; nothing here checks that.  a0 is the last canonical row of S
-    outside Leib(S).  T, the matrix of [a0, -] on Leib(S) in the pivot
-    coordinates of its RREF rows, only gives the powers I, T, ..., T^(m-1)
-    whose rank decides (b).  S = 0 fails (a).
+    products[i][j] = `core._product`(x_i, x_j) over the rows x_i of S, a
+    subalgebra of the algebra: congruent to [x_i, x_j] mod p over GF(p),
+    and c·[x_i, x_j] over Q.  Only `_squares_span` reads it, and a span
+    does not depend on that scale; nothing here checks that S is closed.
+    a0 is the last canonical row of S outside Leib(S).  T, the matrix of
+    [a0, -] on Leib(S) in the pivot coordinates of its RREF rows, only
+    gives the powers I, T, ..., T^(m-1) whose rank decides (b).  S = 0
+    fails (a).
     """
     field = algebra.field
     leib = _squares_span(algebra, products)
@@ -313,8 +317,8 @@ def is_cyclic_subalgebra(algebra: LeibnizAlgebra, s: Subspace) -> Vector | None:
     return _cyclic_generator(algebra, s, _closed_products(algebra, s))
 
 
-def _cyclic_generator(algebra: LeibnizAlgebra, s: Subspace, products: list[list[Vector]]) -> Vector | None:
-    """`is_cyclic_subalgebra` for a subalgebra S with its table, congruent mod p to [x_i, x_j] (`_leib_criterion`)."""
+def _cyclic_generator(algebra: LeibnizAlgebra, s: Subspace, products: list[list]) -> Vector | None:
+    """`is_cyclic_subalgebra` for a subalgebra S with its table of `core._product` accumulators (`_leib_criterion`)."""
     decided = _leib_criterion(algebra, s, products)
     if decided is None:
         return None

@@ -603,7 +603,7 @@ class Subspace:
         return tuple(residual)
 
     def _contains_all(self, vectors: Iterable[Sequence[Scalar]]) -> bool:
-        """Whether every vector (field values) lies in S, by `_in_span`; stops at the first that does not."""
+        """Whether every vector (field values, or `core._product` accumulators) lies in S, by `_in_span`; stops at the first that does not."""
         outside = [c for c in range(self.ambient) if c not in self._pivots]
         return all(_in_span(v, self.rows, self._pivots, outside, self.field.characteristic) for v in vectors)
 

@@ -75,9 +75,10 @@ def test_screen_matches_exact_check_off_word_boundaries(dim, start, stop):
 
 
 # past the last tensor, where a word would alias a real one; a negative
-# start; a dimension outside 1..3; an inverted window
+# start; a dimension outside 1..3; an inverted window; a bool or a float
 @pytest.mark.parametrize(
-    "dim, start, stop", [(3, 0, (1 << 27) + 1), (3, 0, 1 << 28), (3, -64, 10), (0, 0, 1), (4, 0, 1), (2, 10, 5)]
+    "dim, start, stop",
+    [(3, 0, (1 << 27) + 1), (3, 0, 1 << 28), (3, -64, 10), (0, 0, 1), (4, 0, 1), (2, 10, 5), (True, 0, 2), (3, 0.0, 64)],
 )
 def test_screen_rejects_windows_outside_the_tensors(dim, start, stop):
     with pytest.raises(ValueError):
@@ -272,8 +273,9 @@ def test_census_record_rejects_a_tensor_the_screen_would_not_pass(dim, value):
 
 
 def test_census_argument_validation():
-    with pytest.raises(ValueError):
-        census(4)
+    for dim in (4, True, 2.0):
+        with pytest.raises(ValueError):
+            census(dim)
     # jobs has no effect, but must be an int >= 1
     for jobs in (0, -1, 1.5, 2.0, True, "2"):
         with pytest.raises(ValueError):
@@ -363,8 +365,11 @@ def test_invertible_gf2_matrix_count():
     assert len(list(_invertible_gf2_matrices(3))) == 168
 
 
-# (2, 264): 264 = 256 + 8 must not be read as tensor 8 with its high bit dropped
-@pytest.mark.parametrize("dim, value", [(0, 0), (4, 0), (2, -1), (2, 256), (2, 264), (3, 1 << 27)])
+# (2, 264): 264 = 256 + 8 must not be read as tensor 8 with its high bit dropped;
+# a bool or a float is not an int
+@pytest.mark.parametrize(
+    "dim, value", [(0, 0), (4, 0), (2, -1), (2, 256), (2, 264), (3, 1 << 27), (True, 0), (2.0, 0), (3, 2.0)]
+)
 def test_class_key_rejects_out_of_range_input(dim, value):
     with pytest.raises(ValueError):
         class_key(dim, value)
