@@ -1,38 +1,33 @@
-"""Brute-force census of Leibniz structure tensors over GF(2), dimension <= 3.
+"""Census of Leibniz structure tensors over GF(2), dimension <= 3, built from the Lie quotient.
 
 A tensor on d basis vectors is encoded as a d^3-bit integer with entry
-(i, j, k) at bit i*d*d + j*d + k; the integer doubles as the record
-fingerprint.  Candidate tensors are screened 64 to a machine word: tensor
-64*w + s is bit s of word w.  Each tensor entry (a "plane") is then one
-uint64 per word: a fixed in-word mask for the integer bits below 6, and all
-ones or all zeros, read off the word index, for the bits above.  The
-identity residual on every basis triple and coordinate is evaluated with
-word ANDs and XORs, with no per-tensor work.
+(i, j, k), the coefficient of e_k in [e_i, e_j], at bit i*d*d + j*d + k;
+the integer doubles as the record fingerprint.
 
-The words are never all built.  The screen enumerates the word bits
-(tensor bits 6 and up) triple by triple: it starts from one word with no
-word bit assigned, takes next the basis triple whose residuals read the
-fewest word bits not yet assigned (ties broken by fewer in-word bits read,
-then by descending (i, j, k)), extends every live word by every value of
-those bits, evaluates the triple and drops the words whose 64 tensors have
-all failed.  At d = 3 the first two triples, (0,0,2) and (2,2,2), assign 15
-of the 21 word bits, (2,2,1) and (2,1,2) the other six, and the screen
-stops once no word is left.  Over all 2^27 tensors the live words go
-512 -> 32,768 -> 7,168 -> ... -> 44,304 at the peak -> ... -> 657, where
-the whole range has 2,097,152 words.  The census screens the whole range in
-one call.  A triple extends and evaluates the live words in slices, so no
-array holds more than 2^14 words (`_MAX_LIVE`); the 32,768 words of
-(2,2,2) are evaluated in two slices and the 44,304 of (2,1,2) in three.
+The valid tensors are constructed, not screened.  Putting a = b in the left
+Leibniz identity gives [[a, a], c] = 0, so Leib(L), the span of the squares
+[a, a], is an ideal I with [I, L] = 0, and L/I is a Lie algebra.  In a basis
+e_0..e_{k-1} of a complement followed by e_k..e_{d-1} of I (m = d - k), L is
+therefore given by an alternating table on the complement (the bracket of
+L/I), the I-parts omega(e_i, e_j) of the brackets [e_i, e_j] with i, j < k,
+and the maps rho(e_i) = [e_i, .] on I, with every product [I, .] zero.  Each
+such table, for m = 0..d, is a candidate: 512 + 256 + 64 + 1 = 833 at d = 3.
+The candidates that satisfy the identity, checked on every basis triple with
+int masks (`_satisfies_identity`), are valid; every valid tensor is one of
+them in a basis adapted to its own Leib(L), so the valid tensors are exactly
+the union of the GL(d, 2) orbits of the valid candidates.  At d = 3 the 232
+distinct valid candidates lie in 20 orbits of 806 tensors in all.  A valid
+candidate whose squares span less than its I is a duplicate, not an error.
 
 Isomorphism is decided exactly.  A tensor's class key is the least tensor
 integer in its GL(d, 2) orbit, found by applying all invertible changes of
 basis, so two tensors share a key exactly when their algebras are
-isomorphic.  The census computes one orbit per class, from the class's
-first survivor, and looks every later survivor up in it (20 x 168 images
-at d = 3 in place of 806 x 168).  A nilpotent survivor with a maximal
-cyclic subalgebra is labelled with the first classified family instance
-(abelian/L1 at d = 2, A-i/ii/iii at d = 3) whose key equals its own, or
-"unmatched" if none does.
+isomorphic.  The construction computes one orbit per class, from the first
+valid candidate that no earlier orbit holds, and so gives every valid
+tensor with its key (20 x 168 images at d = 3).  A nilpotent valid tensor
+with a maximal cyclic subalgebra is labelled with the first classified
+family instance (abelian/L1 at d = 2, A-i/ii/iii at d = 3) whose key equals
+its own, or "unmatched" if none does.
 
 Every record field but the fingerprint and tensor is a class invariant, so
 one full exact record (invariant profile, subalgebra lattice, maximal-cyclic
@@ -47,8 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
 
-import numpy as np
-
 from .core import LeibnizAlgebra, invariant_profile
 from .families import abelian, dim2_l1, family_a_i, family_a_ii, family_a_iii
 from .lattice import maximal_cyclic_report
@@ -56,12 +49,6 @@ from .linalg import GF, Matrix
 
 CENSUS_P = 2
 MAX_CENSUS_DIM = 3
-# the most words the screen extends and evaluates at once (`valid_tensor_ints` slices the live words);
-# at 2^14 census(3) peaked at 36.6-36.9 MB of RSS, against 37.0-37.2 MB with the 2^24-tensor windows
-# this replaced, and 39.1-39.2 MB in one unsliced pass over all 2^27 tensors (44,304 live words)
-_MAX_LIVE = 1 << 14
-# bit b < 6 of the tensor integer 64*w + s, as a mask over the 64 slots s of a word
-_IN_WORD = tuple(np.uint64(sum(1 << s for s in range(64) if s >> b & 1)) for b in range(6))
 
 
 def _check_dim(dim: int, **ints: int) -> None:
@@ -86,114 +73,71 @@ def algebra_from_int(dim: int, value: int) -> LeibnizAlgebra:
     return LeibnizAlgebra(field, tensor)
 
 
-def _reads(dim: int, triple: tuple[int, int, int]) -> frozenset[int]:
-    """The tensor bits the residuals of one basis triple read.
+def _candidates(dim: int, m: int) -> list[int]:
+    """The candidate tensors with I = span(e_k..e_{dim-1}), k = dim - m, with repeats across m.
 
-    These are the entries (i,j,*), (*,k,*), (j,k,*), (i,*,*), (i,k,*) and
-    (j,*,*) of the triple (i, j, k), at bit a*d*d + b*d + e.
+    Free are: the entries (i, j, c) = (j, i, c) of an alternating table on
+    the complement (i < j < k, c < k), and the entries (i, j, c) with i < k
+    and c >= k, which are omega(e_i, e_j) for j < k and rho(e_i) e_j for
+    j >= k.  Every other entry is zero.
+    """
+    d, k = dim, dim - m
+
+    def bit(i: int, j: int, c: int) -> int:
+        return 1 << (i * d * d + j * d + c)
+
+    free = [bit(i, j, c) | bit(j, i, c) for i, j in itertools.combinations(range(k), 2) for c in range(k)]
+    free += [bit(i, j, c) for i in range(k) for j in range(d) for c in range(k, d)]
+    tensors = [0]
+    for f in free:
+        tensors += [t | f for t in tensors]
+    return tensors
+
+
+def _satisfies_identity(dim: int, value: int) -> bool:
+    """Whether the tensor satisfies the left Leibniz identity, on every basis triple.
+
+    [e_i, e_j] is the dim-bit mask at bit (i*dim + j)*dim, and a bracket with
+    a mask is the XOR of the brackets with its bits.  Signs vanish mod 2, so
+    on (i, j, k) the identity reads
+    [[e_i, e_j], e_k] = [e_i, [e_j, e_k]] + [e_j, [e_i, e_k]].
     """
     d = dim
-    i, j, k = triple
-    return frozenset(
-        a * d * d + b * d + e
-        for m, c in itertools.product(range(d), repeat=2)
-        for a, b, e in ((i, j, m), (m, k, c), (j, k, m), (i, m, c), (i, k, m), (j, m, c))
+    rows = [[value >> (i * d + j) * d & (1 << d) - 1 for j in range(d)] for i in range(d)]
+
+    def by_mask(brackets: list[int]) -> list[int]:
+        """Entry x: the XOR of the brackets that the bits of the mask x select."""
+        out = [0]
+        for b in brackets:
+            out += [o ^ b for o in out]
+        return out
+
+    left = [by_mask(rows[i]) for i in range(d)]  # left[i][y] = [e_i, y]
+    right = [by_mask([rows[a][k] for a in range(d)]) for k in range(d)]  # right[k][x] = [x, e_k]
+    return all(
+        right[k][rows[i][j]] == left[i][rows[j][k]] ^ left[j][rows[i][k]]
+        for i, j, k in itertools.product(range(d), repeat=3)
     )
 
 
-@lru_cache(maxsize=None)
-def _triple_order(dim: int) -> tuple[tuple[int, int, int], ...]:
-    """The basis triples (i, j, k), fewest in-word bits read first.
-
-    In-word bits are the tensor bits below 6.  Ties are broken by descending
-    (i, j, k).  `_stages` breaks its own ties by this order.
-    """
-    def key(triple: tuple[int, int, int]) -> tuple[int, list[int]]:
-        return sum(b < 6 for b in _reads(dim, triple)), [-x for x in triple]
-
-    return tuple(sorted(itertools.product(range(dim), repeat=3), key=key))
-
-
-@lru_cache(maxsize=None)
-def _stages(dim: int) -> tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...]:
-    """(triple, the word bits it assigns) in the order the screen evaluates the triples.
-
-    Word bit b is tensor bit b + 6.  Each step takes the triple that reads
-    the fewest word bits not yet assigned, ties broken by `_triple_order`,
-    and assigns those bits.
-    """
-    left = list(_triple_order(dim))
-    assigned: set[int] = set()
-    stages = []
-    while left:
-        new = [{b - 6 for b in _reads(dim, t) if b >= 6} - assigned for t in left]
-        pick = min(range(len(left)), key=lambda n: len(new[n]))
-        assigned |= new[pick]
-        stages.append((left.pop(pick), tuple(sorted(new[pick]))))
-    return tuple(stages)
-
-
-def _surviving(
-    d: int, triple: tuple[int, int, int], words: np.ndarray, bad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate one triple's residuals on the words; keep the words with a tensor that has not failed.
-
-    Returns the kept words and their `bad`.  The triple's failures are ORed
-    into `bad` in place.
-    """
-    i, j, k = triple
-
-    # Planes are built where they are read and not kept: keeping the ones
-    # that every coordinate c reads again raised the census's peak RSS by
-    # 1.6 MB for little time.
-    def plane(a: int, b: int, c: int) -> np.ndarray | np.uint64:
-        n = a * d * d + b * d + c
-        return _IN_WORD[n] if n < 6 else np.uint64(0) - ((words >> np.uint64(n - 6)) & np.uint64(1))
-
-    for c in range(d):
-        r = np.zeros_like(bad)
-        for m in range(d):
-            r ^= plane(i, j, m) & plane(m, k, c)
-            r ^= plane(j, k, m) & plane(i, m, c)
-            r ^= plane(i, k, m) & plane(j, m, c)
-        bad |= r
-    live = np.flatnonzero(~bad)
-    if live.shape[0] < words.shape[0]:
-        return words[live], bad[live]
-    return words, bad
+def _class_keys(dim: int) -> dict[int, int]:
+    """Every valid tensor of the dimension -> its class key: the orbits of the valid candidates."""
+    key_of: dict[int, int] = {}
+    for m in range(dim + 1):
+        for v in _candidates(dim, m):
+            if v not in key_of and _satisfies_identity(dim, v):
+                orbit = _orbit(dim, v)
+                key_of.update(dict.fromkeys(orbit, min(orbit)))
+    return key_of
 
 
 def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     """Tensor integers in [start, stop) whose algebra satisfies the identity, ascending.
 
-    Word w stands for tensors 64*w .. 64*w + 63.  Bit b of tensor 64*w + s
-    is bit b of s for b < 6, the same for every word (_IN_WORD[b]), and bit
-    b - 6 of w otherwise.  The residual of [[e_i,e_j],e_k] - [e_i,[e_j,e_k]]
-    + [e_j,[e_i,e_k]] over GF(2) on each basis triple and coordinate is ORed
-    into `bad`, one word of failures per 64 tensors.
-
-    The words are enumerated bit by bit, not materialised.  The screen
-    starts from the one word with no word bit assigned and runs the triples
-    in `_stages`: each one first extends every live word by every value of
-    the word bits it reads and no earlier triple did, carrying its `bad`
-    along, then evaluates its residuals and drops the words whose 64
-    tensors have all failed.  The screen stops once no word is left.  Over
-    all 2^27 tensors at d = 3 the live words go 512 -> 32,768 -> ... and
-    peak at 44,304, against the 2,097,152 words of the whole range; the 806
-    survivors lie in 657 words.
-
-    A triple that assigns n new bits takes the live words in slices of
-    max(_MAX_LIVE >> n, 1) words, so that an extended slice holds at most
-    max(_MAX_LIVE, 2^n) words; a triple that assigns none takes slices of
-    _MAX_LIVE.  Each slice is extended, filtered to the window and
-    evaluated on its own, and the survivors of all the slices are
-    concatenated, in slice order, before the next triple.  Every word is
-    evaluated exactly as without slices, so the survivors are the same.
-
-    A window [start, stop) covers the words w0 = start >> 6 to w1 - 1,
-    w1 = ceil(stop / 64).  After each extension a partial word w is dropped
-    if w >= w1, or if w with every unassigned bit set is still below w0.
-    The tensors of the end words outside the window are filtered last.
+    A window over the constructed valid set, built afresh on every call.
+    `census()` does not call it: it stays for the benchmark's traced census
+    round, which takes the tensors window by window, and for the tests,
+    which compare it with an independent screen of every tensor.
 
     Raises ValueError unless dim, start and stop are ints (not bools),
     1 <= dim <= MAX_CENSUS_DIM and 0 <= start <= stop <= 2^(dim^3).
@@ -201,37 +145,7 @@ def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     _check_dim(dim, start=start, stop=stop)
     if not 0 <= start <= stop <= 1 << dim**3:
         raise ValueError("need 0 <= start <= stop <= 2^(dim^3)")
-    d = dim
-    w0, w1 = start >> 6, (stop + 63) >> 6
-    unassigned = (1 << max(d**3 - 6, 0)) - 1
-    words = np.zeros(1, np.uint64)
-    bad = np.zeros(1, np.uint64)
-
-    for triple, new in _stages(d):
-        unassigned &= ~sum(1 << b for b in new)
-        step = max(_MAX_LIVE >> len(new), 1)
-        kept = []
-        for lo in range(0, words.shape[0], step):
-            part, part_bad = words[lo:lo + step], bad[lo:lo + step]
-            if new:
-                for b in new:
-                    part = np.concatenate((part, part | np.uint64(1 << b)))
-                    part_bad = np.concatenate((part_bad, part_bad))
-                inside = (part < w1) & ((part | np.uint64(unassigned)) >= w0)
-                part, part_bad = part[inside], part_bad[inside]
-            part, part_bad = _surviving(d, triple, part, part_bad)
-            if part.shape[0]:
-                kept.append((part, part_bad))
-        if not kept:
-            return []
-        words = np.concatenate([part for part, _ in kept])
-        bad = np.concatenate([part_bad for _, part_bad in kept])
-    order = np.argsort(words)
-    valid = []
-    for bits, w in zip((~bad[order]).tolist(), words[order].tolist()):
-        base = w << 6
-        valid += [base + s for s in range(64) if bits >> s & 1 and start <= base + s < stop]
-    return valid
+    return sorted(v for v in _class_keys(dim) if start <= v < stop)
 
 
 def _tensor_int(algebra: LeibnizAlgebra) -> int:
@@ -354,7 +268,7 @@ def _copy_record(record: dict) -> dict:
 @dataclass(frozen=True)
 class CensusResult:
     dim: int
-    scanned: int
+    scanned: int  # 2^(dim^3): every tensor the census decides, though it builds the valid ones and tests no other
     records: tuple[dict, ...]
     classes: dict[int, tuple[int, ...]]  # class key -> its recorded tensors, both ascending
 
@@ -364,26 +278,22 @@ class CensusResult:
 
 
 def census(dim: int, jobs: int = 1) -> CensusResult:
-    """Scan every structure tensor of the given dimension over GF(2).
+    """Every valid structure tensor of the given dimension over GF(2), with its record and class.
 
-    The screen runs serially, over all 2^(dim^3) tensors in one call.  `jobs`
-    must be an int >= 1 and has no effect; it stays only because benchmark
-    v1 calls census(3, jobs=2), until benchmark v2 drops the argument.
+    The valid tensors and their class keys come from the orbits of the
+    valid candidates (`_class_keys`), in one process.  `jobs` must be an
+    int >= 1 and has no effect; it stays only because benchmark v1 calls
+    census(3, jobs=2), until benchmark v2 drops the argument.
     """
     _check_dim(dim)
     if type(jobs) is not int or jobs < 1:
         raise ValueError("jobs must be an int >= 1")
-    total = 1 << dim**3
-    values = valid_tensor_ints(dim, 0, total)
-    key_of: dict[int, int] = {}  # every tensor of each orbit met so far -> the orbit minimum
-    for v in values:
-        if v not in key_of:
-            orbit = _orbit(dim, v)
-            key_of.update(dict.fromkeys(orbit, min(orbit)))
+    key_of = _class_keys(dim)
+    values = sorted(key_of)
     keys = [key_of[v] for v in values]
     classes = {key: tuple(v for k, v in zip(keys, values) if k == key) for key in sorted(set(keys))}
     shared = {key: census_record(dim, members[0]) for key, members in classes.items()}
     records = tuple(
         {**_copy_record(shared[k]), "fingerprint": _fingerprint(dim, v), "tensor": v} for k, v in zip(keys, values)
     )
-    return CensusResult(dim, total, records, classes)
+    return CensusResult(dim, 1 << dim**3, records, classes)

@@ -47,7 +47,7 @@ Floats are rejected there rather than truncated or made binary-exact.
 Exact values pass by a type check: an `int` is reduced (mod p, or made a
 `Fraction` over Q), and over Q a `Fraction` is returned as it is; every
 other type takes the generic path, which reads a rational's numerator and
-denominator as `int`s, so a numpy int keeps no fixed width.
+denominator as `int`s, so a fixed-width integer scalar is widened.
 Internal callers pass values straight through: `Matrix(..., _coerced=True)`,
 `LeibnizAlgebra(..., _derived=True)`, `Subspace._span` and
 `Subspace._contains_all` skip it.
@@ -165,7 +165,7 @@ class Field:
             raise TypeError(
                 f"{self.label} scalars must be int, Fraction or str, not {type(value).__name__} {value!r}"
             )
-        # as ints: a numpy int, say, would keep its fixed width
+        # as ints: a fixed-width integer scalar would otherwise keep its width
         numerator, denominator = index(value.numerator), index(value.denominator)
         if not p:
             return Fraction(numerator, denominator)

@@ -3,6 +3,7 @@ import itertools
 import json
 from collections import Counter
 
+import gf2_screen
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,13 +58,17 @@ def test_census_records_are_sorted_and_distinct():
     assert values == sorted(set(values))
 
 
+# the library's window over the constructed set and the oracle screen, both against the exact check
 def test_screen_matches_exact_check_dim2():
-    assert valid_tensor_ints(2, 0, 256) == _exact_valid(2, 0, 256)
+    assert valid_tensor_ints(2, 0, 256) == gf2_screen.valid_tensor_ints(2, 0, 256) == _exact_valid(2, 0, 256)
 
 
 @pytest.mark.parametrize("start", [0, 1 << 26])
 def test_screen_matches_exact_check_dim3_window(start):
-    assert valid_tensor_ints(3, start, start + 4096) == _exact_valid(3, start, start + 4096)
+    stop = start + 4096
+    expected = _exact_valid(3, start, stop)
+    assert valid_tensor_ints(3, start, stop) == expected
+    assert gf2_screen.valid_tensor_ints(3, start, stop) == expected
 
 
 # windows that start or stop off a 64-tensor word boundary, one inside a single word, an empty one
@@ -71,7 +76,9 @@ def test_screen_matches_exact_check_dim3_window(start):
     "dim, start, stop", [(3, 7, 1000), (2, 3, 200), (3, 65, 70), (3, 64, 64), (1, 0, 2)]
 )
 def test_screen_matches_exact_check_off_word_boundaries(dim, start, stop):
-    assert valid_tensor_ints(dim, start, stop) == _exact_valid(dim, start, stop)
+    expected = _exact_valid(dim, start, stop)
+    assert valid_tensor_ints(dim, start, stop) == expected
+    assert gf2_screen.valid_tensor_ints(dim, start, stop) == expected
 
 
 # past the last tensor, where a word would alias a real one; a negative
@@ -81,25 +88,26 @@ def test_screen_matches_exact_check_off_word_boundaries(dim, start, stop):
     [(3, 0, (1 << 27) + 1), (3, 0, 1 << 28), (3, -64, 10), (0, 0, 1), (4, 0, 1), (2, 10, 5), (True, 0, 2), (3, 0.0, 64)],
 )
 def test_screen_rejects_windows_outside_the_tensors(dim, start, stop):
-    with pytest.raises(ValueError):
-        valid_tensor_ints(dim, start, stop)
+    for screen in (valid_tensor_ints, gf2_screen.valid_tensor_ints):
+        with pytest.raises(ValueError):
+            screen(dim, start, stop)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_screen_triple_order_is_a_permutation_of_the_basis_triples(dim):
     triples = list(itertools.product(range(dim), repeat=3))
-    assert sorted(census_mod._triple_order(dim)) == triples
-    stages = census_mod._stages(dim)
+    assert sorted(gf2_screen._triple_order(dim)) == triples
+    stages = gf2_screen._stages(dim)
     assert sorted(t for t, _ in stages) == triples
     # every word bit is assigned once, by the first triple that reads it
     assert sorted(b for _, new in stages for b in new) == list(range(max(dim**3 - 6, 0)))
 
 
 def test_screen_triple_order_dim3():
-    order = census_mod._triple_order(3)
+    order = gf2_screen._triple_order(3)
     assert order[:5] == ((2, 2, 2), (2, 1, 2), (1, 2, 2), (1, 1, 2), (2, 2, 1))
     assert order[-1] == (0, 0, 0)
-    stages = census_mod._stages(3)
+    stages = gf2_screen._stages(3)
     assert stages[:9] == (
         ((0, 0, 2), (0, 1, 2, 9, 10, 11, 18, 19, 20)),
         ((2, 2, 2), (12, 13, 14, 15, 16, 17)),
@@ -118,7 +126,7 @@ def test_screen_triple_order_dim3():
 
 
 def _live_words(monkeypatch, dim, start, stop):
-    """The result of the screen, and the live words each triple evaluated."""
+    """The result of the oracle screen, and the live words each triple evaluated."""
     evaluated = []
     flatnonzero = np.flatnonzero
 
@@ -126,8 +134,8 @@ def _live_words(monkeypatch, dim, start, stop):
         evaluated.append(a.shape[0])
         return flatnonzero(a)
 
-    monkeypatch.setattr(census_mod.np, "flatnonzero", counting_flatnonzero)
-    valid = valid_tensor_ints(dim, start, stop)
+    monkeypatch.setattr(gf2_screen.np, "flatnonzero", counting_flatnonzero)
+    valid = gf2_screen.valid_tensor_ints(dim, start, stop)
     monkeypatch.undo()
     return valid, evaluated
 
@@ -135,13 +143,13 @@ def _live_words(monkeypatch, dim, start, stop):
 def test_screen_live_words_over_the_whole_range(monkeypatch):
     valid, evaluated = _live_words(monkeypatch, 3, 0, 1 << 27)
     assert len(valid) == 806
-    assert census_mod._MAX_LIVE == 1 << 14
+    assert gf2_screen._MAX_LIVE == 1 << 14
     # one entry per slice: (2,2,2) evaluates its words in two slices, (2,1,2) in three
     assert evaluated == [
         512, 16384, 16384, 7168, 3616, 12928, 9024, 6796, 5680, 16384, 16384, 11536, 14300, 9680,
         5968, 5352, 2720, 1460, 1228, 1120, 852, 804, 792, 716, 692, 673, 658, 658, 657, 657,
     ]
-    assert max(evaluated) <= census_mod._MAX_LIVE
+    assert max(evaluated) <= gf2_screen._MAX_LIVE
     assert sum(evaluated) == 171783
     # the slices of each triple add up to the words the triple evaluated
     slices = [1, 2, 1, 1, 1, 1, 1, 1, 3] + [1] * 18
@@ -155,14 +163,14 @@ def test_screen_live_words_over_the_whole_range(monkeypatch):
 # slices of at most 1 to 4 words, so that most triples run in several slices
 @pytest.mark.parametrize("dim, start, stop, cap", [(2, 0, 256, 1), (2, 3, 200, 1), (3, 7, 1000, 2), (3, 1000, 3000, 4)])
 def test_screen_in_small_slices_matches_exact_check(monkeypatch, dim, start, stop, cap):
-    monkeypatch.setattr(census_mod, "_MAX_LIVE", cap)
+    monkeypatch.setattr(gf2_screen, "_MAX_LIVE", cap)
     valid, evaluated = _live_words(monkeypatch, dim, start, stop)
-    assert len(evaluated) > len(census_mod._stages(dim))
+    assert len(evaluated) > len(gf2_screen._stages(dim))
     assert valid == _exact_valid(dim, start, stop)
 
 
 def test_screen_of_the_whole_range_in_small_slices(monkeypatch, screen3):
-    monkeypatch.setattr(census_mod, "_MAX_LIVE", 1 << 10)
+    monkeypatch.setattr(gf2_screen, "_MAX_LIVE", 1 << 10)
     valid, evaluated = _live_words(monkeypatch, 3, 0, 1 << 27)
     assert max(evaluated) == 1 << 10
     assert sum(evaluated) == 171783
@@ -182,14 +190,19 @@ def test_screen_stops_once_every_word_has_died(monkeypatch):
 
 @pytest.fixture(scope="module")
 def screen3():
-    return valid_tensor_ints(3, 0, 1 << 27)
+    return gf2_screen.valid_tensor_ints(3, 0, 1 << 27)
+
+
+def test_constructed_tensors_are_the_screened_ones(screen3):
+    assert valid_tensor_ints(3, 0, 1 << 27) == screen3
 
 
 @pytest.mark.parametrize("dim, window", [(2, 16), (2, 1 << 20), (3, 1 << 20)])
 def test_screen_of_the_whole_range_is_the_concatenation_of_its_windows(screen3, dim, window):
     total = 1 << dim**3
-    whole = screen3 if dim == 3 else valid_tensor_ints(dim, 0, total)
-    assert [v for lo in range(0, total, window) for v in valid_tensor_ints(dim, lo, min(lo + window, total))] == whole
+    whole = screen3 if dim == 3 else gf2_screen.valid_tensor_ints(dim, 0, total)
+    windows = (gf2_screen.valid_tensor_ints(dim, lo, min(lo + window, total)) for lo in range(0, total, window))
+    assert [v for part in windows for v in part] == whole
 
 
 @settings(max_examples=20, deadline=None)
@@ -197,10 +210,10 @@ def test_screen_of_the_whole_range_is_the_concatenation_of_its_windows(screen3, 
 def test_screen_is_the_concatenation_of_its_screens_at_random_split_points(screen3, data):
     dim = data.draw(st.sampled_from([2, 3]))
     total = 1 << dim**3
-    whole = screen3 if dim == 3 else valid_tensor_ints(dim, 0, total)
+    whole = screen3 if dim == 3 else gf2_screen.valid_tensor_ints(dim, 0, total)
     cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=6)))
     bounds = [0, *cuts, total]
-    assert [v for lo, hi in zip(bounds, bounds[1:]) for v in valid_tensor_ints(dim, lo, hi)] == whole
+    assert [v for lo, hi in zip(bounds, bounds[1:]) for v in gf2_screen.valid_tensor_ints(dim, lo, hi)] == whole
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,11 +223,13 @@ def test_screen_matches_exact_check_on_random_windows(data):
     total = 1 << dim**3
     start = data.draw(st.integers(0, total))
     stop = data.draw(st.integers(start, min(total, start + 300)))
-    assert valid_tensor_ints(dim, start, stop) == _exact_valid(dim, start, stop)
+    expected = _exact_valid(dim, start, stop)
+    assert valid_tensor_ints(dim, start, stop) == expected
+    assert gf2_screen.valid_tensor_ints(dim, start, stop) == expected
 
 
 def test_dim3_screen_finds_the_806_tensors(census3):
-    # the fixture's census screened all 2^27 tensors; its records are the survivors
+    # the fixture's census decided all 2^27 tensors; its records are the valid ones
     values = [r["tensor"] for r in census3.records]
     assert census3.scanned == 1 << 27
     assert len(values) == 806
@@ -222,7 +237,7 @@ def test_dim3_screen_finds_the_806_tensors(census3):
     assert values[-3:] == [133954560, 133956095, 134217216]
     digest = hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
     assert digest == "1e6ef7a60f644246aa8da347115d2aef1e4eb4fdb4e15d944c436972fe8044c1"
-    # census() runs the exact check only on each class's least member, so check every survivor here
+    # census() runs the exact check only on each class's least member, so check every valid tensor here
     assert all(not algebra_from_int(3, v).check_left_leibniz() for v in values)
 
 
@@ -314,6 +329,32 @@ def test_dim3_classes_group_every_survivor_by_its_class_key(census3):
 def test_small_dim_classes():
     assert list(census(2).classes) == [0, 2, 8, 20]
     assert list(census(1).classes) == [0]
+
+
+def test_construction_candidates_dim3():
+    # (k, m) = (3, 0), (2, 1), (1, 2), (0, 3): an alternating table on the complement, omega and rho
+    candidates = [census_mod._candidates(3, m) for m in range(4)]
+    assert [len(c) for c in candidates] == [512, 256, 64, 1]
+    assert sum(map(len, candidates)) == 833
+    assert len({v for c in candidates for v in c if census_mod._satisfies_identity(3, v)}) == 232
+
+
+def test_construction_dims_1_and_2():
+    for dim in (1, 2):
+        total = 1 << dim**3
+        assert [v for v in range(total) if census_mod._satisfies_identity(dim, v)] == _exact_valid(dim, 0, total)
+    for dim, tensors, classes in ((1, 1, 1), (2, 13, 4)):
+        key_of = census_mod._class_keys(dim)
+        assert (len(key_of), len(set(key_of.values()))) == (tensors, classes)
+
+
+def test_every_class_holds_a_valid_candidate_with_its_leibniz_kernel_dim(census3):
+    # completeness on data: every algebra is a candidate in a basis adapted to Leib(L), with m = dim Leib(L)
+    by_tensor = {r["tensor"]: r for r in census3.records}
+    for key, members in census3.classes.items():
+        m = by_tensor[key]["profile"]["leibniz_kernel_dim"]
+        members = set(members)
+        assert any(v in members and census_mod._satisfies_identity(3, v) for v in census_mod._candidates(3, m))
 
 
 def test_profile_and_label_are_class_invariants(census3):

@@ -425,3 +425,18 @@ def test_lattice_path_imports_no_numpy():
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_census_and_cli_import_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from leibniz.census import census\n"
+        "from leibniz.cli import main\n"
+        "assert census(3).valid == 806\n"
+        "assert main(['census', '--dim', '2']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'the census or the CLI imported numpy'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60, stdout=subprocess.PIPE, text=True)
+    assert len(out.stdout.splitlines()) == 13
