@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 
 import gf2_screen
@@ -331,21 +332,48 @@ def test_small_dim_classes():
     assert list(census(1).classes) == [0]
 
 
+def _lanes(dim, values):
+    """The values bit-sliced by a plain transpose: bit t of lane b is bit b of values[t]."""
+    return [sum(1 << t for t, v in enumerate(values) if v >> b & 1) for b in range(dim**3)]
+
+
+def _lane_valid(dim, values, lanes):
+    """The values that the lane evaluator passes, in their order."""
+    bad = census_mod._violations(dim, lanes)
+    return [v for t, v in enumerate(values) if not bad >> t & 1]
+
+
 def test_construction_candidates_dim3():
     # (k, m) = (3, 0), (2, 1), (1, 2), (0, 3): an alternating table on the complement, omega and rho
     candidates = [census_mod._candidates(3, m) for m in range(4)]
-    assert [len(c) for c in candidates] == [512, 256, 64, 1]
-    assert sum(map(len, candidates)) == 833
-    assert len({v for c in candidates for v in c if census_mod._satisfies_identity(3, v)}) == 232
+    assert [len(tensors) for tensors, _ in candidates] == [512, 256, 64, 1]
+    assert sum(len(tensors) for tensors, _ in candidates) == 833
+    assert all(lanes == _lanes(3, tensors) for tensors, lanes in candidates)
+    assert len({v for tensors, lanes in candidates for v in _lane_valid(3, tensors, lanes)}) == 232
 
 
 def test_construction_dims_1_and_2():
     for dim in (1, 2):
-        total = 1 << dim**3
-        assert [v for v in range(total) if census_mod._satisfies_identity(dim, v)] == _exact_valid(dim, 0, total)
+        values = list(range(1 << dim**3))
+        assert _lane_valid(dim, values, _lanes(dim, values)) == _exact_valid(dim, 0, len(values))
     for dim, tensors, classes in ((1, 1, 1), (2, 13, 4)):
         key_of = census_mod._class_keys(dim)
         assert (len(key_of), len(set(key_of.values()))) == (tensors, classes)
+
+
+def test_lane_evaluator_matches_exact_check_off_the_candidates(screen3):
+    # lanes of arbitrary tensors, not candidates: uniform ones, one-bit neighbours of valid ones, and the valid ones
+    rng = random.Random(37)
+    sample = [rng.randrange(1 << 27) for _ in range(2048)]
+    sample += [v ^ 1 << rng.randrange(27) for v in rng.choices(screen3, k=2048)]
+    sample += screen3
+    rng.shuffle(sample)
+    expected = [v for v in sample if _exact_valid(3, v, v + 1)]
+    assert len(screen3) <= len(expected) < len(sample)
+    assert _lane_valid(3, sample, _lanes(3, sample)) == expected
+    assert census_mod._violations(3, _lanes(3, [])) == 0
+    for v in (0, 1, screen3[-1], 1 << 26):
+        assert _lane_valid(3, [v], _lanes(3, [v])) == _exact_valid(3, v, v + 1)
 
 
 def test_every_class_holds_a_valid_candidate_with_its_leibniz_kernel_dim(census3):
@@ -353,8 +381,8 @@ def test_every_class_holds_a_valid_candidate_with_its_leibniz_kernel_dim(census3
     by_tensor = {r["tensor"]: r for r in census3.records}
     for key, members in census3.classes.items():
         m = by_tensor[key]["profile"]["leibniz_kernel_dim"]
-        members = set(members)
-        assert any(v in members and census_mod._satisfies_identity(3, v) for v in census_mod._candidates(3, m))
+        tensors, lanes = census_mod._candidates(3, m)
+        assert set(members) & set(_lane_valid(3, tensors, lanes))
 
 
 def test_profile_and_label_are_class_invariants(census3):
