@@ -22,14 +22,16 @@ candidates.  At d = 3 the 232 distinct valid candidates lie in 20 orbits of
 is a duplicate, not an error.
 
 Isomorphism is decided exactly.  A tensor's class key is the least tensor
-integer in its GL(d, 2) orbit, found by applying all invertible changes of
-basis, so two tensors share a key exactly when their algebras are
-isomorphic.  The construction computes one orbit per class, from the first
-valid candidate that no earlier orbit holds, and so gives every valid
-tensor with its key (20 x 168 images at d = 3).  A nilpotent valid tensor
-with a maximal cyclic subalgebra is labelled with the first classified
-family instance (abelian/L1 at d = 2, A-i/ii/iii at d = 3) whose key equals
-its own, or "unmatched" if none does.
+integer in its GL(d, 2) orbit, so two tensors share a key exactly when their
+algebras are isomorphic.  The orbit is the closure under the adjacent swaps
+e_r <-> e_{r+1} and the transvection e_0 -> e_0 + e_1, which generate
+GL(d, 2) = SL(d, 2): the swaps give every basis permutation, and these
+conjugate the transvection into every elementary transvection.  One orbit is
+computed per class, from the first valid candidate that no earlier orbit
+holds, which gives every valid tensor its key.  A nilpotent valid tensor with
+a maximal cyclic subalgebra is labelled with the first classified family
+instance (abelian/L1 at d = 2, A-i/ii/iii at d = 3) whose key equals its own,
+or "unmatched" if none does.
 
 Every record field but the fingerprint and tensor is a class invariant, so
 one full exact record (invariant profile, subalgebra lattice, maximal-cyclic
@@ -41,13 +43,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import xor
+from functools import lru_cache
 
 from .core import LeibnizAlgebra, invariant_profile
 from .families import abelian, dim2_l1, family_a_i, family_a_ii, family_a_iii
 from .lattice import maximal_cyclic_report
-from .linalg import GF, Matrix
+from .linalg import GF
 
 CENSUS_P = 2
 MAX_CENSUS_DIM = 3
@@ -65,13 +66,7 @@ def _check_dim(dim: int, **ints: int) -> None:
 def algebra_from_int(dim: int, value: int) -> LeibnizAlgebra:
     _check_tensor_int(dim, value)
     field = GF(CENSUS_P)
-    tensor = [
-        [
-            [(value >> (i * dim * dim + j * dim + k)) & 1 for k in range(dim)]
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
+    tensor = [[[(value >> (i * dim * dim + j * dim + k)) & 1 for k in range(dim)] for j in range(dim)] for i in range(dim)]
     return LeibnizAlgebra(field, tensor)
 
 
@@ -161,28 +156,23 @@ def _tensor_int(algebra: LeibnizAlgebra) -> int:
 
 
 @lru_cache(maxsize=None)
-def _basis_change_tables(dim: int) -> tuple[tuple[int, ...], ...]:
-    """For each g in GL(dim, 2), the image under g of each single-entry tensor, by bit.
+def _generator_tables(dim: int) -> tuple[tuple[int, ...], ...]:
+    """For each generator g of GL(dim, 2), the image under g of each single-entry tensor, by bit.
 
-    The rows of g are the new basis in old coordinates, as in
-    `core.algebra_in_basis`; with h = g^-1 the entry [e_i, e_j] = e_k becomes
-    [f_a, f_b] = sum_m g[a][i] g[b][j] h[k][m] f_m.  The change of basis is
-    linear on the tensor bits, so a tensor's image is the XOR of the images
-    of its set bits.
+    Row a of g, a bit mask, is f_a in old coordinates, as in
+    `core.algebra_in_basis`.  Each g is its own inverse, so the entry
+    [e_i, e_j] = e_k becomes [f_a, f_b] = sum_m g[a][i] g[b][j] g[k][m] f_m,
+    and a tensor's image is the XOR of the images of its set bits.
     """
-    field = GF(CENSUS_P)
     entries = list(itertools.product(range(dim), repeat=3))  # (i, j, k) at bit i*d*d + j*d + k
-    tables = []
-    for flat in itertools.product((0, 1), repeat=dim * dim):
-        matrix = Matrix(field, [flat[r * dim:(r + 1) * dim] for r in range(dim)])
-        if matrix.rank() < dim:
-            continue
-        g, h = matrix.data, matrix.inverse().data
-        tables.append(tuple(
-            sum(1 << (a * dim * dim + b * dim + m) for a, b, m in entries if g[a][i] & g[b][j] & h[k][m])
-            for i, j, k in entries
-        ))
-    return tuple(tables)
+    basis = [1 << r for r in range(dim)]
+    generators = [basis[:r] + [basis[r + 1], basis[r]] + basis[r + 2:] for r in range(dim - 1)]
+    generators += [[basis[0] | basis[1], *basis[1:]]] if dim > 1 else []
+    return tuple(
+        tuple(sum(1 << (a * dim * dim + b * dim + m) for a, b, m in entries if g[a] >> i & g[b] >> j & g[k] >> m & 1)
+              for i, j, k in entries)
+        for g in generators
+    )
 
 
 def _check_tensor_int(dim: int, value: int) -> None:
@@ -192,13 +182,22 @@ def _check_tensor_int(dim: int, value: int) -> None:
 
 
 def _orbit(dim: int, value: int) -> list[int]:
-    """The images of value under every g in GL(dim, 2): its orbit, with repeats."""
-    set_bits = [b for b in range(dim**3) if value >> b & 1]
-    return [reduce(xor, (table[b] for b in set_bits), 0) for table in _basis_change_tables(dim)]
+    """The GL(dim, 2) orbit of value, each tensor once: its closure under the generators, breadth first."""
+    orbit, seen = [value], {value}
+    for v in orbit:
+        for table in _generator_tables(dim):
+            image, rest = 0, v
+            while rest:
+                image ^= table[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
 
 
 def class_key(dim: int, value: int) -> int:
-    """The least tensor integer in the GL(dim, 2) orbit of value.
+    """The least tensor integer in the GL(dim, 2) orbit of value, which `_orbit` gives without repeats.
 
     Two tensors have the same key exactly when their algebras are isomorphic.
     """
@@ -270,7 +269,6 @@ def _copy_record(record: dict) -> dict:
 @dataclass(frozen=True)
 class CensusResult:
     dim: int
-    scanned: int  # 2^(dim^3): every tensor the census decides, though it builds the valid ones and tests no other
     records: tuple[dict, ...]
     classes: dict[int, tuple[int, ...]]  # class key -> its recorded tensors, both ascending
 
@@ -300,4 +298,4 @@ def census(dim: int, jobs: int = 1) -> CensusResult:
     records = tuple(
         {**_copy_record(shared[key_of[v]]), "fingerprint": _fingerprint(dim, v), "tensor": v} for v in values
     )
-    return CensusResult(dim, 1 << dim**3, records, classes)
+    return CensusResult(dim, records, classes)

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from functools import lru_cache
 
 import gf2_screen
 import numpy as np
@@ -51,7 +52,6 @@ def _exact_valid(dim, start, stop):
 def test_census_record_counts_dims_1_and_2():
     assert census(1).valid == 1
     assert census(2).valid == 13
-    assert census(2).scanned == 256
 
 
 def test_census_records_are_sorted_and_distinct():
@@ -232,7 +232,6 @@ def test_screen_matches_exact_check_on_random_windows(data):
 def test_dim3_screen_finds_the_806_tensors(census3):
     # the fixture's census decided all 2^27 tensors; its records are the valid ones
     values = [r["tensor"] for r in census3.records]
-    assert census3.scanned == 1 << 27
     assert len(values) == 806
     assert values[:3] == [0, 2, 4]
     assert values[-3:] == [133954560, 133956095, 134217216]
@@ -456,3 +455,66 @@ def test_class_key_is_the_orbit_minimum(value):
 def test_class_key_is_the_orbit_minimum_on_survivors(census3, data):
     value = data.draw(st.sampled_from([r["tensor"] for r in census3.records]))
     assert class_key(3, value) == _orbit_minimum(3, value)
+
+
+@lru_cache(maxsize=None)
+def _group_tables(dim):
+    """For each g in GL(dim, 2), the image under g of each single-entry tensor, by bit.
+
+    The route through every group element: with the rows of g the new basis
+    and h = g^-1, the entry [e_i, e_j] = e_k becomes
+    [f_a, f_b] = sum_m g[a][i] g[b][j] h[k][m] f_m.
+    """
+    matrices = list(_invertible_gf2_matrices(dim))
+    stack = np.array(matrices)
+    entries = list(itertools.product(range(dim), repeat=3))
+    tables = []
+    for g in matrices:
+        # h by a plain search: the one matrix with g h = I mod 2
+        (n,) = np.flatnonzero((np.array(g) @ stack % 2 == np.eye(dim)).all(axis=(1, 2)))
+        h = matrices[n]
+        tables.append([
+            sum(1 << (a * dim * dim + b * dim + m) for a, b, m in entries if g[a][i] & g[b][j] & h[k][m])
+            for i, j, k in entries
+        ])
+    return tables
+
+
+def _group_orbit(dim, value):
+    """The set of images of value under every element of GL(dim, 2)."""
+    set_bits = [b for b in range(dim**3) if value >> b & 1]
+    orbit = set()
+    for table in _group_tables(dim):
+        image = 0
+        for b in set_bits:
+            image ^= table[b]
+        orbit.add(image)
+    return orbit
+
+
+# the tensors of dimensions 2 and 3 are the first two draws of random.Random(0),
+# randrange(2^8) then randrange(2^27); an orbit under a subgroup has at most as
+# many elements as the subgroup, so orbits of |GL(2, 2)| = 6 and |GL(3, 2)| = 168
+# elements show that the generators generate the group
+@pytest.mark.parametrize("dim, value, size, generators", [(1, 1, 1, 0), (2, 197, 6, 2), (3, 112896325, 168, 3)])
+def test_orbit_generators_generate_the_group(dim, value, size, generators):
+    assert len(census_mod._generator_tables(dim)) == generators
+    orbit = census_mod._orbit(dim, value)
+    assert orbit[0] == value
+    assert len(orbit) == len(set(orbit)) == size
+
+
+def test_orbit_is_the_orbit_under_every_group_element(census3):
+    rng = random.Random(3)
+    cases = [(dim, key) for dim in (1, 2) for key in census(dim).classes]
+    cases += [(3, key) for key in census3.classes] + [(3, rng.randrange(1 << 27)) for _ in range(200)]
+    for dim, value in cases:
+        assert set(census_mod._orbit(dim, value)) == _group_orbit(dim, value)
+
+
+def test_dim3_orbits_are_the_classes(census3):
+    assert sum(DIM3_CLASS_SIZES.values()) == 806
+    for key, members in census3.classes.items():
+        orbit = census_mod._orbit(3, key)
+        assert len(orbit) == DIM3_CLASS_SIZES[key] and 168 % len(orbit) == 0
+        assert set(orbit) == set(members)
