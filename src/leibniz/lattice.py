@@ -24,24 +24,27 @@ with res its residual against the full head and s its entry at that pivot;
 so s != 0 forces the tail's entries to res / s, and s = 0 asks res = 0 of
 the head alone.  Each full head is therefore solved for its one tail,
 looked up by its free entries, or dropped; only when every s is 0 is each
-tail tried.  The tail's square, then the other products row by row, are
-tested by `linalg`'s one membership rule, `_in_span`, with the pattern's
-pivots.  For the GF(5) lattices of A-i(4) and B(4), both 5-dimensional,
-this squares each of the 781 RREF rows of GF(5)^5 once per lattice and
-visits 6,100 partial and 2,327 full heads; the two lattices, generators
-and ideal tests included, take 9,439 `_product` calls, 211 of them in
-`bracket`.  Solving every full head for its tail, with the squares taken
-per pattern and each generator checked by its n-term chain, visited 6,158
-full heads and took 12,652.  Only the survivors
-become subspaces, each kept with its table of products, the `core._product`
-format that `core._closed_products` returns too, from which its cyclicity
-is decided with no bracket or closure test repeated.
+tail tried.  The fixed rows' squares at the decided columns, then the
+tail's square and the other products row by row, are tested by `linalg`'s
+one membership rule, `_in_span`, with the pattern's pivots; only the forced
+tail reads the residual values themselves.  For the GF(5) lattices of
+A-i(4) and B(4), both 5-dimensional, this squares each of the 781 RREF rows
+of GF(5)^5 once per lattice and visits 6,100 partial and 2,327 full heads;
+the two lattices, generators and ideal tests included, take 9,439
+`_product` calls, 211 of them in `bracket`.  Solving every full head for
+its tail, with the squares taken per pattern and each generator checked by
+its n-term chain, visited 6,158 full heads and took 12,652.  Only the
+survivors become subspaces, each kept with its table of products, the
+`core._product` format that `core._closed_products` returns too, from which
+its cyclicity is decided with no bracket or closure test repeated.
 
 Maximality needs no flag and no comparison of all pairs: every proper
 subalgebra lies in a maximal one, so, walking by decreasing dimension, a
 proper subalgebra is maximal exactly when none of the maximal subalgebras
-found so far contains it.  `maximal_cyclic_report` walks the subspaces
-alone and decides ideality and cyclicity for the maximal ones only.
+found so far contains it.  Both public functions read one walk,
+`_subalgebras`.  `maximal_cyclic_report` reads the walk's tables: it keeps
+them until it knows which subalgebras are maximal, and decides ideality and
+cyclicity for those alone.
 
 Over the rationals no enumeration is possible; the restricted report walks
 the finitely many coordinate-aligned hyperplanes containing [L, L] (every
@@ -66,7 +69,7 @@ from .core import (
     nilpotency_class,
     product_subspace,
 )
-from .cyclic import _cyclic_generator, is_cyclic_subalgebra
+from .cyclic import _cyclic_generator
 from .linalg import GF, Subspace, Vector, _in_span, basis_vector
 
 _MAX_PAIRS = 3_541_056  # (subspace, element) pairs of GF(5)^5
@@ -129,9 +132,10 @@ def enumerate_subspaces(ambient: int, p: int):
     Ordered by dimension, then pivot pattern, then free-entry assignment;
     every yielded basis is already in RREF.  Raises ValueError for p < 2, a
     negative ambient, or more (subspace, element) pairs, sum_k [ambient k]_p
-    p^k, than GF(5)^5 has.  `subalgebra_lattice` applies the same limit: it
-    bounds the candidates its filter visits, at most one per subspace, and
-    the grid points a generator search can visit, fewer than p^k in a
+    p^k, than GF(5)^5 has.  Both walks of the subalgebras,
+    `subalgebra_lattice` and `maximal_cyclic_report`, apply the same limit:
+    it bounds the candidates their filter visits, at most one per subspace,
+    and the grid points a generator search can visit, fewer than p^k in a
     subalgebra of dimension k.
     """
     _check_enumerable(ambient, p)
@@ -155,11 +159,7 @@ def _heads(head: tuple, choices, pivots, decided, squares, p: int):
         return
     for x in choices[b]:
         fixed = (*head, x)
-        if not any(
-            (sq[c] - sum(sq[pc] * y[c] for y, pc in zip(fixed, pivots))) % p
-            for sq in map(squares.__getitem__, fixed)
-            for c in decided[b]
-        ):
+        if all(_in_span(squares[y], fixed, pivots, decided[b], p) for y in fixed):
             yield from _heads(fixed, choices, pivots, decided, squares, p)
 
 
@@ -224,6 +224,20 @@ def _closed_bases(algebra: LeibnizAlgebra):
                     yield basis, products
 
 
+def _subalgebras(algebra: LeibnizAlgebra):
+    """An iterator of (subalgebra, table) over a GF(p) algebra's subalgebras, in `_closed_bases` order.
+
+    The limits are checked at the call, not on the first `next`: ValueError
+    over Q, or past `enumerate_subspaces`' limit.
+    """
+    field = algebra.field
+    n = algebra.dim
+    if not field.characteristic:
+        raise ValueError("the subalgebra lattice needs a prime field GF(p); over Q, use rational_codim1_report")
+    _check_enumerable(n, field.characteristic)
+    return ((Subspace(field, n, basis, _canonical=True), table) for basis, table in _closed_bases(algebra))
+
+
 @dataclass(frozen=True)
 class LatticeEntry:
     subspace: Subspace
@@ -261,14 +275,9 @@ def subalgebra_lattice(algebra: LeibnizAlgebra) -> SubalgebraLattice:
     dimension contains it, so the subalgebras are compared only with the
     maximal ones, by decreasing dimension.
     """
-    field = algebra.field
-    n = algebra.dim
-    _check_enumerable(n, field.characteristic)
-    closed = []  # (subalgebra, generator): each table is dropped once read
-    for basis, table in _closed_bases(algebra):
-        s = Subspace(field, n, basis, _canonical=True)
-        closed.append((s, _cyclic_generator(algebra, s, table)))
-    maximal = _maximal([s for s, _ in closed], n)
+    # (subalgebra, generator): each table is dropped once read
+    closed = [(s, _cyclic_generator(algebra, s, table)) for s, table in _subalgebras(algebra)]
+    maximal = _maximal([s for s, _ in closed], algebra.dim)
     entries = [
         LatticeEntry(subspace=s, is_ideal=is_ideal(algebra, s), is_maximal=s in maximal, generator=generator)
         for s, generator in closed
@@ -293,18 +302,16 @@ class MaximalCyclicReport:
 def maximal_cyclic_report(algebra: LeibnizAlgebra) -> MaximalCyclicReport:
     """The entries of `subalgebra_lattice(algebra).maximal()`, with flags decided for those alone.
 
-    Maximality is read off the subspaces: the walk of `subalgebra_lattice`
-    compares them by inclusion and needs no flag.  Only the maximal
-    subalgebras are then tested for ideality and cyclicity.  The same limit
-    as `enumerate_subspaces` applies.
+    The report reads the lattice's walk, under `enumerate_subspaces`' limit,
+    and keeps each subalgebra's table until maximality, read off by
+    inclusion, is known.  Only the maximal subalgebras are tested for
+    ideality, and each one's cyclicity is read from its table, with no
+    subalgebra closed a second time.
     """
-    field = algebra.field
-    n = algebra.dim
-    _check_enumerable(n, field.characteristic)
-    subalgebras = [Subspace(field, n, basis, _canonical=True) for basis, _ in _closed_bases(algebra)]
+    tables = dict(_subalgebras(algebra))  # by increasing dimension, as `_maximal` reads them
     maximal = tuple(
-        LatticeEntry(subspace=s, is_ideal=is_ideal(algebra, s), is_maximal=True, generator=is_cyclic_subalgebra(algebra, s))
-        for s in sorted(_maximal(subalgebras, n), key=lambda s: (s.dim, s.rows))
+        LatticeEntry(subspace=s, is_ideal=is_ideal(algebra, s), is_maximal=True, generator=_cyclic_generator(algebra, s, tables[s]))
+        for s in sorted(_maximal(list(tables), algebra.dim), key=lambda s: (s.dim, s.rows))
     )
     nilpotent = nilpotency_class(algebra) is not None
     all_ideals = all(e.is_ideal for e in maximal) if nilpotent else None

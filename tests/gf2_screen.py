@@ -1,9 +1,9 @@
 """The bit-sliced GF(2) screen of every structure tensor, dimension <= 3: the census's oracle.
 
 `leibniz.census` builds the valid tensors from their Lie quotients; this
-screen decides every one of the 2^(d^3) tensors on its own, with numpy, and
-the tests compare the two.  Tensor integers are encoded as in
-`leibniz.census`: entry (i, j, k) at bit i*d*d + j*d + k.
+screen decides every one of the 2^(d^3) tensors on its own, with numpy and
+no `leibniz` code, and the tests compare the two.  Tensor integers are
+encoded as in `leibniz.census`: entry (i, j, k) at bit i*d*d + j*d + k.
 
 Candidate tensors are screened 64 to a machine word: tensor 64*w + s is bit
 s of word w.  Each tensor entry (a "plane") is then one uint64 per word: a
@@ -35,12 +35,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from leibniz.census import _check_dim
-
 # the most words the screen extends and evaluates at once (`valid_tensor_ints` slices the live words);
 # at 2^14 census(3) peaked at 36.6-36.9 MB of RSS, against 37.0-37.2 MB with the 2^24-tensor windows
 # this replaced, and 39.1-39.2 MB in one unsliced pass over all 2^27 tensors (44,304 live words)
 _MAX_LIVE = 1 << 14
+# the largest dimension the screen takes, the census's too
+_MAX_DIM = 3
 # bit b < 6 of the tensor integer 64*w + s, as a mask over the 64 slots s of a word
 _IN_WORD = tuple(np.uint64(sum(1 << s for s in range(64) if s >> b & 1)) for b in range(6))
 
@@ -155,9 +155,10 @@ def valid_tensor_ints(dim: int, start: int, stop: int) -> list[int]:
     The tensors of the end words outside the window are filtered last.
 
     Raises ValueError unless dim, start and stop are ints (not bools),
-    1 <= dim <= MAX_CENSUS_DIM and 0 <= start <= stop <= 2^(dim^3).
+    1 <= dim <= _MAX_DIM and 0 <= start <= stop <= 2^(dim^3).
     """
-    _check_dim(dim, start=start, stop=stop)
+    if any(type(v) is not int for v in (dim, start, stop)) or not 1 <= dim <= _MAX_DIM:
+        raise ValueError(f"need ints dim, start and stop (not bools) and 1 <= dim <= {_MAX_DIM}")
     if not 0 <= start <= stop <= 1 << dim**3:
         raise ValueError("need 0 <= start <= stop <= 2^(dim^3)")
     d = dim

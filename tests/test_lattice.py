@@ -110,12 +110,14 @@ def test_lattice_family_a_i_2_gf3():
 
 
 def test_lattice_rejects_unsupported_parameters():
-    with pytest.raises(ValueError):
-        subalgebra_lattice(cyclic_nilpotent(8, GF(2)))
-    with pytest.raises(ValueError):
-        subalgebra_lattice(cyclic_nilpotent(4, GF(11)))
-    with pytest.raises(ValueError):
-        subalgebra_lattice(cyclic_nilpotent(2, QQ))
+    # both public functions, and the walk they read, refuse at the call, before any subspace is visited
+    for walk in (subalgebra_lattice, maximal_cyclic_report, lattice._subalgebras):
+        with pytest.raises(ValueError):
+            walk(cyclic_nilpotent(8, GF(2)))
+        with pytest.raises(ValueError):
+            walk(cyclic_nilpotent(4, GF(11)))
+        with pytest.raises(ValueError, match=r"prime field GF\(p\).*rational_codim1_report"):
+            walk(cyclic_nilpotent(2, QQ))
 
 
 def test_lattice_cyclic2_gf7():
@@ -269,11 +271,12 @@ def test_lattice_matches_brute_force(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lattice_decides_cyclicity_from_the_filter_table(p, monkeypatch):
-    # no subalgebra is bracketed or tested for closure twice: the lattice
-    # never calls _closed_products, and its generators and ideal flags agree
-    # with is_cyclic_subalgebra and is_ideal, which compute theirs afresh
+    # no subalgebra is bracketed or tested for closure twice: neither the
+    # lattice nor the report calls _closed_products, and their generators and
+    # ideal flags agree with is_cyclic_subalgebra and is_ideal, which compute
+    # theirs afresh
     def refuse(*args):
-        raise AssertionError("subalgebra_lattice called _closed_products")
+        raise AssertionError("the walk called _closed_products")
 
     rng = random.Random(23)
     field = GF(p)
@@ -285,7 +288,8 @@ def test_lattice_decides_cyclicity_from_the_filter_table(p, monkeypatch):
                 patch.setattr(core, "_closed_products", refuse)
                 patch.setattr(cyclic, "_closed_products", refuse)
                 entries = subalgebra_lattice(algebra).entries
-            for e in entries:
+                report = maximal_cyclic_report(algebra).entries
+            for e in (*entries, *report):
                 assert e.generator == is_cyclic_subalgebra(algebra, e.subspace), (name, e.subspace)
                 assert e.is_ideal == is_ideal(algebra, e.subspace), (name, e.subspace)
 
