@@ -47,7 +47,7 @@ from functools import lru_cache
 
 from .core import LeibnizAlgebra, invariant_profile
 from .families import abelian, dim2_l1, family_a_i, family_a_ii, family_a_iii
-from .lattice import maximal_cyclic_report
+from .lattice import _maximal_cyclic_report
 from .linalg import GF
 
 CENSUS_P = 2
@@ -181,15 +181,31 @@ def _check_tensor_int(dim: int, value: int) -> None:
         raise ValueError("need 0 <= value < 2^(dim^3)")
 
 
+@lru_cache(maxsize=None)
+def _packed_tables(dim: int) -> tuple[int, ...]:
+    """For each bit, its images under all the generators of `_generator_tables` in one int, generator g at bit g * dim^3."""
+    tables = _generator_tables(dim)
+    return tuple(sum(table[b] << g * dim**3 for g, table in enumerate(tables)) for b in range(dim**3))
+
+
 def _orbit(dim: int, value: int) -> list[int]:
-    """The GL(dim, 2) orbit of value, each tensor once: its closure under the generators, breadth first."""
+    """The GL(dim, 2) orbit of value, each tensor once: its closure under the generators, breadth first.
+
+    One walk over the set bits of a tensor XORs their packed images
+    (`_packed_tables`), which gives its image under every generator at once.
+    """
+    packed = _packed_tables(dim)
+    width = dim**3
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(_generator_tables(dim)), width)
     orbit, seen = [value], {value}
     for v in orbit:
-        for table in _generator_tables(dim):
-            image, rest = 0, v
-            while rest:
-                image ^= table[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
+        images, rest = 0, v
+        while rest:
+            images ^= packed[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+        for shift in shifts:
+            image = images >> shift & mask
             if image not in seen:
                 seen.add(image)
                 orbit.append(image)
@@ -235,8 +251,8 @@ def census_record(dim: int, value: int) -> dict:
     """The full exact record for one identity-satisfying tensor; ValueError for any other value."""
     algebra = algebra_from_int(dim, value)  # checks dim, value and the identity
     profile = invariant_profile(algebra)
-    report = maximal_cyclic_report(algebra)
     nilpotent = profile.nilpotency_class is not None
+    report = _maximal_cyclic_report(algebra, nilpotent)  # the profile's lower central series, not a second one
     matched: str | None = None
     if nilpotent and report.has_maximal_cyclic:
         key = class_key(dim, value)

@@ -96,7 +96,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import index, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .linalg import _P, Field, Matrix, Scalar, Subspace, Vector, _integral, _kernel
 
@@ -338,20 +338,28 @@ def is_ideal(algebra: LeibnizAlgebra, s: Subspace) -> bool:
 
 # -- structural invariants -----------------------------------------------
 
-def _squares_span(algebra: LeibnizAlgebra, products: Sequence[Sequence[Vector]]) -> Subspace:
-    """span{[x, x] : x in span{x_1..x_k}}, from the table products[i][j] = [x_i, x_j].
+def _polarization(products: Sequence[Sequence[Vector]]) -> Iterator[Sequence[Scalar]]:
+    """The generators of span{[x, x] : x in span{x_1..x_k}}, from the table products[i][j] = [x_i, x_j], one at a time.
 
     Polarization [x+y, x+y] = [x,x] + [y,y] + [x,y] + [y,x] shows the span
     is generated by {[x_i, x_i]} together with {[x_i, x_j] + [x_j, x_i]},
-    i < j, in every characteristic.  Each pair is taken once: with i = j
-    the sum would be 2[x_i, x_i], which vanishes in characteristic 2.  The
-    span reduces the raw sums and does not depend on scale, so a `_product`
-    table (module docstring) will do.
+    i < j, in every characteristic; the squares come first.  Each pair is
+    taken once: with i = j the sum would be 2[x_i, x_i], which vanishes in
+    characteristic 2.  The sums are raw, not reduced, so a `_product` table
+    (module docstring) will do wherever only their span or their vanishing
+    matters.
     """
     k = len(products)
-    gens = [products[i][i] for i in range(k)]
-    gens += [[a + b for a, b in zip(products[i][j], products[j][i])] for i in range(k) for j in range(i + 1, k)]
-    return Subspace._span(algebra.field, algebra.dim, gens)
+    for i in range(k):
+        yield products[i][i]
+    for i in range(k):
+        for j in range(i + 1, k):
+            yield [a + b for a, b in zip(products[i][j], products[j][i])]
+
+
+def _squares_span(algebra: LeibnizAlgebra, products: Sequence[Sequence[Vector]]) -> Subspace:
+    """span{[x, x] : x in span{x_1..x_k}}: the span of `_polarization`(products), which does not depend on scale."""
+    return Subspace._span(algebra.field, algebra.dim, list(_polarization(products)))
 
 
 def leibniz_kernel(algebra: LeibnizAlgebra) -> Subspace:

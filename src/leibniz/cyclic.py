@@ -4,14 +4,17 @@ The chain ln_1(a) = a, ln_{k+1}(a) = [a, ln_k(a)] spans the subalgebra
 generated by a.  Cyclicity has one decision, `is_cyclic_subalgebra`, on
 every field.  It tests the Leib(S) criterion first (dim S/Leib(S) = 1,
 and the left multiplication of S on Leib(S) nonderogatory), so a
-subalgebra that is not cyclic costs a few brackets and one small rank,
-never a search.  Only a cyclic S gets a generator chosen, by one search
-on every field: the first generator on a small integer grid of elements
-a0 + i, i in Leib(S), that starts at a0, the last canonical row of S
-outside Leib(S).  The criterion reads one table format, the
-`core._product` accumulators over the rows x_i of S (congruent to
-[x_i, x_j] mod p over GF(p), and c·[x_i, x_j] over Q), from
-`core._closed_products` or from the lattice's closure filter.
+subalgebra that is not cyclic is never searched: one of dimension >= 2
+whose table has no nonzero polarization generator (Leib(S) = 0) is
+refused by a zero test of those generators alone, and any other costs
+the span of Leib(S), a few brackets and one small rank.  Only a cyclic S
+gets a generator chosen, by one search on every field: the first
+generator on a small integer grid of elements a0 + i, i in Leib(S), that
+starts at a0, the last canonical row of S outside Leib(S).  The
+criterion reads one table format, the `core._product` accumulators over
+the rows x_i of S (congruent to [x_i, x_j] mod p over GF(p), and
+c·[x_i, x_j] over Q), from `core._closed_products` or from the lattice's
+closure filter.
 `cyclic_generator_by_scan`, the exhaustive search over GF(p), is the tests'
 oracle; the library does not call it.
 """
@@ -24,6 +27,7 @@ from typing import Sequence
 from .core import (
     LeibnizAlgebra,
     _closed_products,
+    _polarization,
     _squares_span,
     is_subalgebra,
     leibniz_kernel,
@@ -215,14 +219,21 @@ def _leib_criterion(algebra: LeibnizAlgebra, s: Subspace, products: list[list]) 
 
     products[i][j] = `core._product`(x_i, x_j) over the rows x_i of S, a
     subalgebra of the algebra: congruent to [x_i, x_j] mod p over GF(p),
-    and c·[x_i, x_j] over Q.  Only `_squares_span` reads it, and a span
-    does not depend on that scale; nothing here checks that S is closed.
-    a0 is the last canonical row of S outside Leib(S).  T, the matrix of
-    [a0, -] on Leib(S) in the pivot coordinates of its RREF rows, only
-    gives the powers I, T, ..., T^(m-1) whose rank decides (b).  S = 0
-    fails (a).
+    and c·[x_i, x_j] over Q.  Only its polarization generators
+    (`core._polarization`) are read, and neither their span nor their
+    vanishing depends on that scale; nothing here checks that S is closed.
+    When dim S >= 2 and every generator vanishes (mod p over GF(p)),
+    Leib(S) = 0 fails (a) with no span built, as for 995 of the 1,232
+    subalgebras of the GF(5) lattices of A-i(4) and B(4).  Otherwise
+    Leib(S) is spanned (`core._squares_span`), and a0 is the last
+    canonical row of S outside it.  T, the matrix of [a0, -] on Leib(S) in
+    the pivot coordinates of its RREF rows, only gives the powers
+    I, T, ..., T^(m-1) whose rank decides (b).  S = 0 fails (a).
     """
     field = algebra.field
+    p = field.characteristic
+    if s.dim >= 2 and not any(v % p if p else v for w in _polarization(products) for v in w):
+        return None  # Leib(S) = 0, so dim S/Leib(S) = dim S >= 2 and (a) fails
     leib = _squares_span(algebra, products)
     m = leib.dim
     if s.dim - m != 1:  # (a)

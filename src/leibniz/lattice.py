@@ -4,9 +4,9 @@ Subspaces of GF(p)^n are enumerated exactly once each through their RREF
 canonical form: choose pivot columns, then fill the free positions (entries
 to the right of a pivot in a non-pivot column) with arbitrary field
 elements.  `_patterns` lists, per pivot pattern, the possible RREF rows for
-each pivot; the product of those lists is the pattern's subspaces in
-canonical order.  The count per dimension is the Gaussian binomial
-coefficient, which the tests pin down.
+each pivot, once per (n, p) and process; the product of those lists is the
+pattern's subspaces in canonical order.  The count per dimension is the
+Gaussian binomial coefficient, which the tests pin down.
 
 The GF(p) lattice filters those row tuples before any `Subspace` exists,
 multiplying rows with `core._product`, whose accumulators each test below
@@ -36,15 +36,22 @@ its tail, with the squares taken per pattern and each generator checked by
 its n-term chain, visited 6,158 full heads and took 12,652.  Only the
 survivors become subspaces, each kept with its table of products, the
 `core._product` format that `core._closed_products` returns too, from which
-its cyclicity is decided with no bracket or closure test repeated.
+its cyclicity is decided with no bracket or closure test repeated.  In
+those two lattices 995 of the 1,232 subalgebras have a table whose
+polarization generators all vanish, and `cyclic._leib_criterion` refuses
+them without spanning Leib(S).
 
 Maximality needs no flag and no comparison of all pairs: every proper
 subalgebra lies in a maximal one, so, walking by decreasing dimension, a
 proper subalgebra is maximal exactly when none of the maximal subalgebras
-found so far contains it.  Both public functions read one walk,
-`_subalgebras`.  `maximal_cyclic_report` reads the walk's tables: it keeps
-them until it knows which subalgebras are maximal, and decides ideality and
-cyclicity for those alone.
+found so far contains it.  Containment is `_in_span` of its rows against
+a maximal subalgebra's rows and pivots, with that subalgebra's outside
+columns computed once, and the lattice marks its maximal entries by
+identity, with no comparison of subspaces.  Both public functions read one
+walk, `_subalgebras`.  `maximal_cyclic_report` reads the walk's tables: it
+keeps them until it knows which subalgebras are maximal, and decides
+ideality and cyclicity for those alone.  The census, whose profile already
+holds the nilpotency class, hands that flag to `_maximal_cyclic_report`.
 
 Over the rationals no enumeration is possible; the restricted report walks
 the finitely many coordinate-aligned hyperplanes containing [L, L] (every
@@ -57,6 +64,7 @@ the Leib(S) criterion, then choose a generator by the grid search from a0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, product
 
 from .core import (
@@ -102,14 +110,19 @@ def _check_enumerable(ambient: int, p: int) -> None:
         raise ValueError(f"GF({p})^{ambient} has {pairs} (subspace, element) pairs, over {_MAX_PAIRS}")
 
 
-def _patterns(ambient: int, p: int):
-    """Yield (pivots, choices) for every pivot pattern, by dimension, then pattern.
+@lru_cache(maxsize=None)
+def _patterns(ambient: int, p: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[Vector, ...], ...]], ...]:
+    """(pivots, choices) for every pivot pattern, by dimension, then pattern.
 
     choices[r] lists every RREF row with its leading 1 at pivots[r], in
     lexicographic order of its free entries (the columns right of pivots[r]
     that hold no pivot), so `product(*choices)` gives the pattern's
-    subspaces in canonical order.
+    subspaces in canonical order.  The patterns depend on (ambient, p)
+    alone, so they are built once per process, as immutable tuples, and
+    shared by every lattice and enumeration of that space: 1,936 rows in
+    32 patterns, about 0.18 MB, for GF(5)^5.
     """
+    patterns = []
     for k in range(ambient + 1):
         for pivots in combinations(range(ambient), k):
             choices = []
@@ -122,8 +135,9 @@ def _patterns(ambient: int, p: int):
                     for c, v in zip(free, values):
                         row[c] = v
                     rows.append(tuple(row))
-                choices.append(rows)
-            yield pivots, choices
+                choices.append(tuple(rows))
+            patterns.append((pivots, tuple(choices)))
+    return tuple(patterns)
 
 
 def enumerate_subspaces(ambient: int, p: int):
@@ -259,12 +273,21 @@ class SubalgebraLattice:
         return tuple(e for e in self.entries if e.is_maximal)
 
 
-def _maximal(subalgebras: list[Subspace], n: int) -> list[Subspace]:
-    """The maximal proper subalgebras of an n-dimensional algebra, given all its subalgebras by increasing dimension."""
+def _maximal(subalgebras: list[Subspace], n: int, p: int) -> list[Subspace]:
+    """The maximal proper subalgebras of an n-dimensional GF(p) algebra, given all its subalgebras by increasing dimension.
+
+    A proper subalgebra is maximal iff no maximal one found before it, by
+    decreasing dimension, contains it.  Containment is `_in_span` of its
+    rows against each maximal subalgebra's rows and pivots, with that
+    subalgebra's outside columns computed once, when it is found.
+    """
     maximal: list[Subspace] = []
+    spans: list[tuple] = []  # (rows, pivots, outside) of each maximal subalgebra
     for s in reversed(subalgebras):
-        if s.dim < n and not any(s <= t for t in maximal):
+        if s.dim < n and not any(all(_in_span(x, *span, p) for x in s.rows) for span in spans):
             maximal.append(s)
+            pivots = s.pivot_columns()
+            spans.append((s.rows, pivots, [c for c in range(n) if c not in pivots]))
     return maximal
 
 
@@ -277,9 +300,9 @@ def subalgebra_lattice(algebra: LeibnizAlgebra) -> SubalgebraLattice:
     """
     # (subalgebra, generator): each table is dropped once read
     closed = [(s, _cyclic_generator(algebra, s, table)) for s, table in _subalgebras(algebra)]
-    maximal = _maximal([s for s, _ in closed], algebra.dim)
+    maximal = {id(s) for s in _maximal([s for s, _ in closed], algebra.dim, algebra.field.characteristic)}
     entries = [
-        LatticeEntry(subspace=s, is_ideal=is_ideal(algebra, s), is_maximal=s in maximal, generator=generator)
+        LatticeEntry(subspace=s, is_ideal=is_ideal(algebra, s), is_maximal=id(s) in maximal, generator=generator)
         for s, generator in closed
     ]
     entries.sort(key=lambda e: (e.subspace.dim, e.subspace.rows))
@@ -308,12 +331,16 @@ def maximal_cyclic_report(algebra: LeibnizAlgebra) -> MaximalCyclicReport:
     ideality, and each one's cyclicity is read from its table, with no
     subalgebra closed a second time.
     """
+    return _maximal_cyclic_report(algebra, nilpotency_class(algebra) is not None)
+
+
+def _maximal_cyclic_report(algebra: LeibnizAlgebra, nilpotent: bool) -> MaximalCyclicReport:
+    """`maximal_cyclic_report`, for a caller that already knows whether the algebra is nilpotent."""
     tables = dict(_subalgebras(algebra))  # by increasing dimension, as `_maximal` reads them
     maximal = tuple(
         LatticeEntry(subspace=s, is_ideal=is_ideal(algebra, s), is_maximal=True, generator=_cyclic_generator(algebra, s, tables[s]))
-        for s in sorted(_maximal(list(tables), algebra.dim), key=lambda s: (s.dim, s.rows))
+        for s in sorted(_maximal(list(tables), algebra.dim, algebra.field.characteristic), key=lambda s: (s.dim, s.rows))
     )
-    nilpotent = nilpotency_class(algebra) is not None
     all_ideals = all(e.is_ideal for e in maximal) if nilpotent else None
     return MaximalCyclicReport(nilpotent, maximal, all_ideals)
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz import census as census_mod
+from leibniz import lattice
 from leibniz.census import algebra_from_int, census, class_key, valid_tensor_ints
 from leibniz.core import algebra_in_basis
 
@@ -253,6 +254,18 @@ def test_census_builds_one_record_per_class(monkeypatch):
     result = census(2, jobs=1)
     assert built == [0, 2, 8, 20]
     assert result.valid == 13
+
+
+def test_census_record_reads_nilpotency_from_its_profile(monkeypatch):
+    # the report takes the profile's nilpotency flag; the lattice computes no
+    # second lower central series
+    expected = [census_mod.census_record(2, v) for v in (0, 2, 8, 20)]
+
+    def refuse(algebra):
+        raise AssertionError("the record computed the lower central series twice")
+
+    monkeypatch.setattr(lattice, "nilpotency_class", refuse)
+    assert [census_mod.census_record(2, v) for v in (0, 2, 8, 20)] == expected
 
 
 def test_census_classes_are_stored(monkeypatch):

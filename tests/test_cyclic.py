@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_corpus, random_basis
+from leibniz import cyclic
 from leibniz.core import (
     LeibnizAlgebra,
     _closed_products,
@@ -25,7 +26,7 @@ from leibniz.cyclic import (
     left_normed,
     proposition_check,
 )
-from leibniz.families import cyclic_nilpotent, dim2_l2, family_b, family_c
+from leibniz.families import abelian, cyclic_nilpotent, dim2_l2, family_a_i, family_b, family_c
 from leibniz.lattice import subalgebra_lattice
 from leibniz.linalg import GF, QQ, Subspace, basis_vector, linear_combination, vec_add
 
@@ -312,6 +313,30 @@ def test_criterion_agrees_with_scan_on_small_cases():
             if nilpotency_class(restrict_to_subalgebra(moved, s)) is not None:
                 derived = product_subspace(moved, s, s)
                 assert derived._contains_all(s.rows[s.rows.index(gen) + 1 :]), name
+
+
+def test_criterion_spans_leib_only_for_a_nonzero_polarization_generator(monkeypatch):
+    # a subalgebra of dimension >= 2 whose table has only zero polarization
+    # generators has Leib(S) = 0 and fails (a) with no span of Leib(S) built:
+    # 995 of the 1,232 subalgebras of the GF(5) lattices of A-i(4) and B(4)
+    spans = 0
+    squares_span = cyclic._squares_span
+
+    def counted(algebra, products):
+        nonlocal spans
+        spans += 1
+        return squares_span(algebra, products)
+
+    monkeypatch.setattr(cyclic, "_squares_span", counted)
+    field = GF(5)
+    lattices = [subalgebra_lattice(family_a_i(4, field)), subalgebra_lattice(family_b(4, [0, 1, 1], 1, field))]
+    assert sum(len(lat.entries) for lat in lattices) == 1232
+    assert spans == 237
+    # over Q the generators vanish exactly: a plane of an abelian algebra
+    spans = 0
+    plane = Subspace.from_vectors(QQ, 3, [basis_vector(QQ, 3, 0), basis_vector(QQ, 3, 1)])
+    assert is_cyclic_subalgebra(abelian(3, QQ), plane) is None
+    assert spans == 0
 
 
 def test_one_generator_tables_over_q():

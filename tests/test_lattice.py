@@ -242,6 +242,14 @@ def test_enumerate_order_is_free_entry_product_order(n, p):
     assert [s.rows for s in enumerate_subspaces(n, p)] == expected
 
 
+def test_patterns_are_built_once_per_space():
+    # the patterns depend on (ambient, p) alone: one immutable copy per process
+    patterns = lattice._patterns(3, 3)
+    assert lattice._patterns(3, 3) is patterns
+    assert all(type(choices) is tuple and all(type(rows) is tuple for rows in choices) for _, choices in patterns)
+    assert [s.rows for s in enumerate_subspaces(3, 3)] == [s.rows for s in enumerate_subspaces(3, 3)]
+
+
 def _brute_force_entries(algebra):
     """The lattice from first principles: every subspace, every pair compared."""
     n = algebra.dim
